@@ -851,9 +851,9 @@ def _star_verdict(h: Hypergraph) -> Verdict | None:
 def classify_3graph(h: Hypergraph) -> Verdict:
     """First containing template among the six 3-uniform patterns.
 
-    Order: star first, then the tail patterns by index.  Families with
-    cover number three or more are reported as such (any intersecting
-    3-graph needing three cover vertices has at most ten edges).
+    Order: star first, then the tail patterns by index.  Intersecting
+    families with cover number three or more are reported as such (they
+    have at most ten edges); non-intersecting ones get NONE.
     """
     if h.r != 3:
         raise ValueError(f"classify_3graph needs r = 3, got r={h.r}")
@@ -869,9 +869,11 @@ def classify_3graph(h: Hypergraph) -> Verdict:
                 continue
             if emb is not None:
                 return Verdict(VerdictKind.H3, i=i, embedding=emb)
-        return Verdict(VerdictKind.NONE)
-    assert len(h) <= 10, "intersecting 3-graph with tau >= 3 exceeding ten edges"
-    return Verdict(VerdictKind.TAU_GE_3)
+    elif is_intersecting(h):
+        if len(h) > 10:
+            raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
+        return Verdict(VerdictKind.TAU_GE_3)
+    return Verdict(VerdictKind.NONE)
 
 
 def classify_rgraph(h: Hypergraph) -> Verdict:

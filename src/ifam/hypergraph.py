@@ -1,9 +1,7 @@
 """Core types for finite set systems on a ground set [n] = {1, ..., n}.
 
 Sets are stored as integer bitmasks: vertex ``i`` occupies bit ``i - 1``.
-Python integers are arbitrary precision, so no fixed word size is assumed;
-a numpy fast path is used for pairwise intersection tests when every mask
-fits in 64 bits.
+Python integers are arbitrary precision, so no fixed word size is assumed.
 
 Conventions used throughout the package:
 
@@ -26,11 +24,9 @@ most ~6, matchings of size at most ~5) and are exact for any input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "Hypergraph",
@@ -127,7 +123,8 @@ class Hypergraph:
         return iter(self.edges)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.edges)
+        i = bisect_left(self.edges, mask)
+        return i < len(self.edges) and self.edges[i] == mask
 
 
 @dataclass(frozen=True)
@@ -170,22 +167,22 @@ class SetFamily:
 
 
 def is_intersecting(h: Hypergraph | SetFamily) -> bool:
-    """True iff every two members share a vertex.  Empty families qualify."""
-    masks = h.edges if isinstance(h, Hypergraph) else h.members
-    m = len(masks)
-    if m <= 1:
-        return True
-    if h.n <= 63:
-        arr = np.array(masks, dtype=np.uint64)
-        for i in range(m - 1):
-            if np.any((arr[i + 1 :] & arr[i]) == 0):
-                return False
-        return True
-    for i in range(m - 1):
-        e = masks[i]
-        for f in masks[i + 1 :]:
-            if not e & f:
-                return False
+    """True iff every two members share a vertex.  Empty families qualify.
+
+    Bit i of ``rows[v]`` marks member i as containing vertex v + 1, so member
+    j meets all earlier ones iff its rows OR to the j low bits: O(m * r) ORs.
+    """
+    rows = [0] * h.n
+    for j, e in enumerate(h.edges if isinstance(h, Hypergraph) else h.members):
+        bit = 1 << j
+        seen = 0
+        while e:
+            v = (e & -e).bit_length() - 1
+            seen |= rows[v]
+            rows[v] |= bit
+            e &= e - 1
+        if seen != bit - 1:
+            return False
     return True
 
 

@@ -342,6 +342,15 @@ def test_classify_3graph_star_and_cover_three():
         classify_3graph(built(C.HM0, 9, 4))
 
 
+def test_classify_3graph_non_intersecting_cover_three_is_none():
+    k7 = Hypergraph.from_masks(7, 3, {mask_of(c) for c in combinations(range(1, 8), 3)})
+    assert cover_number(k7) >= 3 and len(k7) == 35
+    assert classify_3graph(k7).kind is VerdictKind.NONE
+    triples = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3), (4, 5, 6), (7, 8, 9)])
+    assert cover_number(triples) == 3
+    assert classify_3graph(triples).kind is VerdictKind.NONE
+
+
 def test_classify_3graph_sparse_family_lands_in_a_pattern():
     h = Hypergraph.from_masks(
         6, 3, {mask_of(c) for c in [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]}

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import ifam
 from ifam.cli import main
 from ifam.hypergraph import Hypergraph, mask_of
 from ifam.io import serialize_hypergraph
@@ -118,6 +122,16 @@ def test_classify_none_exits_one(capsys, tmp_path):
     assert "verdict: NONE" in out
 
 
+def test_classify_complete_3graph_exits_one(capsys, tmp_path):
+    k7 = Hypergraph.from_masks(
+        7, 3, [mask_of(c) for c in combinations(range(1, 8), 3)])
+    path = write(tmp_path, "k7.txt", serialize_hypergraph(k7))
+    code, out, err = run(capsys, "classify", "--file", path)
+    assert code == 1
+    assert "verdict: NONE" in out
+    assert "Traceback" not in err
+
+
 def test_classify_with_peeling(capsys, tmp_path):
     em = [mask_of(c) for c in combinations(range(1, 13), 3)
           if c[0] == 1 or 2 in c]
@@ -170,3 +184,15 @@ def test_verify_kernel_props_small(capsys):
                        "--seed", "3")
     assert code == 0
     assert "KERNEL_PROPS: PASS" in out
+
+
+def test_import_does_not_load_numpy():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ifam.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ifam, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

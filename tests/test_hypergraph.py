@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import (
     Hypergraph,
     SetFamily,
@@ -195,8 +196,87 @@ def test_set_family_mixed_sizes():
 
 
 def test_large_ground_set_falls_back():
-    # n > 63 exercises the pure-python pairwise path
+    # masks wider than 64 bits take the same incidence-row path as small ones
     h = Hypergraph.from_vertex_sets(70, 3, [(1, 2, 70), (1, 64, 65), (2, 64, 69)])
     assert is_intersecting(h)
     h2 = Hypergraph.from_vertex_sets(70, 3, [(1, 2, 3), (64, 65, 70)])
     assert not is_intersecting(h2)
+
+
+def pairwise_intersecting(masks):
+    """Naive oracle: no two members are disjoint."""
+    masks = list(masks)
+    for i, e in enumerate(masks):
+        for f in masks[i + 1 :]:
+            if not e & f:
+                return False
+    return True
+
+
+def majority_family(rng, n, uniform):
+    """A seeded family, intersecting by construction unless spoiled.
+
+    Every member holds a majority of a random core of at most three
+    vertices, so any two of them meet.  Half the time one or two
+    unconstrained members are added (for a SetFamily possibly the empty
+    set), which usually breaks the property.
+    """
+    core = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+    need = len(core) // 2 + 1
+    r = rng.randint(need, min(n, 6))
+
+    def member(size, base):
+        rest = [v for v in range(1, n + 1) if v not in base]
+        return mask_of([*base, *rng.sample(rest, size - len(base))])
+
+    masks = [
+        member(r if uniform else rng.randint(need, min(n, 6)), rng.sample(core, need))
+        for _ in range(rng.randint(0, 30))
+    ]
+    if rng.random() < 0.5:
+        masks += [
+            member(r if uniform else rng.randint(0, min(n, 6)), [])
+            for _ in range(rng.randint(1, 2))
+        ]
+    return Hypergraph.from_masks(n, r, masks) if uniform else SetFamily.from_masks(n, masks)
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 130])
+def test_is_intersecting_matches_pairwise_oracle(n):
+    rng = random.Random(20261017 + n)
+    seen = set()
+    for trial in range(200):
+        f = majority_family(rng, n, uniform=trial % 2 == 0)
+        want = pairwise_intersecting(f)
+        assert is_intersecting(f) == want, f
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_intersecting_empty_member():
+    assert is_intersecting(SetFamily(4, (0,)))
+    assert not is_intersecting(SetFamily.from_vertex_sets(4, [(), (1, 2)]))
+    assert not is_intersecting(SetFamily.from_vertex_sets(130, [(), (1,), (1, 130)]))
+    assert is_intersecting(SetFamily.from_vertex_sets(130, [(1,), (1, 130), (1, 64, 65)]))
+
+
+@pytest.mark.parametrize("i", [3, 4, 5])
+def test_is_intersecting_on_h3_lifts(i):
+    h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n=130, r=4, i=i))
+    assert is_intersecting(h)
+    assert pairwise_intersecting(h.edges)
+    # {127, ..., 130} misses the lifted edge {1, 2, 3, 4}
+    g = Hypergraph.from_masks(130, 4, [*h.edges, mask_of(range(127, 131))])
+    assert not is_intersecting(g)
+    assert not pairwise_intersecting(g.edges)
+
+
+def test_contains():
+    h = Hypergraph.from_vertex_sets(70, 3, [(1, 2, 3), (2, 4, 6), (4, 5, 70)])
+    for e in h.edges:
+        assert e in h
+    for vs in [(1, 2, 4), (3, 4, 5), (68, 69, 70)]:
+        assert mask_of(vs) not in h
+    assert 0 not in h
+    assert (1 << 80) not in h
+    assert mask_of([1, 2, 3]) not in Hypergraph(5, 3, ())
