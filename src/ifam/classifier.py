@@ -1,12 +1,12 @@
 """Containment testing and structure classification for intersecting families.
 
 Every construction in this package is determined by a small set of special
-vertices (an apex, a base set, tail vertices, ...) together with edge
-schemas: an r-set belongs to the instantiated construction exactly when it
-matches one of the schemas relative to the special vertices.  An
-``Embedding`` therefore records only where the special vertices go; the
-remaining template vertices are interchangeable filler and are never
-matched explicitly.
+vertices (an apex, a base set, tail vertices, ...) together with its
+generators, short sets of those roles listed in the construction's record:
+an r-set belongs to the instantiated construction exactly when it contains
+one of the template's generators.  An ``Embedding`` therefore records only
+where the special vertices go; the remaining template vertices are
+interchangeable filler and are never matched explicitly.
 
 ``embed`` decides, completely, whether a family is a subfamily of a
 construction instance on the same ground set, and returns a witness
@@ -22,7 +22,8 @@ role assignment when one exists.  The searches are exact but anchored:
   which keeps the search tree small without giving up completeness.
 
 ``classify_3graph`` and ``classify_rgraph`` run the containment tests in
-a fixed documented order and report the first hit.  ``decompose_matching``
+a fixed documented order and report the first hit; ``classify`` is the one
+entry point that picks between them for any family.  ``decompose_matching``
 peels a small vertex set so that the rest of the family collapses onto a
 single classified structure, and ``decompose_th4prime`` runs the kernel
 reduction to a 3-uniform shadow, classifies the shadow, and lifts the
@@ -33,13 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .constructions import (
     ConstructionError,
     ConstructionId,
     ConstructionParams,
-    _H3_EXTRAS,
+    Resolved,
+    _resolve,
     special_vertices,
     validate_construction_params,
 )
@@ -62,6 +65,7 @@ __all__ = [
     "Embedding",
     "embed",
     "embedding_is_valid",
+    "classify",
     "classify_3graph",
     "classify_rgraph",
     "decompose_matching",
@@ -151,145 +155,55 @@ def _lowest_free(n: int, excluded: int, count: int) -> list[int] | None:
     return None
 
 
-def _role_tuple(roles: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(roles.items()))
-
-
 def _family(n: int, masks) -> SetFamily:
     return SetFamily.from_masks(n, masks)
 
 
-# -- edge schema checkers ---------------------------------------------------
-#
-# Each factory takes the role assignment and returns a predicate deciding
-# whether an edge mask matches some schema of the template.  These are the
-# single source of truth for template membership; both the validity check
-# and the searches go through them.
+# -- template membership ----------------------------------------------------
 
 
-def _checker_em(p: ConstructionParams, roles: dict[str, int]):
-    centers = mask_of(roles.values())
-    return lambda e: bool(e & centers)
+@lru_cache(maxsize=256)
+def _slots(res: Resolved) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """The role names in layout order, and each generator as the positions
+    of its roles in that order."""
+    names = res.roles
+    place = {role: j for j, role in enumerate(names)}
+    return names, tuple(tuple(place[role] for role in gen) for gen in res.generators)
 
 
-def _checker_hm0(roles: dict[str, int]):
-    tmask = mask_of(roles.values())
-    return lambda e: (e & tmask).bit_count() >= 2
+def _witness_check(h: Hypergraph, res: Resolved):
+    """``fits(vertices)``: the role map that puts the vertices on the
+    template's roles in layout order, if every edge of H is a member
+    under it, else None.
 
+    An edge of size r is a member exactly when it equals a generator of
+    size r or contains a smaller one.  The generators are read once; each
+    call only puts vertices on their roles.
+    """
+    edges = h.edges
+    names, gens = _slots(res)
 
-def _checker_hm_t(p: ConstructionParams, roles: dict[str, int]):
-    r, t = p.r, p.t
-    if t == 0:
-        return _checker_hm0(roles)
-    xb = _bit(roles["x"])
-    xmask = mask_of(roles[f"x{j}"] for j in range(1, r))
-    ys = [roles[f"y{j}"] for j in range(1, t + 1)]
-    tails = frozenset(xmask | _bit(y) for y in ys)
-    if t <= r - 1:
-        t3 = xb | mask_of(ys)
-        return lambda e: bool(
-            (e & xb and e & xmask) or e in tails or not t3 & ~e
-        )
-    return lambda e: bool((e & xb and e & xmask) or e in tails)
+    def fits(vertices) -> dict[str, int] | None:
+        bits = [1 << (v - 1) for v in vertices]
+        masks = []
+        for gen in gens:
+            m = 0
+            for j in gen:
+                m |= bits[j]
+            masks.append(m)
+        for e in edges:
+            for m in masks:
+                if not m & ~e:
+                    break
+            else:
+                return None
+        return dict(zip(names, vertices))
 
-
-def _checker_hm_dp(p: ConstructionParams, roles: dict[str, int]):
-    r = p.r
-    xb = _bit(roles["x"])
-    xmask = mask_of(roles[f"x{j}"] for j in range(1, r - 1))
-    p1 = _bit(roles["y1"]) | _bit(roles["y1p"])
-    p2 = _bit(roles["y2"]) | _bit(roles["y2p"])
-    tails = frozenset((xmask | p1, xmask | p2))
-    return lambda e: bool(
-        (e & xb and (e & xmask or (e & p1 and e & p2))) or e in tails
-    )
-
-
-def _checker_fp(p: ConstructionParams, roles: dict[str, int]):
-    r = p.r
-    xb = _bit(roles["x"])
-    ybits = [_bit(roles[f"y{j}"]) for j in range(1, r + 1)]
-    zbits = [_bit(roles[f"z{j}"]) for j in range(1, r)]
-    ymask = mask_of(roles[f"y{j}"] for j in range(1, r + 1))
-    zmask = mask_of(roles[f"z{j}"] for j in range(1, r))
-    gens = {xb | y | z for y in ybits for z in zbits}
-    gens.add(ymask)
-    gens.add(xb | ybits[0] | ybits[1])
-    gens.add(zmask | ybits[0])
-    gens.add(zmask | ybits[1])
-    gens = tuple(sorted(gens))
-    return lambda e: any(not g & ~e for g in gens)
-
-
-def _h3_role_names(i: int) -> tuple[str, ...]:
-    if i == 3:
-        return ("v1", "v2", "y1", "y2", "y3")
-    return ("v1", "v2", "z11", "z11p", "z21", "z21p")
-
-
-def _h3_extra_schemas(i: int) -> list[tuple[str, ...]]:
-    names = ("v1", "v2") + _h3_role_names(i)[2:]
-    return [tuple(names[label - 1] for label in tr) for tr in _H3_EXTRAS[i]]
-
-
-def _checker_h3_pair(i: int, roles: dict[str, int]):
-    pair = _bit(roles["v1"]) | _bit(roles["v2"])
-    extras = tuple(
-        mask_of(roles[name] for name in schema) for schema in _h3_extra_schemas(i)
-    )
-    return lambda e: (not pair & ~e) or any(not x & ~e for x in extras)
-
-
-def _checker_h3_lift_tail(p: ConstructionParams, roles: dict[str, int]):
-    # Lift of the tailed 3-uniform pattern (i = 1 or 2): base edges are
-    # triples, so an r-set qualifies as soon as it contains one.
-    t = p.i
-    n = p.n
-    xb = _bit(roles["x"])
-    xmask = _bit(roles["x1"]) | _bit(roles["x2"])
-    ymask = mask_of(roles[f"y{j}"] for j in range(1, t + 1))
-    fmask = ((1 << n) - 1) & ~(xb | xmask | ymask)
-    t3 = xb | ymask
-    if t == 2:
-        return lambda e: bool(
-            (e & xb and e & xmask) or (not xmask & ~e and e & ymask) or not t3 & ~e
-        )
-    return lambda e: bool(
-        (e & xb and e & xmask)
-        or (not xmask & ~e and e & ymask)
-        or (not t3 & ~e and e & fmask)
-    )
-
-
-def _edge_checker(cid: ConstructionId, p: ConstructionParams, roles: dict[str, int]):
-    cid = ConstructionId(cid)
-    if cid is ConstructionId.EM:
-        return _checker_em(p, roles)
-    if cid is ConstructionId.HM_T:
-        return _checker_hm_t(p, roles)
-    if cid is ConstructionId.HM0:
-        return _checker_hm0(roles)
-    if cid is ConstructionId.HM_DP:
-        return _checker_hm_dp(p, roles)
-    if cid is ConstructionId.FP:
-        return _checker_fp(p, roles)
-    if cid is ConstructionId.H3FAM:
-        if p.i == 0:
-            return _checker_hm0(roles)
-        if p.i in (1, 2):
-            return _checker_hm_t(ConstructionParams(p.n, 3, t=p.i), roles)
-        return _checker_h3_pair(p.i, roles)
-    if cid is ConstructionId.H3LIFT:
-        if p.i == 0:
-            return _checker_hm0(roles)
-        if p.i in (1, 2):
-            return _checker_h3_lift_tail(p, roles)
-        return _checker_h3_pair(p.i, roles)
-    raise ConstructionError(f"unknown construction {cid!r}")
+    return fits
 
 
 def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
-    """Check an embedding witness edge by edge against the template schemas."""
+    """Check an embedding witness edge by edge against the template's generators."""
     p = emb.params
     if p.n != h.n or p.r != h.r:
         return False
@@ -297,17 +211,17 @@ def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
         validate_construction_params(emb.template, p)
     except ConstructionError:
         return False
+    res = _resolve(emb.template, p)
+    names = _slots(res)[0]
     roles = emb.mapping
-    expected = set(special_vertices(emb.template, p))
-    if set(roles) != expected:
+    if set(roles) != set(names):
         return False
     values = list(roles.values())
     if len(set(values)) != len(values):
         return False
     if any(not 1 <= v <= h.n for v in values):
         return False
-    check = _edge_checker(emb.template, p, roles)
-    return all(check(e) for e in h.edges)
+    return _witness_check(h, res)([roles[name] for name in names]) is not None
 
 
 # -- covering-pair candidates -----------------------------------------------
@@ -366,18 +280,15 @@ def _pair_anchor_cands(h: Hypergraph):
 
 # -- per-template searches --------------------------------------------------
 #
-# Each search returns a full role assignment or None.  They all end with a
-# checker pass over every edge, so a returned witness is sound by
-# construction; the comments argue completeness.
+# Each search takes a family with at least one edge, the resolved template
+# and its ``fits`` check, and returns a full role assignment or None.  They
+# all end with a ``fits`` pass over every edge, so a returned witness is
+# sound by construction; the comments argue completeness.
 
 
-def _canonical_roles(cid: ConstructionId, p: ConstructionParams) -> dict[str, int]:
-    return dict(special_vertices(cid, p))
-
-
-def _embed_em(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
+def _embed_em(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
     # H fits iff the s centers can cover it, i.e. tau(H) <= s.
-    s = p.s
+    s = res.k
     mc = min_cover(h)
     if len(mc) > s:
         return None
@@ -385,17 +296,13 @@ def _embed_em(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
     pads = _lowest_free(h.n, excluded, s - len(mc))
     if pads is None:
         return None
-    centers = sorted(list(mc) + pads)
-    return {f"x{j}": v for j, v in enumerate(centers, start=1)}
+    return dict(zip(res.roles, sorted(list(mc) + pads)))
 
 
-def _embed_hm0(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
+def _embed_hm0(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
     # Every edge meets two of the triple, hence meets every pair inside
     # it: anchor on covering pairs, then the third vertex must lie in
     # every edge meeting the pair only once.
-    names = sorted(special_vertices(ConstructionId.HM0, ConstructionParams(p.n, p.r)))
-    if not h.edges:
-        return dict(zip(names, (1, 2, 3)))
     edges = h.edges
     full = (1 << h.n) - 1
     tried = set()
@@ -411,21 +318,14 @@ def _embed_hm0(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
             free = _lowest_free(h.n, pair, 1)
             ccands = tuple(free) if free else ()
         for cv in ccands:
-            tmask = pair | _bit(cv)
-            if all((e & tmask).bit_count() >= 2 for e in edges):
-                return dict(zip(names, sorted((pv, qv, cv))))
+            got = fits(sorted((pv, qv, cv)))
+            if got:
+                return got
     return None
 
 
-def _hm_t_roles(xv: int, xmask: int, ymask: int) -> dict[str, int]:
-    roles = {"x": xv}
-    roles.update({f"x{j}": v for j, v in enumerate(vertices_of(xmask), start=1)})
-    roles.update({f"y{j}": v for j, v in enumerate(vertices_of(ymask), start=1)})
-    return roles
-
-
 def _hm_t_finish(
-    h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[int]
+    h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[int], fits
 ) -> dict[str, int] | None:
     """Fix apex and base, then solve for the tail set."""
     xb = _bit(xv)
@@ -451,17 +351,11 @@ def _hm_t_finish(
     fills = _lowest_free(h.n, full & ~(pool & ~demand), t - demand.bit_count())
     if fills is None:
         return None
-    roles = _hm_t_roles(xv, xmask, demand | mask_of(fills))
-    check = _checker_hm_t(ConstructionParams(h.n, r, t=t), roles)
-    return roles if all(check(e) for e in h.edges) else None
+    return fits((xv, *vertices_of(xmask), *vertices_of(demand | mask_of(fills))))
 
 
-def _embed_hm_t(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
-    t, r, n = p.t, p.r, h.n
-    if t == 0:
-        return _embed_hm0(h, ConstructionParams(n, r))
-    if not h.edges:
-        return _canonical_roles(ConstructionId.HM_T, p)
+def _embed_hm_t(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+    t, r, n = res.k, h.r, h.n
     edges = h.edges
     full = (1 << n) - 1
     for xv in range(1, n + 1):
@@ -490,19 +384,19 @@ def _embed_hm_t(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
                 # No small cover exists: some edges must carry the whole
                 # tail, and the tail lies inside each of them.  Guess the
                 # first such edge and the tail, then cover the rest.
-                got = _hm_t_star_residue(h, t, r, xv, links)
+                got = _hm_t_star_residue(h, t, r, xv, links, fits)
                 if got:
                     return got
                 continue
         for xmask in xcands:
-            got = _hm_t_finish(h, t, r, xv, xmask, e0)
+            got = _hm_t_finish(h, t, r, xv, xmask, e0, fits)
             if got:
                 return got
     return None
 
 
 def _hm_t_star_residue(
-    h: Hypergraph, t: int, r: int, xv: int, links: list[int]
+    h: Hypergraph, t: int, r: int, xv: int, links: list[int], fits
 ) -> dict[str, int] | None:
     n = h.n
     xb = _bit(xv)
@@ -520,17 +414,14 @@ def _hm_t_star_residue(
             pads = _lowest_free(n, xb | ymask | mask_of(mc), r - 1 - len(mc))
             if pads is None:
                 continue
-            roles = _hm_t_roles(xv, mask_of(mc) | mask_of(pads), ymask)
-            check = _checker_hm_t(ConstructionParams(n, r, t=t), roles)
-            if all(check(e) for e in h.edges):
-                return roles
+            got = fits((xv, *vertices_of(mask_of(mc) | mask_of(pads)), *yverts))
+            if got:
+                return got
     return None
 
 
-def _embed_hm_dp(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
-    r, n = p.r, h.n
-    if not h.edges:
-        return _canonical_roles(ConstructionId.HM_DP, p)
+def _embed_hm_dp(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+    r, n = h.r, h.n
     edges = h.edges
     for xv in range(1, n + 1):
         xb = _bit(xv)
@@ -541,7 +432,7 @@ def _embed_hm_dp(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
             xmask = e0[0] & e0[1]
             if xmask.bit_count() != r - 2:
                 continue
-            got = _dp_try(h, p, xv, xmask, e0[0] & ~xmask, e0[1] & ~xmask)
+            got = _dp_try(xv, xmask, e0[0] & ~xmask, e0[1] & ~xmask, fits)
             if got:
                 return got
         elif len(e0) == 1:
@@ -552,21 +443,21 @@ def _embed_hm_dp(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
                 if any(not g & p1 for g in bad2):
                     continue
                 for p2 in _two_cover_cands(bad2, xb | xmask | p1, n):
-                    got = _dp_try(h, p, xv, xmask, p1, p2)
+                    got = _dp_try(xv, xmask, p1, p2, fits)
                     if got:
                         return got
         else:
-            got = _dp_star(h, p, xv)
+            got = _dp_star(h, xv, fits)
             if got:
                 return got
     return None
 
 
-def _dp_star(h: Hypergraph, p: ConstructionParams, xv: int) -> dict[str, int] | None:
+def _dp_star(h: Hypergraph, xv: int, fits) -> dict[str, int] | None:
     # All edges contain the apex.  A base vertex outside the support hits
     # nothing, so base and tail candidates may be confined to the support
     # of the links, with free labels as padding.
-    r, n = p.r, h.n
+    r, n = h.r, h.n
     xb = _bit(xv)
     links = [e & ~xb for e in h.edges]
     sup = 0
@@ -586,8 +477,9 @@ def _dp_star(h: Hypergraph, p: ConstructionParams, xv: int) -> dict[str, int] | 
                 if frees is None:
                     continue
                 got = _dp_try(
-                    h, p, xv, xmask,
+                    xv, xmask,
                     _bit(frees[0]) | _bit(frees[1]), _bit(frees[2]) | _bit(frees[3]),
+                    fits,
                 )
                 if got:
                     return got
@@ -597,26 +489,19 @@ def _dp_star(h: Hypergraph, p: ConstructionParams, xv: int) -> dict[str, int] | 
                     pads = _lowest_free(n, xb | xh | p1 | p2, r - 2 - k)
                     if pads is None:
                         continue
-                    got = _dp_try(h, p, xv, xh | mask_of(pads), p1, p2)
+                    got = _dp_try(xv, xh | mask_of(pads), p1, p2, fits)
                     if got:
                         return got
     return None
 
 
-def _dp_try(
-    h: Hypergraph, p: ConstructionParams, xv: int, xmask: int, p1: int, p2: int
-) -> dict[str, int] | None:
+def _dp_try(xv: int, xmask: int, p1: int, p2: int, fits) -> dict[str, int] | None:
     if p1.bit_count() != 2 or p2.bit_count() != 2:
         return None
     if xmask & (p1 | p2) or p1 & p2 or _bit(xv) & (xmask | p1 | p2):
         return None
     pairs = sorted((vertices_of(p1), vertices_of(p2)))
-    roles = {"x": xv}
-    roles.update({f"x{j}": v for j, v in enumerate(vertices_of(xmask), start=1)})
-    roles.update({"y1": pairs[0][0], "y1p": pairs[0][1]})
-    roles.update({"y2": pairs[1][0], "y2p": pairs[1][1]})
-    check = _checker_hm_dp(p, roles)
-    return roles if all(check(e) for e in h.edges) else None
+    return fits((xv, *vertices_of(xmask), *pairs[0], *pairs[1]))
 
 
 # -- schema-driven backtracking (FP and the pair-plus-extras patterns) ------
@@ -697,26 +582,12 @@ def _schema_dfs(
     return rec(dict(assigned))
 
 
-def _embed_fp(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
-    r = p.r
-    if not h.edges:
-        return _canonical_roles(ConstructionId.FP, p)
-    ynames = [f"y{j}" for j in range(1, r + 1)]
-    znames = [f"z{j}" for j in range(1, r)]
-    schemas: list[tuple[str, ...]] = [("x", y, z) for y in ynames for z in znames]
-    schemas.append(tuple(ynames))
-    schemas.append(("x", "y1", "y2"))
-    schemas.append(tuple(znames) + ("y1",))
-    schemas.append(tuple(znames) + ("y2",))
-    return _schema_dfs(h, ("x", *ynames, *znames), schemas, {})
+def _embed_fp(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+    return _schema_dfs(h, res.roles, res.generators, {})
 
 
-def _embed_h3_pair(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
-    i = p.i
-    names = _h3_role_names(i)
-    if not h.edges:
-        return _canonical_roles(ConstructionId.H3FAM if h.r == 3 else ConstructionId.H3LIFT, p)
-    schemas = [("v1", "v2")] + _h3_extra_schemas(i)
+def _embed_h3_pair(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+    names, schemas = res.roles, res.generators
     for pv, qv in _pair_anchor_cands(h):
         got = _schema_dfs(h, names, schemas, {"v1": pv, "v2": qv})
         if got:
@@ -724,19 +595,12 @@ def _embed_h3_pair(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | Non
     return None
 
 
-def _embed_h3_lift_tail(h: Hypergraph, p: ConstructionParams) -> dict[str, int] | None:
+def _embed_h3_lift_tail(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
     # Lifted tailed pattern: edges avoiding the apex contain the (2-vertex)
     # base and meet the tail; edges missing the base contain apex and tail.
-    t, n, r = p.i, h.n, h.r
-    if not h.edges:
-        return _canonical_roles(ConstructionId.H3LIFT, p)
+    t, n = res.k, h.n
     edges = h.edges
     full = (1 << n) - 1
-
-    def finish(xv: int, xmask: int, ymask: int) -> dict[str, int] | None:
-        roles = _hm_t_roles(xv, xmask, ymask)
-        check = _checker_h3_lift_tail(p, roles)
-        return roles if all(check(e) for e in edges) else None
 
     for xv in range(1, n + 1):
         xb = _bit(xv)
@@ -752,13 +616,13 @@ def _embed_h3_lift_tail(h: Hypergraph, p: ConstructionParams) -> dict[str, int] 
                     continue
                 if t == 1:
                     for yv in vertices_of(_and_all(e0m, full) & pool):
-                        got = finish(xv, xmask, _bit(yv))
+                        got = fits((xv, *vertices_of(xmask), yv))
                         if got:
                             return got
                 else:
                     forb = full & ~pool
                     for ymask in _two_cover_cands(e0m, forb, n):
-                        got = finish(xv, xmask, ymask)
+                        got = fits((xv, *vertices_of(xmask), *vertices_of(ymask)))
                         if got:
                             return got
         else:
@@ -767,7 +631,7 @@ def _embed_h3_lift_tail(h: Hypergraph, p: ConstructionParams) -> dict[str, int] 
                 frees = _lowest_free(n, xb | xmask, t)
                 if frees is None:
                     continue
-                got = finish(xv, xmask, mask_of(frees))
+                got = fits((xv, *vertices_of(xmask), *frees))
                 if got:
                     return got
             for c0 in edges:
@@ -777,13 +641,27 @@ def _embed_h3_lift_tail(h: Hypergraph, p: ConstructionParams) -> dict[str, int] 
                     if any(s == 0 for s in residue):
                         continue
                     for xmask in _two_cover_cands(residue, xb | ymask, n):
-                        got = finish(xv, xmask, ymask)
+                        got = fits((xv, *vertices_of(xmask), *yverts))
                         if got:
                             return got
     return None
 
 
 # -- public embedding dispatcher --------------------------------------------
+
+# Resolved template name and whether H is a lift of it (its generators are
+# 3-uniform while H is not) -> the anchored search for that template.
+_SEARCHES = {
+    ("EM", False): _embed_em,
+    ("HM0", False): _embed_hm0,
+    ("HM0", True): _embed_hm0,
+    ("HM_T", False): _embed_hm_t,
+    ("HM_T", True): _embed_h3_lift_tail,
+    ("HM_DP", False): _embed_hm_dp,
+    ("FP", False): _embed_fp,
+    ("H3", False): _embed_h3_pair,
+    ("H3", True): _embed_h3_pair,
+}
 
 
 def embed(
@@ -802,36 +680,17 @@ def embed(
             f"on n={h.n}, r={h.r}"
         )
     validate_construction_params(cid, params)
-    if cid is ConstructionId.EM:
-        roles = _embed_em(h, params)
-    elif cid is ConstructionId.HM_T:
-        roles = _embed_hm_t(h, params)
-    elif cid is ConstructionId.HM0:
-        roles = _embed_hm0(h, params)
-    elif cid is ConstructionId.HM_DP:
-        roles = _embed_hm_dp(h, params)
-    elif cid is ConstructionId.FP:
-        roles = _embed_fp(h, params)
-    elif cid is ConstructionId.H3FAM:
-        if params.i == 0:
-            roles = _embed_hm0(h, params)
-        elif params.i in (1, 2):
-            roles = _embed_hm_t(h, ConstructionParams(h.n, 3, t=params.i))
-        else:
-            roles = _embed_h3_pair(h, params)
-    elif cid is ConstructionId.H3LIFT:
-        if params.i == 0:
-            roles = _embed_hm0(h, params)
-        elif params.i in (1, 2):
-            roles = _embed_h3_lift_tail(h, params)
-        else:
-            roles = _embed_h3_pair(h, params)
+    res = _resolve(cid, params)
+    if h.edges:
+        search = _SEARCHES[res.template.name, res.r != h.r]
+        roles = search(h, res, _witness_check(h, res))
     else:
-        raise ConstructionError(f"unknown construction {cid!r}")
+        roles = special_vertices(cid, params)
     if roles is None:
         return None
-    emb = Embedding(template=cid, params=params, roles=_role_tuple(roles))
-    assert embedding_is_valid(h, emb), "search returned an unsound witness"
+    emb = Embedding(template=cid, params=params, roles=tuple(sorted(roles.items())))
+    if not embedding_is_valid(h, emb):
+        raise AssertionError("search returned an unsound witness")
     return emb
 
 
@@ -914,17 +773,28 @@ def classify_rgraph(h: Hypergraph) -> Verdict:
     return Verdict(VerdictKind.NONE)
 
 
+def classify(h: Hypergraph) -> Verdict:
+    """The verdict for any family: the one classification entry point.
+
+    r = 3 goes to ``classify_3graph``.  Otherwise a family with cover
+    number at most one is a star (or NONE when no star template fits the
+    ground set), a family that is not intersecting is NONE, and r >= 4
+    goes to ``classify_rgraph``.  Raises ValueError for an intersecting
+    family with cover number two or more and r < 3.
+    """
+    if h.r == 3:
+        return classify_3graph(h)
+    if cover_number(h) <= 1:
+        star = _star_verdict(h)
+        return star if star is not None else Verdict(VerdictKind.NONE)
+    if not is_intersecting(h):
+        return Verdict(VerdictKind.NONE)
+    if h.r >= 4:
+        return classify_rgraph(h)
+    raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
+
+
 # -- decompositions ---------------------------------------------------------
-
-
-def _classify_residue(h2: Hypergraph) -> Verdict | None:
-    if cover_number(h2) <= 1:
-        return _star_verdict(h2)
-    if not is_intersecting(h2):
-        return None
-    if h2.r == 3:
-        return classify_3graph(h2)
-    return classify_rgraph(h2)
 
 
 def decompose_matching(
@@ -946,8 +816,7 @@ def decompose_matching(
     if matching_number(h) > s:
         raise ValueError("family has a larger matching than the stated bound")
     if s == 1:
-        v = _classify_residue(h)
-        return ((), v if v is not None else Verdict(VerdictKind.NONE))
+        return ((), classify(h))
     decomp = b_kernel(h, paper_rs(s))
     b1 = {vertices_of(m)[0] for m in decomp.by_size.get(1, _family(h.n, ())).members}
     order = sorted(
@@ -955,8 +824,8 @@ def decompose_matching(
     )
     for zs in combinations(order, s - 1):
         h2 = delete_vertices(h, zs)
-        v = _classify_residue(h2)
-        if v is not None and v.kind not in (VerdictKind.NONE, VerdictKind.TAU_GE_3):
+        v = classify(h2)
+        if v.kind not in (VerdictKind.NONE, VerdictKind.TAU_GE_3):
             return (tuple(sorted(zs)), v)
     return (None, Verdict(VerdictKind.NONE))
 
@@ -978,7 +847,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
         raise ValueError("decompose_th4prime needs cover number at most 2")
     if tau <= 1:
         star = _star_verdict(h)
-        assert star is not None
+        if star is None:
+            raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)
     decomp = b_kernel(h, paper_r())
     hp, h3 = reduce_to_3graph(h, decomp)
@@ -991,7 +861,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
             ConstructionParams(h.n, h.r, s=1),
             (("x1", center),),
         )
-        assert embedding_is_valid(hp, emb)
+        if not embedding_is_valid(hp, emb):
+            raise AssertionError("retained edges escape the lifted star")
         return (hp, removed, Verdict(VerdictKind.STAR, embedding=emb))
     if v3.kind is VerdictKind.H3:
         emb = Embedding(
@@ -999,6 +870,7 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
             ConstructionParams(h.n, h.r, i=v3.i),
             v3.embedding.roles,
         )
-        assert embedding_is_valid(hp, emb), "retained edges escape the lifted pattern"
+        if not embedding_is_valid(hp, emb):
+            raise AssertionError("retained edges escape the lifted pattern")
         return (hp, removed, Verdict(VerdictKind.H3, i=v3.i, embedding=emb))
     raise AssertionError("three-uniform shadow produced no liftable verdict")

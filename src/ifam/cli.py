@@ -14,14 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .classifier import (
-    Verdict,
-    VerdictKind,
-    classify_3graph,
-    classify_rgraph,
-    decompose_matching,
-    embed,
-)
+from .classifier import Verdict, VerdictKind, classify, decompose_matching
 from .constructions import (
     ConstructionId,
     ConstructionParams,
@@ -191,13 +184,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             else:
                 _emit("Z: " + (" ".join(map(str, zs)) or "(empty)"))
         return 0 if zs is not None and v.kind is not VerdictKind.NONE else 1
-    if h.r == 3:
-        v = classify_3graph(h)
-    elif cover_number(h) <= 1:
-        emb = embed(h, ConstructionId.EM, ConstructionParams(h.n, h.r, s=1))
-        v = Verdict(VerdictKind.STAR, embedding=emb)
-    else:
-        v = classify_rgraph(h)
+    v = classify(h)
     if args.json:
         _emit_json(_verdict_json(v))
     else:

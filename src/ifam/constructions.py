@@ -35,9 +35,14 @@ H3FAM    3-uniform families, n >= 6, index i in 0..5:
 H3LIFT   every r-set containing an edge of H3FAM(n, i).
 ======== ====================================================================
 
-``size_formula`` returns the closed-form count where one exists and is
-enumeration-backed (the size of the built edge set) for FP, for HM_DP at
-r = 4, and for H3LIFT.
+Each template is one ``Template`` record in ``_TEMPLATES``: its parameter
+constraints, its roles in layout order, its generators as tuples of role
+names, and its closed-form size where one exists.  The records are the
+single source for building (every r-set containing a generator),
+membership checking (``classifier``), roles (``special_vertices``) and
+validation.  ``size_formula`` returns the closed-form count where one
+exists and is enumeration-backed (the size of the built edge set) for FP,
+for HM_DP at r = 4, and for H3LIFT.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
+from typing import Any, Callable, NamedTuple
 
 from .hypergraph import Hypergraph, mask_of
 
@@ -97,210 +103,7 @@ def _require(cond: bool, message: str) -> None:
         raise ConstructionError(message)
 
 
-# -- individual builders ----------------------------------------------------
-
-
-def _build_em(n: int, r: int, s: int) -> Hypergraph:
-    _require(s >= 1, f"EM needs s >= 1, got s={s}")
-    _require(r >= 1, f"EM needs r >= 1, got r={r}")
-    _require(n >= r + s, f"EM needs n >= r + s, got n={n}, r={r}, s={s}")
-    smask = mask_of(range(1, s + 1))
-    if s == 1:
-        edges = [1 | mask_of(c) for c in combinations(range(2, n + 1), r - 1)]
-    else:
-        edges = [
-            m
-            for c in combinations(range(1, n + 1), r)
-            if (m := mask_of(c)) & smask
-        ]
-    return Hypergraph.from_masks(n, r, edges)
-
-
-def _build_hm_t(n: int, r: int, t: int) -> Hypergraph:
-    if t == 0:
-        return _build_hm0(n, r)
-    _require(r >= 3, f"HM_T needs r >= 3, got r={r}")
-    _require(n >= 2 * r, f"HM_T needs n >= 2r, got n={n}, r={r}")
-    _require(
-        1 <= t <= r - 1 or t == n - r,
-        f"HM_T needs t in {{0}} u {{1..{r - 1}}} u {{{n - r}}}, got t={t}",
-    )
-    x = 1
-    xmask = mask_of(range(2, r + 1))
-    ymask = mask_of(range(r + 1, r + t + 1))
-    edges = set()
-    for c in combinations(range(2, n + 1), r - 1):
-        m = mask_of(c)
-        if m & xmask:
-            edges.add(m | 1)
-    for yj in range(r + 1, r + t + 1):
-        edges.add(xmask | (1 << (yj - 1)))
-    if t <= r - 1:
-        free = [v for v in range(2, n + 1) if not (xmask | ymask) & (1 << (v - 1))]
-        for c in combinations(free, r - 1 - t):
-            edges.add(1 | ymask | mask_of(c))
-    return Hypergraph.from_masks(n, r, edges)
-
-
-def _build_hm0(n: int, r: int) -> Hypergraph:
-    _require(r >= 3, f"HM0 needs r >= 3, got r={r}")
-    _require(n >= r + 1, f"HM0 needs n >= r + 1, got n={n}, r={r}")
-    rest = range(4, n + 1)
-    edges = set()
-    for pair in combinations((1, 2, 3), 2):
-        for c in combinations(rest, r - 2):
-            edges.add(mask_of(pair) | mask_of(c))
-    for c in combinations(rest, r - 3):
-        edges.add(mask_of((1, 2, 3)) | mask_of(c))
-    return Hypergraph.from_masks(n, r, edges)
-
-
-def _build_hm_dp(n: int, r: int) -> Hypergraph:
-    _require(r >= 4, f"HM_DP needs r >= 4, got r={r}")
-    _require(n >= r + 4, f"HM_DP needs n >= r + 4, got n={n}, r={r}")
-    xmask = mask_of(range(2, r))
-    pair1 = mask_of((r, r + 1))
-    pair2 = mask_of((r + 2, r + 3))
-    edges = set()
-    for c in combinations(range(2, n + 1), r - 1):
-        m = mask_of(c)
-        if m & xmask or (m & pair1 and m & pair2):
-            edges.add(m | 1)
-    edges.add(xmask | pair1)
-    edges.add(xmask | pair2)
-    return Hypergraph.from_masks(n, r, edges)
-
-
-def _fp_generators(n: int, r: int) -> list[int]:
-    x = 1
-    ys = list(range(2, r + 2))
-    zs = list(range(r + 2, 2 * r + 1))
-    gens = [mask_of((x, y, z)) for y in ys for z in zs]
-    gens.append(mask_of(ys))
-    gens.append(mask_of((x, 2, 3)))
-    gens.append(mask_of(zs + [2]))
-    gens.append(mask_of(zs + [3]))
-    return sorted(set(gens))
-
-
-def _build_fp(n: int, r: int) -> Hypergraph:
-    _require(r >= 3, f"FP needs r >= 3, got r={r}")
-    _require(n >= 2 * r, f"FP needs n >= 2r, got n={n}, r={r}")
-    edges = set()
-    for g in _fp_generators(n, r):
-        gsize = g.bit_count()
-        rest = [v for v in range(1, n + 1) if not g & (1 << (v - 1))]
-        for c in combinations(rest, r - gsize):
-            edges.add(g | mask_of(c))
-    return Hypergraph.from_masks(n, r, edges)
-
-
-_H3_EXTRAS = {
-    3: ((1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5)),
-    4: ((1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6)),
-    5: ((1, 3, 4), (1, 5, 6), (1, 3, 6), (2, 3, 6), (2, 3, 5), (2, 4, 6)),
-}
-
-
-def _build_h3fam(n: int, i: int) -> Hypergraph:
-    _require(0 <= i <= 5, f"H3FAM needs i in 0..5, got i={i}")
-    _require(n >= 6, f"H3FAM needs n >= 6, got n={n}")
-    if i == 0:
-        return _build_hm0(n, 3)
-    if i in (1, 2):
-        return _build_hm_t(n, 3, i)
-    edges = {mask_of((1, 2, w)) for w in range(3, n + 1)}
-    edges.update(mask_of(tr) for tr in _H3_EXTRAS[i])
-    return Hypergraph.from_masks(n, 3, edges)
-
-
-def _build_h3_lift(n: int, r: int, i: int) -> Hypergraph:
-    _require(r >= 4, f"H3LIFT needs r >= 4, got r={r}")
-    _require(n >= r + 1, f"H3LIFT needs n >= r + 1, got n={n}, r={r}")
-    base = _build_h3fam(n, i)
-    edges = set()
-    for b in base.edges:
-        rest = [v for v in range(1, n + 1) if not b & (1 << (v - 1))]
-        for c in combinations(rest, r - 3):
-            edges.add(b | mask_of(c))
-    return Hypergraph.from_masks(n, r, edges)
-
-
-# -- public dispatchers -----------------------------------------------------
-
-
-def _need(p: ConstructionParams, name: str, cid: ConstructionId) -> int:
-    val = getattr(p, name)
-    _require(val is not None, f"{cid.value} needs parameter {name}")
-    return val
-
-
-def validate_construction_params(cid: ConstructionId, p: ConstructionParams) -> None:
-    """Raise ConstructionError unless (cid, p) names a buildable instance.
-
-    Same checks as the builders, but without materializing any edges, so
-    callers can vet parameters for large n cheaply.
-    """
-    cid = ConstructionId(cid)
-    n, r = p.n, p.r
-    if cid is ConstructionId.EM:
-        s = _need(p, "s", cid)
-        _require(s >= 1, f"EM needs s >= 1, got s={s}")
-        _require(r >= 1, f"EM needs r >= 1, got r={r}")
-        _require(n >= r + s, f"EM needs n >= r + s, got n={n}, r={r}, s={s}")
-    elif cid is ConstructionId.HM_T:
-        t = _need(p, "t", cid)
-        if t == 0:
-            validate_construction_params(ConstructionId.HM0, p)
-            return
-        _require(r >= 3, f"HM_T needs r >= 3, got r={r}")
-        _require(n >= 2 * r, f"HM_T needs n >= 2r, got n={n}, r={r}")
-        _require(
-            1 <= t <= r - 1 or t == n - r,
-            f"HM_T needs t in {{0}} u {{1..{r - 1}}} u {{{n - r}}}, got t={t}",
-        )
-    elif cid is ConstructionId.HM0:
-        _require(r >= 3, f"HM0 needs r >= 3, got r={r}")
-        _require(n >= r + 1, f"HM0 needs n >= r + 1, got n={n}, r={r}")
-    elif cid is ConstructionId.HM_DP:
-        _require(r >= 4, f"HM_DP needs r >= 4, got r={r}")
-        _require(n >= r + 4, f"HM_DP needs n >= r + 4, got n={n}, r={r}")
-    elif cid is ConstructionId.FP:
-        _require(r >= 3, f"FP needs r >= 3, got r={r}")
-        _require(n >= 2 * r, f"FP needs n >= 2r, got n={n}, r={r}")
-    elif cid is ConstructionId.H3FAM:
-        i = _need(p, "i", cid)
-        _require(r == 3, f"H3FAM is 3-uniform, got r={r}")
-        _require(0 <= i <= 5, f"H3FAM needs i in 0..5, got i={i}")
-        _require(n >= 6, f"H3FAM needs n >= 6, got n={n}")
-    elif cid is ConstructionId.H3LIFT:
-        i = _need(p, "i", cid)
-        _require(r >= 4, f"H3LIFT needs r >= 4, got r={r}")
-        _require(0 <= i <= 5, f"H3LIFT needs i in 0..5, got i={i}")
-        _require(n >= r + 1, f"H3LIFT needs n >= r + 1, got n={n}, r={r}")
-        _require(n >= 6, f"H3LIFT needs n >= 6, got n={n}")
-    else:
-        raise ConstructionError(f"unknown construction {cid!r}")
-
-
-def build_construction(cid: ConstructionId, p: ConstructionParams) -> Hypergraph:
-    cid = ConstructionId(cid)
-    if cid is ConstructionId.EM:
-        return _build_em(p.n, p.r, _need(p, "s", cid))
-    if cid is ConstructionId.HM_T:
-        return _build_hm_t(p.n, p.r, _need(p, "t", cid))
-    if cid is ConstructionId.HM0:
-        return _build_hm0(p.n, p.r)
-    if cid is ConstructionId.HM_DP:
-        return _build_hm_dp(p.n, p.r)
-    if cid is ConstructionId.FP:
-        return _build_fp(p.n, p.r)
-    if cid is ConstructionId.H3FAM:
-        _require(p.r == 3, f"H3FAM is 3-uniform, got r={p.r}")
-        return _build_h3fam(p.n, _need(p, "i", cid))
-    if cid is ConstructionId.H3LIFT:
-        return _build_h3_lift(p.n, p.r, _need(p, "i", cid))
-    raise ConstructionError(f"unknown construction {cid!r}")
+# -- closed-form sizes -------------------------------------------------------
 
 
 def em_size(n: int, r: int, s: int) -> int:
@@ -323,7 +126,7 @@ def hm_t_size(n: int, r: int, t: int) -> int:
 
 def hm_dp_size(n: int, r: int) -> int:
     if r == 4:
-        return len(_build_hm_dp(n, r))
+        return len(build_construction(ConstructionId.HM_DP, ConstructionParams(n, r)))
     return (
         choose(n - 1, r - 1)
         - choose(n - r + 1, r - 1)
@@ -334,68 +137,241 @@ def hm_dp_size(n: int, r: int) -> int:
     )
 
 
+# -- the template records ---------------------------------------------------
+
+Roles = tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Template:
+    """One template: its constraints, roles, generators and size.
+
+    ``rules(n, r, k)`` lists (holds, message) pairs, where k is the value
+    of the extra parameter named ``param``; ``roles(r, k)`` lists the role
+    names in canonical-label order (role j sits on label j);
+    ``generators(r, k)`` lists the generator sets as tuples of role names;
+    ``size(n, r, k)`` is the closed-form edge count where one exists.  The
+    H3FAM and H3LIFT records carry rules only: their index names another
+    record (see ``_resolve``).
+    """
+
+    name: str
+    param: str | None
+    rules: Callable[[int, int, Any], tuple[tuple[bool, str], ...]]
+    roles: Callable[[int, Any], Roles] | None = None
+    generators: Callable[[int, Any], list[Roles]] | None = None
+    size: Callable[[int, int, Any], int] | None = None
+
+
+def _names(prefix: str, count: int) -> Roles:
+    return tuple(f"{prefix}{j}" for j in range(1, count + 1))
+
+
+def _hm0_rules(n: int, r: int, _=None) -> tuple[tuple[bool, str], ...]:
+    return (
+        (r >= 3, f"HM0 needs r >= 3, got r={r}"),
+        (n >= r + 1, f"HM0 needs n >= r + 1, got n={n}, r={r}"),
+    )
+
+
+def _hm_t_rules(n: int, r: int, t: int) -> tuple[tuple[bool, str], ...]:
+    if t == 0:
+        return _hm0_rules(n, r)
+    return (
+        (r >= 3, f"HM_T needs r >= 3, got r={r}"),
+        (n >= 2 * r, f"HM_T needs n >= 2r, got n={n}, r={r}"),
+        (1 <= t <= r - 1 or t == n - r,
+         f"HM_T needs t in {{0}} u {{1..{r - 1}}} u {{{n - r}}}, got t={t}"),
+    )
+
+
+def _hm_t_gens(r: int, t: int) -> list[Roles]:
+    xs, ys = _names("x", r - 1), _names("y", t)
+    gens = [("x", x) for x in xs] + [(*xs, y) for y in ys]
+    if t <= r - 1:
+        gens.append(("x", *ys))
+    return gens
+
+
+def _hm_dp_gens(r: int, _) -> list[Roles]:
+    xs = _names("x", r - 2)
+    return (
+        [("x", x) for x in xs]
+        + [("x", a, b) for a in ("y1", "y1p") for b in ("y2", "y2p")]
+        + [(*xs, "y1", "y1p"), (*xs, "y2", "y2p")]
+    )
+
+
+def _fp_gens(r: int, _) -> list[Roles]:
+    ys, zs = _names("y", r), _names("z", r - 1)
+    return (
+        [("x", y, z) for y in ys for z in zs]
+        + [ys, ("x", "y1", "y2"), (*zs, "y1"), (*zs, "y2")]
+    )
+
+
+# The six triples of the pair patterns H3(3), H3(4) and H3(5), by role.
+_H3_TRIPLES: dict[int, list[Roles]] = {
+    3: [(v, a, b) for v in ("v1", "v2") for a, b in combinations(("y1", "y2", "y3"), 2)],
+    4: [("v1", "z11", "z11p"), ("v1", "z21", "z21p"), ("v2", "z11", "z21"),
+        ("v2", "z11", "z21p"), ("v2", "z11p", "z21"), ("v2", "z11p", "z21p")],
+    5: [("v1", "z11", "z11p"), ("v1", "z21", "z21p"), ("v1", "z11", "z21p"),
+        ("v2", "z11", "z21p"), ("v2", "z11", "z21"), ("v2", "z11p", "z21p")],
+}
+
+_HM0 = Template(
+    "HM0", None, _hm0_rules,
+    roles=lambda r, _: ("x", "x1", "x2"),
+    generators=lambda r, _: [("x", "x1"), ("x", "x2"), ("x1", "x2")],
+    size=lambda n, r, _: hm0_size(n, r),
+)
+_HM_T = Template(
+    "HM_T", "t", _hm_t_rules,
+    roles=lambda r, t: ("x", *_names("x", r - 1), *_names("y", t)),
+    generators=_hm_t_gens,
+    size=hm_t_size,
+)
+_H3_PAIR = Template(
+    "H3", "i", lambda n, r, i: (),
+    roles=lambda r, i: ("v1", "v2", *(("y1", "y2", "y3") if i == 3
+                                       else ("z11", "z11p", "z21", "z21p"))),
+    generators=lambda r, i: [("v1", "v2"), *_H3_TRIPLES[i]],
+    size=lambda n, r, i: n + 4,
+)
+
+_TEMPLATES: dict[ConstructionId, Template] = {
+    ConstructionId.EM: Template(
+        "EM", "s",
+        lambda n, r, s: (
+            (s >= 1, f"EM needs s >= 1, got s={s}"),
+            (r >= 1, f"EM needs r >= 1, got r={r}"),
+            (n >= r + s, f"EM needs n >= r + s, got n={n}, r={r}, s={s}"),
+        ),
+        roles=lambda r, s: _names("x", s),
+        generators=lambda r, s: [(x,) for x in _names("x", s)],
+        size=em_size,
+    ),
+    ConstructionId.HM_T: _HM_T,
+    ConstructionId.HM0: _HM0,
+    ConstructionId.HM_DP: Template(
+        "HM_DP", None,
+        lambda n, r, _: (
+            (r >= 4, f"HM_DP needs r >= 4, got r={r}"),
+            (n >= r + 4, f"HM_DP needs n >= r + 4, got n={n}, r={r}"),
+        ),
+        roles=lambda r, _: ("x", *_names("x", r - 2), "y1", "y1p", "y2", "y2p"),
+        generators=_hm_dp_gens,
+        size=lambda n, r, _: hm_dp_size(n, r),
+    ),
+    ConstructionId.FP: Template(
+        "FP", None,
+        lambda n, r, _: (
+            (r >= 3, f"FP needs r >= 3, got r={r}"),
+            (n >= 2 * r, f"FP needs n >= 2r, got n={n}, r={r}"),
+        ),
+        roles=lambda r, _: ("x", *_names("y", r), *_names("z", r - 1)),
+        generators=_fp_gens,
+    ),
+    ConstructionId.H3FAM: Template(
+        "H3FAM", "i",
+        lambda n, r, i: (
+            (r == 3, f"H3FAM is 3-uniform, got r={r}"),
+            (0 <= i <= 5, f"H3FAM needs i in 0..5, got i={i}"),
+            (n >= 6, f"H3FAM needs n >= 6, got n={n}"),
+        ),
+    ),
+    ConstructionId.H3LIFT: Template(
+        "H3LIFT", "i",
+        lambda n, r, i: (
+            (r >= 4, f"H3LIFT needs r >= 4, got r={r}"),
+            (0 <= i <= 5, f"H3LIFT needs i in 0..5, got i={i}"),
+            (n >= r + 1, f"H3LIFT needs n >= r + 1, got n={n}, r={r}"),
+            (n >= 6, f"H3LIFT needs n >= 6, got n={n}"),
+        ),
+    ),
+}
+
+
+class Resolved(NamedTuple):
+    """A construction instance after alias resolution.
+
+    ``r`` is the uniformity of the record's generators: 3 for the H3
+    patterns and their lifts, ``p.r`` otherwise.
+    """
+
+    template: Template
+    r: int
+    k: Any
+
+    @property
+    def roles(self) -> Roles:
+        return self.template.roles(self.r, self.k)
+
+    @property
+    def generators(self) -> list[Roles]:
+        return self.template.generators(self.r, self.k)
+
+
+def _record(cid: ConstructionId, p: ConstructionParams) -> tuple[Template, Any]:
+    """The record of cid and the value of its extra parameter."""
+    rec = _TEMPLATES[ConstructionId(cid)]
+    k = getattr(p, rec.param) if rec.param else None
+    if rec.param and k is None:
+        raise ConstructionError(f"{rec.name} needs parameter {rec.param}")
+    return rec, k
+
+
+def _resolve(cid: ConstructionId, p: ConstructionParams) -> Resolved:
+    """Resolve the aliases once: HM_T with t = 0 is HM0; H3FAM and H3LIFT
+    index i names HM0 (i = 0), HM_T(r = 3, t = i) (i = 1, 2) or the pair
+    pattern {v1, v2} plus six triples (i = 3..5)."""
+    rec, k = _record(cid, p)
+    r = p.r
+    if rec.generators is None:
+        rec, r = (_HM0 if k == 0 else _HM_T if k in (1, 2) else _H3_PAIR), 3
+    if rec is _HM_T and k == 0:
+        rec = _HM0
+    return Resolved(rec, r, k)
+
+
+# -- public entry points ----------------------------------------------------
+
+
+def validate_construction_params(cid: ConstructionId, p: ConstructionParams) -> None:
+    """Raise ConstructionError unless (cid, p) names a buildable instance.
+
+    Checks the record's rules without materializing any edges, so callers
+    can vet parameters for large n cheaply.
+    """
+    rec, k = _record(cid, p)
+    for holds, message in rec.rules(p.n, p.r, k):
+        _require(holds, message)
+
+
+def build_construction(cid: ConstructionId, p: ConstructionParams) -> Hypergraph:
+    """Every r-set on [n] that contains one of the template's generators."""
+    validate_construction_params(cid, p)
+    res = _resolve(cid, p)
+    label = {role: j for j, role in enumerate(res.roles, start=1)}
+    edges = set()
+    for gen in res.generators:
+        g = mask_of(label[role] for role in gen)
+        rest = [v for v in range(1, p.n + 1) if not g & (1 << (v - 1))]
+        for c in combinations(rest, p.r - len(gen)):
+            edges.add(g | mask_of(c))
+    return Hypergraph.from_masks(p.n, p.r, edges)
+
+
 def size_formula(cid: ConstructionId, p: ConstructionParams) -> int:
-    cid = ConstructionId(cid)
-    if cid is ConstructionId.EM:
-        return em_size(p.n, p.r, _need(p, "s", cid))
-    if cid is ConstructionId.HM_T:
-        return hm_t_size(p.n, p.r, _need(p, "t", cid))
-    if cid is ConstructionId.HM0:
-        return hm0_size(p.n, p.r)
-    if cid is ConstructionId.HM_DP:
-        return hm_dp_size(p.n, p.r)
-    if cid is ConstructionId.FP:
-        return len(_build_fp(p.n, p.r))
-    if cid is ConstructionId.H3FAM:
-        i = _need(p, "i", cid)
-        if i == 0:
-            return hm0_size(p.n, 3)
-        if i in (1, 2):
-            return hm_t_size(p.n, 3, i)
-        return p.n + 4
-    if cid is ConstructionId.H3LIFT:
-        return len(_build_h3_lift(p.n, p.r, _need(p, "i", cid)))
-    raise ConstructionError(f"unknown construction {cid!r}")
+    res = _resolve(cid, p)
+    if res.template.size is None or res.r != p.r:
+        return len(build_construction(cid, p))
+    return res.template.size(p.n, p.r, res.k)
 
 
 def special_vertices(cid: ConstructionId, p: ConstructionParams) -> dict[str, int]:
     """Role -> vertex label map for the canonical layout."""
-    cid = ConstructionId(cid)
-    if cid is ConstructionId.EM:
-        s = _need(p, "s", cid)
-        return {f"x{j}": j for j in range(1, s + 1)}
-    if cid is ConstructionId.HM_T:
-        t = _need(p, "t", cid)
-        if t == 0:
-            return special_vertices(ConstructionId.HM0, p)
-        out = {"x": 1}
-        out.update({f"x{j}": j + 1 for j in range(1, p.r)})
-        out.update({f"y{j}": p.r + j for j in range(1, t + 1)})
-        return out
-    if cid is ConstructionId.HM0:
-        return {"x": 1, "x1": 2, "x2": 3}
-    if cid is ConstructionId.HM_DP:
-        out = {"x": 1}
-        out.update({f"x{j}": j + 1 for j in range(1, p.r - 1)})
-        out.update({"y1": p.r, "y1p": p.r + 1, "y2": p.r + 2, "y2p": p.r + 3})
-        return out
-    if cid is ConstructionId.FP:
-        out = {"x": 1}
-        out.update({f"y{j}": 1 + j for j in range(1, p.r + 1)})
-        out.update({f"z{j}": p.r + 1 + j for j in range(1, p.r)})
-        return out
-    if cid in (ConstructionId.H3FAM, ConstructionId.H3LIFT):
-        i = _need(p, "i", cid)
-        if i == 0:
-            return {"x": 1, "x1": 2, "x2": 3}
-        if i in (1, 2):
-            out = {"x": 1, "x1": 2, "x2": 3}
-            out.update({f"y{j}": 3 + j for j in range(1, i + 1)})
-            return out
-        if i == 3:
-            return {"v1": 1, "v2": 2, "y1": 3, "y2": 4, "y3": 5}
-        return {"v1": 1, "v2": 2, "z11": 3, "z11p": 4, "z21": 5, "z21p": 6}
-    raise ConstructionError(f"unknown construction {cid!r}")
+    return {role: j for j, role in enumerate(_resolve(cid, p).roles, start=1)}
 
 
 def layout_table() -> str:

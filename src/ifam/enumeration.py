@@ -167,7 +167,8 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
             placed[v] = False
 
     rec(0, [0] * m, [r] * m)
-    assert best is not None
+    if best is None:
+        raise AssertionError("canonical_form found no relabeling")
     return tuple(best)
 
 

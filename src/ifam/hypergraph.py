@@ -371,7 +371,8 @@ def min_cover(h: Hypergraph | SetFamily) -> tuple[int, ...]:
         return ()
     tau = cover_number(h)
     got = _cover_exists(masks, tau)
-    assert got is not None
+    if got is None:
+        raise AssertionError("no cover of size tau found")
     return vertices_of(got)
 
 

@@ -3,21 +3,28 @@
 The load-bearing test here plays the search engine against a brute-force
 oracle: for every small family and template the claimed witness is
 re-validated, and every "no" is confirmed by trying all injective role
-assignments.  Checker semantics are tied to the builders by recovering
-each construction edge-for-edge from its own legality predicate.
+assignments.  Builders and the legality predicate read the same generator
+records; recovering each construction edge-for-edge from the predicate
+ties them together, and the golden edge sets in test_constructions.py pin
+the builders independently of those records.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import pytest
 
+import ifam
 from ifam.classifier import (
     Embedding,
     Verdict,
     VerdictKind,
+    classify,
     classify_3graph,
     classify_rgraph,
     decompose_matching,
@@ -311,6 +318,28 @@ def test_double_pair_avoids_all_tailed_patterns():
         assert embed(h, C.HM_T, P(15, 4, t=t)) is None
 
 
+def test_embed_rejects_unsound_search_under_optimize():
+    # the soundness check behind every anchored search must survive -O
+    script = (
+        "import sys\n"
+        "import ifam.classifier as c\n"
+        "from ifam import ConstructionId, ConstructionParams, Hypergraph\n"
+        "c._SEARCHES['EM', False] = lambda h, res, fits: {'x1': 9}\n"
+        "h = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3), (1, 4, 5)])\n"
+        "try:\n"
+        "    c.embed(h, ConstructionId.EM, ConstructionParams(9, 3, s=1))\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ifam.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 search returned an unsound witness"
+
+
 def test_embed_is_deterministic():
     h = built(C.HM_DP, 12, 4)
     a = embed(h, C.HM_DP, P(12, 4))
@@ -391,6 +420,26 @@ def test_classify_rgraph_none_and_errors():
         classify_rgraph(built(C.HM0, 9, 3))
     with pytest.raises(ValueError):
         classify_rgraph(built(C.EM, 10, 4, s=1))
+
+
+def test_classify_dispatches_by_uniformity():
+    assert classify(built(C.H3FAM, 8, 3, i=4)) == classify_3graph(built(C.H3FAM, 8, 3, i=4))
+    hm = built(C.HM_T, 12, 4, t=2)
+    assert classify(hm) == classify_rgraph(hm)
+    star = classify(built(C.EM, 9, 4, s=1))
+    assert star.kind is VerdictKind.STAR and star.embedding.mapping == {"x1": 1}
+
+
+def test_classify_edge_cases():
+    # one edge on n = r: cover number one, but no star template fits
+    assert classify(Hypergraph.from_vertex_sets(4, 4, [(1, 2, 3, 4)])).kind is VerdictKind.NONE
+    split = Hypergraph.from_vertex_sets(9, 4, [(1, 2, 3, 4), (5, 6, 7, 8)])
+    assert classify(split).kind is VerdictKind.NONE
+    assert classify(Hypergraph.from_vertex_sets(5, 2, [(1, 2), (3, 4)])).kind is VerdictKind.NONE
+    assert classify(Hypergraph.from_vertex_sets(5, 2, [(1, 2), (1, 3)])).kind is VerdictKind.STAR
+    triangle = Hypergraph.from_vertex_sets(5, 2, [(1, 2), (1, 3), (2, 3)])
+    with pytest.raises(ValueError):
+        classify(triangle)
 
 
 # -- matching decomposition -------------------------------------------------
@@ -515,3 +564,5 @@ def test_th4prime_rejects_bad_input():
     assert is_intersecting(t7) and cover_number(t7) >= 3
     with pytest.raises(ValueError):
         decompose_th4prime(t7)
+    with pytest.raises(ValueError):
+        decompose_th4prime(Hypergraph.from_vertex_sets(4, 4, [(1, 2, 3, 4)]))

@@ -132,6 +132,17 @@ def test_classify_complete_3graph_exits_one(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "4 4\n1 2 3 4\n",   # r = 4, one edge on n = r: no star template fits
+    "3 3\n1 2 3\n",     # its 3-uniform analogue
+    "5 2\n1 2\n3 4\n",  # r = 2, not intersecting
+])
+def test_classify_small_families_give_none(capsys, tmp_path, text):
+    path = write(tmp_path, "h.txt", text)
+    code, out, err = run(capsys, "classify", "--file", path)
+    assert (code, out, err) == (1, "verdict: NONE\n", "")
+
+
 def test_classify_with_peeling(capsys, tmp_path):
     em = [mask_of(c) for c in combinations(range(1, 13), 3)
           if c[0] == 1 or 2 in c]
