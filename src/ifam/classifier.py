@@ -43,8 +43,6 @@ from .constructions import (
     ConstructionParams,
     Resolved,
     _resolve,
-    special_vertices,
-    validate_construction_params,
 )
 from .hypergraph import (
     Hypergraph,
@@ -53,8 +51,8 @@ from .hypergraph import (
     delete_vertices,
     is_intersecting,
     mask_of,
-    matching_number,
     min_cover,
+    pack_exists,
     vertices_of,
 )
 from .kernel import b_kernel, paper_r, paper_rs, reduce_to_3graph
@@ -202,18 +200,10 @@ def _witness_check(h: Hypergraph, res: Resolved):
     return fits
 
 
-def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
-    """Check an embedding witness edge by edge against the template's generators."""
-    p = emb.params
-    if p.n != h.n or p.r != h.r:
-        return False
-    try:
-        validate_construction_params(emb.template, p)
-    except ConstructionError:
-        return False
-    res = _resolve(emb.template, p)
+def _roles_fit(h: Hypergraph, res: Resolved, roles: dict[str, int]) -> bool:
+    """Exactly the template's role names, on distinct labels of [n], with
+    every edge of H a member of the instance."""
     names = _slots(res)[0]
-    roles = emb.mapping
     if set(roles) != set(names):
         return False
     values = list(roles.values())
@@ -222,6 +212,18 @@ def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
     if any(not 1 <= v <= h.n for v in values):
         return False
     return _witness_check(h, res)([roles[name] for name in names]) is not None
+
+
+def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
+    """Check an embedding witness edge by edge against the template's generators."""
+    p = emb.params
+    if p.n != h.n or p.r != h.r:
+        return False
+    try:
+        res = _resolve(emb.template, p)
+    except ConstructionError:
+        return False
+    return _roles_fit(h, res, emb.mapping)
 
 
 # -- covering-pair candidates -----------------------------------------------
@@ -679,19 +681,17 @@ def embed(
             f"template on n={params.n}, r={params.r} cannot host a family "
             f"on n={h.n}, r={h.r}"
         )
-    validate_construction_params(cid, params)
     res = _resolve(cid, params)
     if h.edges:
         search = _SEARCHES[res.template.name, res.r != h.r]
         roles = search(h, res, _witness_check(h, res))
     else:
-        roles = special_vertices(cid, params)
+        roles = res.layout
     if roles is None:
         return None
-    emb = Embedding(template=cid, params=params, roles=tuple(sorted(roles.items())))
-    if not embedding_is_valid(h, emb):
+    if not _roles_fit(h, res, roles):
         raise AssertionError("search returned an unsound witness")
-    return emb
+    return Embedding(template=cid, params=params, roles=tuple(sorted(roles.items())))
 
 
 # -- classification ---------------------------------------------------------
@@ -813,7 +813,7 @@ def decompose_matching(
         raise ValueError(f"matching bound must be positive, got s={s}")
     if s - 1 > h.n:
         raise ValueError(f"cannot peel {s - 1} vertices from a ground set of {h.n}")
-    if matching_number(h) > s:
+    if pack_exists(h.edges, s + 1) is not None:
         raise ValueError("family has a larger matching than the stated bound")
     if s == 1:
         return ((), classify(h))

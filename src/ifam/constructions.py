@@ -311,27 +311,43 @@ class Resolved(NamedTuple):
     def generators(self) -> list[Roles]:
         return self.template.generators(self.r, self.k)
 
+    @property
+    def layout(self) -> dict[str, int]:
+        """Role -> vertex label: role j sits on label j."""
+        return {role: j for j, role in enumerate(self.roles, start=1)}
 
-def _record(cid: ConstructionId, p: ConstructionParams) -> tuple[Template, Any]:
-    """The record of cid and the value of its extra parameter."""
+
+def _resolve(cid: ConstructionId, p: ConstructionParams) -> Resolved:
+    """Validate (cid, p) and resolve the aliases once: HM_T with t = 0 is
+    HM0; H3FAM and H3LIFT index i names HM0 (i = 0), HM_T(r = 3, t = i)
+    (i = 1, 2) or the pair pattern {v1, v2} plus six triples (i = 3..5).
+
+    Every public entry point that takes (cid, p) validates here, and
+    only here.
+    """
     rec = _TEMPLATES[ConstructionId(cid)]
     k = getattr(p, rec.param) if rec.param else None
     if rec.param and k is None:
         raise ConstructionError(f"{rec.name} needs parameter {rec.param}")
-    return rec, k
-
-
-def _resolve(cid: ConstructionId, p: ConstructionParams) -> Resolved:
-    """Resolve the aliases once: HM_T with t = 0 is HM0; H3FAM and H3LIFT
-    index i names HM0 (i = 0), HM_T(r = 3, t = i) (i = 1, 2) or the pair
-    pattern {v1, v2} plus six triples (i = 3..5)."""
-    rec, k = _record(cid, p)
+    for holds, message in rec.rules(p.n, p.r, k):
+        _require(holds, message)
     r = p.r
     if rec.generators is None:
         rec, r = (_HM0 if k == 0 else _HM_T if k in (1, 2) else _H3_PAIR), 3
     if rec is _HM_T and k == 0:
         rec = _HM0
     return Resolved(rec, r, k)
+
+
+def _build(res: Resolved, p: ConstructionParams) -> Hypergraph:
+    label = res.layout
+    edges = set()
+    for gen in res.generators:
+        g = mask_of(label[role] for role in gen)
+        rest = [v for v in range(1, p.n + 1) if not g & (1 << (v - 1))]
+        for c in combinations(rest, p.r - len(gen)):
+            edges.add(g | mask_of(c))
+    return Hypergraph.from_masks(p.n, p.r, edges)
 
 
 # -- public entry points ----------------------------------------------------
@@ -343,35 +359,24 @@ def validate_construction_params(cid: ConstructionId, p: ConstructionParams) -> 
     Checks the record's rules without materializing any edges, so callers
     can vet parameters for large n cheaply.
     """
-    rec, k = _record(cid, p)
-    for holds, message in rec.rules(p.n, p.r, k):
-        _require(holds, message)
+    _resolve(cid, p)
 
 
 def build_construction(cid: ConstructionId, p: ConstructionParams) -> Hypergraph:
     """Every r-set on [n] that contains one of the template's generators."""
-    validate_construction_params(cid, p)
-    res = _resolve(cid, p)
-    label = {role: j for j, role in enumerate(res.roles, start=1)}
-    edges = set()
-    for gen in res.generators:
-        g = mask_of(label[role] for role in gen)
-        rest = [v for v in range(1, p.n + 1) if not g & (1 << (v - 1))]
-        for c in combinations(rest, p.r - len(gen)):
-            edges.add(g | mask_of(c))
-    return Hypergraph.from_masks(p.n, p.r, edges)
+    return _build(_resolve(cid, p), p)
 
 
 def size_formula(cid: ConstructionId, p: ConstructionParams) -> int:
     res = _resolve(cid, p)
     if res.template.size is None or res.r != p.r:
-        return len(build_construction(cid, p))
+        return len(_build(res, p))
     return res.template.size(p.n, p.r, res.k)
 
 
 def special_vertices(cid: ConstructionId, p: ConstructionParams) -> dict[str, int]:
     """Role -> vertex label map for the canonical layout."""
-    return {role: j for j, role in enumerate(_resolve(cid, p).roles, start=1)}
+    return _resolve(cid, p).layout
 
 
 def layout_table() -> str:

@@ -19,7 +19,9 @@ Conventions used throughout the package:
 
 The exact nu/tau routines are branch-and-bound searches.  They are built
 for the small, structured instances that arise here (covers of size at
-most ~6, matchings of size at most ~5) and are exact for any input.
+most ~6, matchings of size at most ~5) and are exact for any input.  nu
+is the largest k that ``pack_exists`` reaches; tau and the minimum cover
+come from one cover search.
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ class SetFamily:
         return iter(self.members)
 
 
+def _members(h: Hypergraph | SetFamily) -> tuple[int, ...]:
+    return h.edges if isinstance(h, Hypergraph) else h.members
+
+
 def is_intersecting(h: Hypergraph | SetFamily) -> bool:
     """True iff every two members share a vertex.  Empty families qualify.
 
@@ -173,7 +179,7 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
     j meets all earlier ones iff its rows OR to the j low bits: O(m * r) ORs.
     """
     rows = [0] * h.n
-    for j, e in enumerate(h.edges if isinstance(h, Hypergraph) else h.members):
+    for j, e in enumerate(_members(h)):
         bit = 1 << j
         seen = 0
         while e:
@@ -296,33 +302,14 @@ def pack_exists(masks: Sequence[int], k: int) -> list[int] | None:
     return extend(0, 0, [])
 
 
-def max_packing(masks: Sequence[int]) -> list[int]:
-    """Indices of a maximum pairwise-disjoint subfamily (exact)."""
-    masks = list(masks)
-    best = _greedy_packing(masks)
-
-    def grow(avail: list[int], chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        sub = [masks[i] for i in avail]
-        bound = min(len(avail), _support_packing_cap(sub), _greedy_cover_size(sub))
-        if len(chosen) + bound <= len(best):
-            return
-        for pos, i in enumerate(avail):
-            if len(chosen) + len(avail) - pos <= len(best):
-                return
-            nxt = [j for j in avail[pos + 1 :] if not masks[j] & masks[i]]
-            grow(nxt, chosen + [i])
-
-    grow(list(range(len(masks))), [])
-    return best
-
-
 def matching_number(h: Hypergraph | SetFamily) -> int:
-    """Maximum number of pairwise disjoint members (exact)."""
-    masks = h.edges if isinstance(h, Hypergraph) else h.members
-    return len(max_packing(masks))
+    """Maximum number of pairwise disjoint members (exact): the largest k
+    that ``pack_exists`` reaches, counting up from the greedy packing."""
+    masks = _members(h)
+    k = len(_greedy_packing(masks))
+    while pack_exists(masks, k + 1) is not None:
+        k += 1
+    return k
 
 
 def _cover_exists(masks: Sequence[int], k: int) -> int | None:
@@ -350,30 +337,25 @@ def _cover_exists(masks: Sequence[int], k: int) -> int | None:
     return None
 
 
-def cover_number(h: Hypergraph | SetFamily) -> int:
-    """Minimum size of a vertex set meeting every member (exact)."""
-    masks = h.edges if isinstance(h, Hypergraph) else h.members
-    if not masks:
-        return 0
+def _min_cover_mask(masks: Sequence[int]) -> int:
+    """The first cover found at the least k, counting up from the greedy
+    packing size (a lower bound on tau)."""
     if 0 in masks:
         raise ValueError("the empty set cannot be covered")
     k = len(_greedy_packing(masks))
-    while True:
-        if _cover_exists(masks, k) is not None:
-            return k
+    while (got := _cover_exists(masks, k)) is None:
         k += 1
+    return got
+
+
+def cover_number(h: Hypergraph | SetFamily) -> int:
+    """Minimum size of a vertex set meeting every member (exact)."""
+    return _min_cover_mask(_members(h)).bit_count()
 
 
 def min_cover(h: Hypergraph | SetFamily) -> tuple[int, ...]:
     """A minimum vertex cover as a sorted vertex tuple."""
-    masks = h.edges if isinstance(h, Hypergraph) else h.members
-    if not masks:
-        return ()
-    tau = cover_number(h)
-    got = _cover_exists(masks, tau)
-    if got is None:
-        raise AssertionError("no cover of size tau found")
-    return vertices_of(got)
+    return vertices_of(_min_cover_mask(_members(h)))
 
 
 def delete_vertices(h: Hypergraph, zs: Iterable[int]) -> Hypergraph:

@@ -94,16 +94,6 @@ from .hypergraph import Hypergraph, cover_number, mask_of
 from .io import serialize_hypergraph
 from .kernel import ThresholdScheme, b_kernel, kernel_invariant_violations, paper_r, paper_rs
 
-STATEMENTS = (
-    "FOLK",
-    "TH4_MAIN",
-    "TH4_A",
-    "TH4_B",
-    "LEMMA_2EDGES",
-    "COUNTS",
-    "KERNEL_PROPS",
-)
-
 FOLK_MAX_EDGES = 10
 
 
@@ -213,7 +203,7 @@ def _verify_folk(
             build_construction(ConstructionId.FP, ConstructionParams(max_support, 3)),
             reason="expected extremal witness (triangle-based family) "
                    "missing from the search"))
-    return params, len(fams), not counterexamples, witnesses, counterexamples
+    return params, len(fams), witnesses, counterexamples
 
 
 # -- TH4 family of checks ---------------------------------------------------
@@ -251,7 +241,7 @@ def _verify_th4_main(
         for h, v in pairs
         if v.kind not in (VerdictKind.STAR, VerdictKind.H3)
     ]
-    return params, len(pairs), not counterexamples, _verdict_histogram(pairs), counterexamples
+    return params, len(pairs), _verdict_histogram(pairs), counterexamples
 
 
 def _verify_th4_a(
@@ -274,7 +264,7 @@ def _verify_th4_a(
         "note": "scope is empty, statement vacuous at this n" if not scope else
                 "scope checked exhaustively",
     }]
-    return params, len(scope), not counterexamples, witnesses, counterexamples
+    return params, len(scope), witnesses, counterexamples
 
 
 def _verify_th4_b(
@@ -303,7 +293,7 @@ def _verify_th4_b(
         "threshold": n + 4,
         "tail_template_sizes": tail_sizes,
     }]
-    return params, len(scope), not counterexamples, witnesses, counterexamples
+    return params, len(scope), witnesses, counterexamples
 
 
 # -- LEMMA_2EDGES -----------------------------------------------------------
@@ -370,7 +360,7 @@ def _verify_lemma_2edges(
         else:
             hits[found] = hits.get(found, 0) + 1
     witnesses = [{"template": k, "classes": hits[k]} for k in sorted(hits)]
-    return params, len(reps), not counterexamples, witnesses, counterexamples
+    return params, len(reps), witnesses, counterexamples
 
 
 # -- COUNTS -----------------------------------------------------------------
@@ -407,10 +397,9 @@ def _verify_counts(
     counterexamples = []
     for cid, p in _counts_grid(tuple(r_values), n_max):
         try:
-            validate_construction_params(cid, p)
+            expected = size_formula(cid, p)
         except ConstructionError:
             continue
-        expected = size_formula(cid, p)
         built = build_construction(cid, p)
         checked += 1
         if len(built) != expected:
@@ -428,7 +417,7 @@ def _verify_counts(
                 build_construction(cid, p), template=cid.value, params=vars(p),
                 reason=f"pinned size {value}, built family has {got} edges"))
     witnesses = [{"grid_cells": checked - len(_SPOT_VALUES), "spot_values": spot_table}]
-    return params, checked, not counterexamples, witnesses, counterexamples
+    return params, checked, witnesses, counterexamples
 
 
 # -- KERNEL_PROPS -----------------------------------------------------------
@@ -516,7 +505,7 @@ def _verify_kernel_props(
                 h, scheme=scheme.name, case_index=index, violations=violations,
                 reason="kernel invariants violated"))
     witnesses = [{"families": count, "largest_family": largest, "seed": seed}]
-    return params, count, not counterexamples, witnesses, counterexamples
+    return params, count, witnesses, counterexamples
 
 
 # -- dispatcher -------------------------------------------------------------
@@ -531,6 +520,8 @@ _HANDLERS: dict[str, Callable[..., tuple]] = {
     "KERNEL_PROPS": _verify_kernel_props,
 }
 
+STATEMENTS = tuple(_HANDLERS)
+
 
 def verify(statement: str, **params: Any) -> VerificationReport:
     """Run one statement check and return its report.
@@ -544,11 +535,11 @@ def verify(statement: str, **params: Any) -> VerificationReport:
         known = ", ".join(STATEMENTS)
         raise ValueError(f"unknown statement {statement!r}; expected one of {known}")
     start = time.perf_counter()
-    used, checked, passed, witnesses, counterexamples = _HANDLERS[name](**params)
+    used, checked, witnesses, counterexamples = _HANDLERS[name](**params)
     return VerificationReport(
         statement=name,
         params=used,
-        passed=passed,
+        passed=not counterexamples,
         witnesses=witnesses,
         counterexamples=counterexamples,
         wall_time=time.perf_counter() - start,

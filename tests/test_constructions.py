@@ -279,6 +279,21 @@ def test_parameter_validation():
         build(ConstructionId.H3FAM, 8, 3)  # missing i
 
 
+@pytest.mark.parametrize("fn, cid, p", [
+    (size_formula, ConstructionId.EM, ConstructionParams(n=5, r=3, s=0)),
+    (size_formula, ConstructionId.HM_T, ConstructionParams(n=12, r=4, t=5)),
+    (size_formula, ConstructionId.HM_DP, ConstructionParams(n=7, r=5)),
+    (size_formula, ConstructionId.HM0, ConstructionParams(n=3, r=3)),
+    (special_vertices, ConstructionId.H3FAM, ConstructionParams(n=5, r=3, i=4)),
+    (special_vertices, ConstructionId.H3LIFT, ConstructionParams(n=8, r=4, i=9)),
+])
+def test_size_and_layout_reject_what_build_rejects(fn, cid, p):
+    with pytest.raises(ConstructionError):
+        build_construction(cid, p)
+    with pytest.raises(ConstructionError):
+        fn(cid, p)
+
+
 def test_layout_table_mentions_every_construction():
     table = layout_table()
     for cid in ConstructionId:

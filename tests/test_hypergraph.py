@@ -146,6 +146,34 @@ def test_min_cover_is_a_cover():
         assert len(vertices_of(cov)) == cover_number(h)
 
 
+def test_set_family_nu_tau_min_cover_against_oracles():
+    # mixed member sizes, some with the empty member; the first input is
+    # one where first-fit greedy packing (1) falls below nu (2)
+    rng = random.Random(20261018)
+    families = [SetFamily.from_vertex_sets(6, [(1, 2), (1, 5), (2, 6)])]
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        universe = range(1 << n)
+        masks = rng.sample(universe, min(rng.randint(0, 8), 1 << n))
+        if rng.random() < 0.25:
+            masks.append(0)
+        families.append(SetFamily.from_masks(n, masks))
+    assert matching_number(families[0]) == 2
+    for f in families:
+        assert matching_number(f) == nu_oracle(f.members), f
+        if 0 in f.members:
+            with pytest.raises(ValueError):
+                cover_number(f)
+            with pytest.raises(ValueError):
+                min_cover(f)
+            continue
+        tau = tau_oracle(f.members, f.n)
+        assert cover_number(f) == tau, f
+        cov = mask_of(min_cover(f))
+        assert all(m & cov for m in f.members), f
+        assert cov.bit_count() == tau, f
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_nu_tau_inequalities(data):

@@ -147,3 +147,7 @@ def test_statement_list_is_exposed():
         "COUNTS",
         "KERNEL_PROPS",
     }
+    # the CLI help and the unknown-statement message list them in this order
+    assert STATEMENTS == (
+        "FOLK", "TH4_MAIN", "TH4_A", "TH4_B", "LEMMA_2EDGES", "COUNTS", "KERNEL_PROPS"
+    )
