@@ -746,6 +746,11 @@ def classify_rgraph(h: Hypergraph) -> Verdict:
         raise ValueError(f"classify_rgraph needs r >= 4, got r={h.r}")
     if cover_number(h) < 2:
         raise ValueError("classify_rgraph needs cover number at least 2")
+    return _classify_rgraph(h)
+
+
+def _classify_rgraph(h: Hypergraph) -> Verdict:
+    """``classify_rgraph`` once r >= 4 and cover number >= 2 are known."""
     seen = set()
     for t in [*range(1, h.r), h.n - h.r]:
         if t in seen:
@@ -790,7 +795,7 @@ def classify(h: Hypergraph) -> Verdict:
     if not is_intersecting(h):
         return Verdict(VerdictKind.NONE)
     if h.r >= 4:
-        return classify_rgraph(h)
+        return _classify_rgraph(h)
     raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
 
 

@@ -41,8 +41,8 @@ names, and its closed-form size where one exists.  The records are the
 single source for building (every r-set containing a generator),
 membership checking (``classifier``), roles (``special_vertices``) and
 validation.  ``size_formula`` returns the closed-form count where one
-exists and is enumeration-backed (the size of the built edge set) for FP,
-for HM_DP at r = 4, and for H3LIFT.
+exists and is enumeration-backed (the size of the built edge set) for FP
+and for H3LIFT.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ def hm_t_size(n: int, r: int, t: int) -> int:
 
 
 def hm_dp_size(n: int, r: int) -> int:
-    if r == 4:
-        return len(build_construction(ConstructionId.HM_DP, ConstructionParams(n, r)))
     return (
         choose(n - 1, r - 1)
         - choose(n - r + 1, r - 1)

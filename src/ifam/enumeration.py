@@ -22,6 +22,21 @@ Three generation strategies share the canonical deduplication:
   intersecting prefixes, and refused outright when the pool is too big
   to sweep.
 
+The first two generators skip most labeled copies of each class, but
+never all of them.  Relabelings that map the frame onto itself, the swap
+of 1 and 2 and any permutation of {3..n}, map frame candidates to frame
+candidates of the same size and keep the filter's verdict.  So any
+candidate can be moved to one whose part s2 through 2 alone is no larger
+than its part s1 through 1 alone (apply the swap when s2 is larger),
+and then, by a permutation of {3..n}, which keeps both sizes, to one
+whose s1 is canonical: s1 with the bits of 1 and 2 dropped is an
+(r-1)-graph on n-2 vertices, and it must equal its own canonical form.
+Each such s1 is tested once, before the s2 and s0 loops.  A nonempty
+maximal family has a relabeled copy containing the edge {1..r}, so
+Bron-Kerbosch starts from that edge.  Orderly generation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998) would
+cut further.
+
 Output order is deterministic: ascending edge count, then canonical
 form, with each representative rebuilt from its canonical masks.
 """
@@ -88,8 +103,12 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
     ground set: two families on the same n with the same r are
     isomorphic exactly when their canonical forms coincide.
     """
-    n = h.n
-    masks = list(h.edges)
+    return _canonical_masks(h.n, h.r, h.edges)
+
+
+def _canonical_masks(n: int, r: int, edges) -> tuple[int, ...]:
+    """``canonical_form`` on bare masks: r-sets on the ground set [n]."""
+    masks = list(edges)
     m = len(masks)
     if m == 0:
         return ()
@@ -119,7 +138,6 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
 
     best: list[int] | None = None
     placed = [False] * (n + 1)
-    r = h.r
     fill = [(1 << d) - 1 for d in range(r + 1)]
 
     def rec(depth: int, partial: list[int], defs: list[int]) -> None:
@@ -227,8 +245,13 @@ class EnumerationFilter:
 
 
 def _frame_candidates(n: int, r: int, f: EnumerationFilter):
-    """Families whose edges all meet {1, 2}: hosts every class with
-    cover number at most two."""
+    """Families whose edges all meet {1, 2}, up to the frame's symmetry:
+    hosts every class with cover number at most two.
+
+    s1 takes the edges through 1 only, s2 those through 2 only, s0 those
+    through both.  Only candidates with len(s2) <= len(s1) and a
+    canonical s1 are produced (see the module docstring).
+    """
     b1, b2 = 1, 2
     e_both, e_one, e_two = [], [], []
     for c in combinations(range(1, n + 1), r):
@@ -245,8 +268,13 @@ def _frame_candidates(n: int, r: int, f: EnumerationFilter):
         if cap is not None and k1 > cap:
             break
         for s1 in combinations(e_one, k1):
+            if r > 1:
+                # s1 without the bits of 1 and 2: an (r-1)-graph on n-2
+                low = sorted(e >> 2 for e in s1)
+                if tuple(low) != _canonical_masks(n - 2, r - 1, low):
+                    continue
             compat = [e for e in e_two if all(e & g for g in s1)]
-            for k2 in range(len(compat) + 1):
+            for k2 in range(min(k1, len(compat)) + 1):
                 if cap is not None and k1 + k2 > cap:
                     break
                 for s2 in combinations(compat, k2):
@@ -287,8 +315,9 @@ def _general_candidates(n: int, r: int, f: EnumerationFilter):
 
 
 def _maximal_candidates(n: int, r: int):
-    """Maximal intersecting families: maximal cliques of the edge
-    compatibility graph, by pivoted Bron-Kerbosch over index bitsets."""
+    """Maximal intersecting families through the edge {1..r}: maximal
+    cliques of the edge compatibility graph that contain pool[0], by
+    pivoted Bron-Kerbosch over index bitsets."""
     pool = _edge_pool(n, r)
     k = len(pool)
     nbr = [0] * k
@@ -313,7 +342,7 @@ def _maximal_candidates(n: int, r: int):
             x |= vb
 
     if k:
-        expand(0, (1 << k) - 1, 0)
+        expand(1, nbr[0], 0)
     else:
         out.append(())
     return out

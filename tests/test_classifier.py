@@ -442,6 +442,26 @@ def test_classify_edge_cases():
         classify(triangle)
 
 
+def test_classify_searches_for_tau_once(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return cover_number(h)
+
+    monkeypatch.setattr(ifam.classifier, "cover_number", counting)
+    cases = [
+        (built(C.HM_T, 12, 4, t=2), VerdictKind.HM_T),
+        (built(C.HM0, 9, 4), VerdictKind.HM0),
+        (built(C.HM_DP, 12, 5), VerdictKind.HM_DP),
+        (built(C.EM, 9, 4, s=1), VerdictKind.STAR),
+    ]
+    for h, kind in cases:
+        calls.clear()
+        assert classify(h).kind is kind
+        assert len(calls) == 1, kind
+
+
 # -- matching decomposition -------------------------------------------------
 
 

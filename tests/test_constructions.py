@@ -95,14 +95,15 @@ def test_hm_t_strictly_decreasing_in_t():
 
 
 def test_hm_dp_size_formula():
-    for n, r in [(12, 5), (13, 5), (14, 6)]:
+    # r = 4 included: the closed form covers it, its last binomial being 0
+    for n, r in [*((n, 4) for n in range(8, 18)), (12, 5), (13, 5), (14, 6)]:
         h = build(ConstructionId.HM_DP, n, r)
         expected = (
             comb(n - 1, r - 1)
             - comb(n - r + 1, r - 1)
             + 4 * comb(n - r - 3, r - 3)
             + 4 * comb(n - r - 3, r - 4)
-            + comb(n - r - 3, r - 5)
+            + (comb(n - r - 3, r - 5) if r >= 5 else 0)
             + 2
         )
         assert len(h) == expected == hm_dp_size(n, r)

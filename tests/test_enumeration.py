@@ -1,8 +1,11 @@
 """Canonical forms and isomorph-free enumeration.
 
-Completeness evidence comes from two independent oracles: a Burnside
-orbit count over the full symmetric group at n <= 5, and a naive sweep
-of all subsets of the fixed covering-pair frame at n = 6.
+Completeness evidence comes from independent oracles: a Burnside orbit
+count over the full symmetric group at n <= 5, a naive sweep of all
+subsets of the fixed covering-pair frame at n <= 6 (with and without an
+edge cap), and every maximal clique of the edge compatibility graph at
+n <= 7.  The generators skip labeled copies by symmetry; these oracles
+skip none.
 """
 
 from __future__ import annotations
@@ -182,7 +185,84 @@ def test_pair_frame_matches_naive_sweep_at_n6():
     assert len(got) == 174
 
 
+def class_keys(n, r, families, admit=lambda h: True):
+    """Canonical forms, in output order, of the classes of the admitted
+    families.  A family that is not a relabeled copy of one met before
+    adds its whole orbit, found by brute-force relabeling, and one
+    canonical form, so each class is canonicalized once."""
+    edges = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    images = [
+        {e: mask_of(tuple(pi[v - 1] for v in vertices_of(e))) for e in edges}
+        for pi in permutations(range(1, n + 1))
+    ]
+    seen, keys = set(), []
+    for fam in map(frozenset, families):
+        if fam in seen:
+            continue
+        h = Hypergraph.from_masks(n, r, fam)
+        if not admit(h):
+            continue
+        seen.update(frozenset(img[e] for e in fam) for img in images)
+        keys.append(canonical_form(h))
+    return sorted(keys, key=lambda c: (len(c), c))
+
+
+def frame_oracle(n, r, cap):
+    """Classes of every intersecting subset of the edges meeting {1, 2}
+    with at most cap edges."""
+    pool = [mask_of(c) for c in combinations(range(1, n + 1), r) if mask_of(c) & 3]
+    subsets = (
+        [pool[j] for j in range(len(pool)) if pick >> j & 1]
+        for pick in range(1 << len(pool))
+    )
+    return class_keys(
+        n, r, (s for s in subsets if cap is None or len(s) <= cap), is_intersecting
+    )
+
+
+@pytest.mark.parametrize("cap", [None, 3, 4])
+@pytest.mark.parametrize(
+    "n, r", [(n, r) for r in (2, 3, 4) for n in range(r, 7)]
+)
+def test_frame_output_matches_every_frame_subset(n, r, cap):
+    # every family on the frame has cover number at most two, and every
+    # such class has a copy on the frame
+    f = EnumerationFilter(tau_le=2, max_edges=cap)
+    got = [h.edges for h in enumerate_intersecting(n, r, f)]
+    assert got == frame_oracle(n, r, cap)
+
+
 # -- maximal families -------------------------------------------------------
+
+
+def maximal_oracle(n, r):
+    """Classes of all maximal cliques of the edge compatibility graph,
+    found by Bron-Kerbosch over Python sets."""
+    pool = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    meets = {e: {g for g in pool if g != e and g & e} for e in pool}
+    cliques = []
+
+    def grow(clique, cands, excluded):
+        if not cands and not excluded:
+            cliques.append(clique)
+            return
+        pivot = max(cands | excluded, key=lambda u: len(cands & meets[u]))
+        for e in sorted(cands - meets[pivot]):
+            grow(clique + [e], cands & meets[e], excluded & meets[e])
+            cands = cands - {e}
+            excluded = excluded | {e}
+
+    grow([], set(pool), set())
+    return class_keys(n, r, cliques)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(n, r) for r in (2, 3) for n in range(r, 8)]
+)
+def test_maximal_output_matches_all_maximal_cliques(n, r):
+    f = EnumerationFilter(maximal_only=True)
+    got = [h.edges for h in enumerate_intersecting(n, r, f)]
+    assert got == maximal_oracle(n, r)
 
 
 def test_maximal_families_at_five_points():
