@@ -10,7 +10,7 @@ from an explored sibling by a transposition that is an automorphism of
 the family are skipped, which collapses the leaf symmetry of stars and
 other highly regular inputs.
 
-Three generation strategies share the canonical deduplication:
+Three generation strategies share one deduplication:
 
 * cover number at most two: every such class has a representative whose
   edges all meet the fixed pair {1, 2}, so enumeration walks subsets of
@@ -33,9 +33,21 @@ whose s1 is canonical: s1 with the bits of 1 and 2 dropped is an
 (r-1)-graph on n-2 vertices, and it must equal its own canonical form.
 Each such s1 is tested once, before the s2 and s0 loops.  A nonempty
 maximal family has a relabeled copy containing the edge {1..r}, so
-Bron-Kerbosch starts from that edge.  Orderly generation (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998) would
-cut further.
+Bron-Kerbosch starts from that edge.
+
+Deduplication runs the full minimizing search once per class, as in
+the isomorph rejection of orderly generation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  The keys found so far are
+bucketed by invariant_key.  A candidate is tested against each key in
+its bucket by the same search with its best tuple preset to that key,
+which stops at the first leaf equal to the key (isomorphic) or below it
+(not isomorphic).  Only a candidate that reaches no key in its bucket
+gets a canonical_form, whose key joins the bucket.  The test is exact:
+isomorphic families share invariant_key; a key is the least leaf over
+its class, so the bounded search never prunes the path to a leaf equal
+to it; and the automorphism skips only drop subtrees whose leaves repeat
+those of a sibling already searched.  The LEMMA_2EDGES candidate sweep
+in ``verify`` uses the same deduplication.
 
 Output order is deterministic: ascending edge count, then canonical
 form, with each representative rebuilt from its canonical masks.
@@ -106,8 +118,16 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
     return _canonical_masks(h.n, h.r, h.edges)
 
 
-def _canonical_masks(n: int, r: int, edges) -> tuple[int, ...]:
-    """``canonical_form`` on bare masks: r-sets on the ground set [n]."""
+def _canonical_masks(
+    n: int, r: int, edges, bound: tuple[int, ...] | None = None
+) -> tuple[int, ...] | None:
+    """``canonical_form`` on bare masks: r-sets on the ground set [n].
+
+    With a bound, the same search starts from the bound as its best
+    tuple and stops at the first leaf not above it: the result is the
+    bound itself when the family reaches it, a tuple below it, or None
+    when every relabeling lies above it.
+    """
     masks = list(edges)
     m = len(masks)
     if m == 0:
@@ -136,11 +156,12 @@ def _canonical_masks(n: int, r: int, edges) -> tuple[int, ...]:
                 swap_ok[a] |= 1 << b
                 swap_ok[b] |= 1 << a
 
-    best: list[int] | None = None
+    best = None if bound is None else list(bound)
     placed = [False] * (n + 1)
     fill = [(1 << d) - 1 for d in range(r + 1)]
 
-    def rec(depth: int, partial: list[int], defs: list[int]) -> None:
+    def rec(depth: int, partial: list[int], defs: list[int]) -> bool:
+        """Search below this node; True ends the whole search."""
         nonlocal best
         # tightest completion of each edge packs its remaining vertices
         # onto the lowest unassigned labels; the true finals dominate
@@ -153,12 +174,14 @@ def _canonical_masks(n: int, r: int, edges) -> tuple[int, ...]:
                 if got < ref:
                     break
                 if got > ref:
-                    return
+                    return False
             else:
-                return
+                # a tie can still complete to the bound itself
+                if bound is None:
+                    return False
         if depth == n:
             best = lbs
-            return
+            return bound is not None
         bit = 1 << depth
         tried = 0
         for v in base_order:
@@ -181,13 +204,38 @@ def _canonical_masks(n: int, r: int, edges) -> tuple[int, ...]:
             else:
                 nxt, nds = partial, defs
             placed[v] = True
-            rec(depth + 1, nxt, nds)
+            if rec(depth + 1, nxt, nds):
+                return True
             placed[v] = False
+        return False
 
-    rec(0, [0] * m, [r] * m)
+    if rec(0, [0] * m, [r] * m):
+        return tuple(best)
+    if bound is not None:
+        return None
     if best is None:
         raise AssertionError("canonical_form found no relabeling")
     return tuple(best)
+
+
+def _distinct_classes(n: int, r: int, families) -> list[Hypergraph]:
+    """One representative per isomorphism class among families, rebuilt
+    from its canonical masks, ordered by edge count, then canonical form.
+
+    Keys are bucketed by invariant_key.  A family is tested against each
+    key in its bucket by the bounded search, and only a family that
+    reaches none of them pays for a full canonical_form.
+    """
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    for h in families:
+        bucket = buckets.setdefault(invariant_key(h), [])
+        if not any(_canonical_masks(n, r, h.edges, key) == key for key in bucket):
+            bucket.append(canonical_form(h))
+    keys = sorted(
+        (key for bucket in buckets.values() for key in bucket),
+        key=lambda c: (len(c), c),
+    )
+    return [Hypergraph.from_masks(n, r, c) for c in keys]
 
 
 # -- filters ----------------------------------------------------------------
@@ -397,16 +445,5 @@ def enumerate_intersecting(
             )
         candidates = _general_candidates(n, r, f)
 
-    seen: set[tuple[int, ...]] = set()
-    keep: list[tuple[int, ...]] = []
-    for masks in candidates:
-        h = Hypergraph.from_masks(n, r, masks)
-        if not f.admits(h):
-            continue
-        key = canonical_form(h)
-        if key in seen:
-            continue
-        seen.add(key)
-        keep.append(key)
-    keep.sort(key=lambda c: (len(c), c))
-    return [Hypergraph.from_masks(n, r, c) for c in keep]
+    families = (Hypergraph.from_masks(n, r, masks) for masks in candidates)
+    return _distinct_classes(n, r, (h for h in families if f.admits(h)))

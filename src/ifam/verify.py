@@ -87,6 +87,8 @@ from .constructions import (
 from .enumeration import (
     DEFAULT_CEILING,
     EnumerationFilter,
+    _canonical_masks,
+    _distinct_classes,
     canonical_form,
     enumerate_intersecting,
 )
@@ -217,6 +219,12 @@ def _verdict_in_first_four(v: Verdict) -> bool:
     return v.kind is VerdictKind.H3 and v.i in _FIRST_FOUR
 
 
+def _require_n6(statement: str, n: int) -> None:
+    # the seven templates, and the statements about them, need n >= 6
+    if n < 6:
+        raise ValueError(f"{statement} is stated for n >= 6")
+
+
 def _tau2_classes(n: int, ceiling: int) -> list[tuple[Hypergraph, Verdict]]:
     f = EnumerationFilter(tau_le=2, min_edges=1)
     fams = enumerate_intersecting(n, 3, f, ceiling=ceiling)
@@ -234,6 +242,7 @@ def _verify_th4_main(
     n: int = 6, ceiling: int = DEFAULT_CEILING
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
     params = {"n": n, "ceiling": ceiling}
+    _require_n6("TH4_MAIN", n)
     pairs = _tau2_classes(n, ceiling)
     counterexamples = [
         _family_record(h, verdict=v.describe(),
@@ -248,6 +257,7 @@ def _verify_th4_a(
     n: int = 6, ceiling: int = DEFAULT_CEILING
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
     params = {"n": n, "ceiling": ceiling}
+    _require_n6("TH4_A", n)
     pairs = _tau2_classes(n, ceiling)
     scope = [(h, v) for h, v in pairs if len(h) >= 11]
     counterexamples = [
@@ -271,6 +281,7 @@ def _verify_th4_b(
     n: int = 6, ceiling: int = DEFAULT_CEILING
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
     params = {"n": n, "ceiling": ceiling}
+    _require_n6("TH4_B", n)
     pairs = _tau2_classes(n, ceiling)
     scope = [(h, v) for h, v in pairs if len(h) > n + 4]
     counterexamples = [
@@ -316,32 +327,38 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
     avoiding 1.  Star edges pairwise meet at 1 and the outside part is
     kept pairwise intersecting, so intersectivity reduces to each kept
     star edge meeting each outside edge, which is enforced up front.
+
+    A permutation fixing 1 maps star edges to star edges and the outside
+    part to an outside part, so every candidate has a relabeled copy
+    whose outside part is canonical: shifted down by the bit of vertex
+    1 it is a 3-graph on n - 1 vertices equal to its own canonical form.
+    Only such outside parts are kept.
     """
     star_pool = [mask_of((1, a, b)) for a, b in combinations(range(2, n + 1), 2)]
     out_pool = [mask_of(c) for c in combinations(range(2, n + 1), 3)]
     outside: list[tuple[int, ...]] = [()]
     outside.extend((e,) for e in out_pool)
     outside.extend(p for p in combinations(out_pool, 2) if p[0] & p[1])
-    seen: dict[tuple[int, ...], Hypergraph] = {}
-    for part in outside:
-        ok = [e for e in star_pool if all(e & f for f in part)]
-        for pick in range(1 << len(ok)):
-            fam = [ok[j] for j in range(len(ok)) if pick >> j & 1]
-            fam.extend(part)
-            h = Hypergraph.from_masks(n, 3, fam)
-            key = canonical_form(h)
-            if key not in seen:
-                seen[key] = Hypergraph.from_masks(n, 3, key)
-    reps = sorted(seen.values(), key=lambda h: (len(h), h.edges))
-    return reps
+
+    def families():
+        for part in outside:
+            low = tuple(sorted(e >> 1 for e in part))
+            if low != _canonical_masks(n - 1, 3, low):
+                continue
+            ok = [e for e in star_pool if all(e & f for f in part)]
+            for pick in range(1 << len(ok)):
+                fam = [ok[j] for j in range(len(ok)) if pick >> j & 1]
+                fam.extend(part)
+                yield Hypergraph.from_masks(n, 3, fam)
+
+    return _distinct_classes(n, 3, families())
 
 
 def _verify_lemma_2edges(
     n: int = 6,
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
     params = {"n": n}
-    if n < 6:
-        raise ValueError("LEMMA_2EDGES is stated for n >= 6")
+    _require_n6("LEMMA_2EDGES", n)
     reps = _lemma_candidates(n)
     hits: dict[str, int] = {}
     counterexamples = []

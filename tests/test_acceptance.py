@@ -165,11 +165,12 @@ def test_criterion_5_classification_at_n7():
     tails = [len(build_construction(ConstructionId.H3FAM, ConstructionParams(7, 3, i=i)))
              for i in (3, 4, 5)]
     elapsed = time.perf_counter() - start
-    ok = (not bad_main and not bad_a and not bad_b
+    ok = (len(pairs) == 578 and not bad_main and not bad_a and not bad_b
           and scope_a and scope_b and tails == [11, 11, 11])
     report("5(n=7)", ok,
            f"{len(pairs)} classes, scopes (a)={len(scope_a)} (b)={len(scope_b)} "
            "non-vacuous and clean; tail templates have 11 edges", elapsed)
+    assert len(pairs) == 578
     assert not bad_main
     assert scope_a and not bad_a
     assert scope_b and not bad_b

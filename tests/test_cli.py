@@ -190,6 +190,13 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "FOLK", "--count", "5")[0] == 2
 
 
+@pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B", "LEMMA_2EDGES"])
+def test_verify_template_statements_refuse_n4(capsys, statement):
+    code, _, err = run(capsys, "verify", statement, "--n", "4")
+    assert code == 2
+    assert f"{statement} is stated for n >= 6" in err
+
+
 def test_verify_kernel_props_small(capsys):
     code, out, _ = run(capsys, "verify", "KERNEL_PROPS", "--count", "40",
                        "--seed", "3")

@@ -10,14 +10,17 @@ skip none.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
 import pytest
 
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
+import ifam.enumeration
 from ifam.enumeration import (
     EnumerationFilter,
+    _canonical_masks,
     canonical_form,
     enumerate_intersecting,
     invariant_key,
@@ -107,6 +110,66 @@ def test_canonical_form_minimality_small():
             for pi in permutations(range(1, 6))
         )
         assert canonical_form(h) == ref
+
+
+def differential_pairs(rng):
+    """Pairs of families on the same (n, r): relabeled copies, random
+    families of equal size (each against the next one drawn, and every
+    pair sharing an invariant_key), and symmetric inputs against their
+    copies and against equal-size families one edge swap away."""
+    pairs = []
+    for n, r in ((6, 2), (6, 3), (7, 3)):
+        pool = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+        by_key = {}
+        prev = {}
+        for _ in range(60):
+            m = rng.randint(3, 8)
+            h = Hypergraph.from_masks(n, r, rng.sample(pool, m))
+            pairs.append((h, relabeled(h, rng)))
+            if m in prev:
+                pairs.append((prev[m], h))
+            prev[m] = h
+            by_key.setdefault(invariant_key(h), []).append(h)
+        for group in by_key.values():
+            pairs.extend(combinations(group, 2))
+    k5 = Hypergraph.from_masks(7, 3, {mask_of(c) for c in combinations(range(1, 6), 3)})
+    symmetric = [
+        k5,
+        build_construction(C.FP, P(7, 3)),
+        build_construction(C.EM, P(7, 3, s=1)),
+        build_construction(C.EM, P(6, 2, s=1)),
+    ]
+    for h in symmetric:
+        pool = [mask_of(c) for c in combinations(range(1, h.n + 1), h.r)]
+        pairs.append((h, relabeled(h, rng)))
+        pairs.append((h, Hypergraph.from_masks(h.n, h.r, rng.sample(pool, len(h)))))
+        for _ in range(4):
+            out = rng.choice(h.edges)
+            add = rng.choice([e for e in pool if e not in h.edges])
+            swapped = relabeled(
+                Hypergraph.from_masks(h.n, h.r, [e for e in h.edges if e != out] + [add]),
+                rng,
+            )
+            pairs.append((h, swapped))
+    return pairs
+
+
+def test_bounded_search_reaches_exactly_the_isomorphic_keys():
+    # the bounded search, run on b with a's key as its bound, must reach
+    # that key exactly when a and b are isomorphic, and otherwise stop
+    # below the key or at no leaf at all
+    rng = random.Random(SEED)
+    pairs = differential_pairs(rng)
+    rejects_on_shared_invariant = 0
+    for a, b in pairs:
+        key_a = _canonical_masks(a.n, a.r, a.edges)
+        key_b = _canonical_masks(b.n, b.r, b.edges)
+        got = _canonical_masks(b.n, b.r, b.edges, key_a)
+        assert (got == key_a) == (key_a == key_b), (a.edges, b.edges)
+        assert got is None or got <= key_a
+        if key_a != key_b and invariant_key(a) == invariant_key(b):
+            rejects_on_shared_invariant += 1
+    assert rejects_on_shared_invariant > 0
 
 
 def test_invariant_key_respects_isomorphism():
@@ -286,6 +349,45 @@ def test_maximal_families_are_maximal():
             if e in edges:
                 continue
             assert not all(e & g for g in edges), "extendable family reported maximal"
+
+
+# -- golden class lists -----------------------------------------------------
+
+
+def class_list_digest(fams):
+    return hashlib.sha256(repr([h.edges for h in fams]).encode()).hexdigest()[:16]
+
+
+# digests of the class lists as written when every admitted candidate got
+# the full canonical search, before the class index
+@pytest.mark.parametrize(
+    "n, r, f, classes, digest",
+    [
+        (6, 3, EnumerationFilter(tau_le=2, min_edges=1), 174, "278b8246d9a2bbe4"),
+        (7, 3, EnumerationFilter(tau_le=2, min_edges=1), 578, "5f652c74ed4db9cf"),
+        (6, 4, EnumerationFilter(tau_le=2), 155, "c7eee510457a0c06"),
+        (7, 3, EnumerationFilter(maximal_only=True), 15, "e7bede545cdd49a1"),
+        (6, 3, EnumerationFilter(), 194, "03976f61d2a580a5"),
+        (5, 3, EnumerationFilter(max_edges=4), 14, "694f7ac059175509"),
+    ],
+)
+def test_golden_class_lists(n, r, f, classes, digest):
+    fams = enumerate_intersecting(n, r, f)
+    assert len(fams) == classes
+    assert class_list_digest(fams) == digest
+
+
+def test_full_canonical_search_runs_once_per_class(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return canonical_form(h)
+
+    monkeypatch.setattr(ifam.enumeration, "canonical_form", counting)
+    fams = enumerate_intersecting(6, 3, EnumerationFilter(tau_le=2, min_edges=1))
+    assert len(fams) == 174
+    assert len(calls) == 174
 
 
 # -- interface discipline ---------------------------------------------------

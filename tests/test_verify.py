@@ -1,8 +1,14 @@
+import hashlib
+
 import pytest
 
 from ifam.enumeration import EnumerationFilter, canonical_form, enumerate_intersecting
 from ifam.io import parse_hypergraph
 from ifam.verify import STATEMENTS, VerificationReport, _lemma_candidates, verify
+
+
+def digest(families):
+    return hashlib.sha256(repr([h.edges for h in families]).encode()).hexdigest()[:16]
 
 
 def test_report_requires_counterexample_on_fail():
@@ -81,6 +87,14 @@ def test_lemma_rejects_small_n():
         verify("LEMMA_2EDGES", n=5)
 
 
+@pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B"])
+def test_th4_statements_refuse_n4(statement):
+    # at n = 4 TH4_MAIN used to FAIL on K4^(3), TH4_A to pass vacuously
+    # and TH4_B to raise only while building a template
+    with pytest.raises(ValueError, match=f"{statement} is stated for n >= 6"):
+        verify(statement, n=4)
+
+
 def hypothesis_holds(h):
     return any(
         sum(1 for e in h.edges if not e >> (x - 1) & 1) <= 2
@@ -88,8 +102,19 @@ def hypothesis_holds(h):
     )
 
 
+def test_lemma_candidates_at_n7():
+    # the class list as the sweep wrote it before its outside-part cut
+    reps = _lemma_candidates(7)
+    assert len(reps) == 539
+    assert digest(reps) == "820d5dcff4176653"
+    assert all(hypothesis_holds(h) for h in reps)
+
+
 def test_lemma_candidates_are_the_hypothesis_class():
     reps = _lemma_candidates(6)
+    # the class list as the sweep wrote it before its outside-part cut
+    assert len(reps) == 160
+    assert digest(reps) == "bb873ac0ff05fb5b"
     keys = [canonical_form(h) for h in reps]
     assert len(set(keys)) == len(reps)
     assert all(hypothesis_holds(h) for h in reps)
