@@ -5,49 +5,44 @@ form of a family is the lexicographically least tuple of sorted edge
 bitmasks over all vertex relabelings, found by a prefix-pruned search:
 assigning labels low to high only ever raises each partial mask, and the
 sorted order statistics rise with them, so a branch whose sorted partial
-masks already exceed the best known tuple is dead.  Branches that differ
+masks already reach the best known tuple is dead.  Branches that differ
 from an explored sibling by a transposition that is an automorphism of
 the family are skipped, which collapses the leaf symmetry of stars and
 other highly regular inputs.
 
-Three generation strategies share one deduplication:
+Sweeps use orderly generation (Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978; McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  Call a sorted mask tuple canonical when it is
+its own canonical form.  Dropping the largest mask of a canonical tuple
+leaves a canonical tuple, its parent.  Suppose a relabeling sent the
+parent to a sorted tuple below it, first lower at position i.  Adding
+the image of the dropped mask can only lower each order statistic, so
+the image of the whole tuple agrees with or undercuts it before i and
+is strictly lower at i: the whole tuple was not canonical.  So every
+canonical tuple is reached from the empty one by adding masks in
+increasing order through canonical tuples only, and along exactly one
+path.  The generator extends each canonical tuple by each pool edge
+above its last mask and keeps a child only if it passes a prune
+predicate and is canonical.  Each class satisfying the predicate then
+appears once, as its canonical form, provided the predicate is
+invariant under relabeling (so the canonical form satisfies it too)
+and hereditary (so every prefix on the path to it does): intersecting,
+cover number at most t, at most k edges, some vertex missing at most
+two edges.  Conditions that are not hereditary, lower bounds on the
+cover number or the edge count, filter the output.
 
-* cover number at most two: every such class has a representative whose
-  edges all meet the fixed pair {1, 2}, so enumeration walks subsets of
-  that frame (edges through both vertices are unconstrained; edges seen
-  by exactly one of the two must pairwise intersect across the split);
-* maximal families: maximal cliques of the edge compatibility graph,
-  enumerated with pivoted Bron-Kerbosch;
-* everything else: subset search over the full edge pool, pruned to
-  intersecting prefixes, and refused outright when the pool is too big
-  to sweep.
+The canonicity test is the canonical-form search started with its best
+tuple preset to the candidate itself.  It stops at the first leaf
+strictly below the candidate and answers None when no leaf is.  The
+test is exact: the prefix bound drops only branches whose every leaf is
+at or above the best tuple, and an automorphism skip drops only a
+subtree whose leaves repeat those of a sibling already searched.
 
-The first two generators skip most labeled copies of each class, but
-never all of them.  Relabelings that map the frame onto itself, the swap
-of 1 and 2 and any permutation of {3..n}, map frame candidates to frame
-candidates of the same size and keep the filter's verdict.  So any
-candidate can be moved to one whose part s2 through 2 alone is no larger
-than its part s1 through 1 alone (apply the swap when s2 is larger),
-and then, by a permutation of {3..n}, which keeps both sizes, to one
-whose s1 is canonical: s1 with the bits of 1 and 2 dropped is an
-(r-1)-graph on n-2 vertices, and it must equal its own canonical form.
-Each such s1 is tested once, before the s2 and s0 loops.  A nonempty
-maximal family has a relabeled copy containing the edge {1..r}, so
-Bron-Kerbosch starts from that edge.
-
-Deduplication runs the full minimizing search once per class, as in
-the isomorph rejection of orderly generation (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).  The keys found so far are
-bucketed by invariant_key.  A candidate is tested against each key in
-its bucket by the same search with its best tuple preset to that key,
-which stops at the first leaf equal to the key (isomorphic) or below it
-(not isomorphic).  Only a candidate that reaches no key in its bucket
-gets a canonical_form, whose key joins the bucket.  The test is exact:
-isomorphic families share invariant_key; a key is the least leaf over
-its class, so the bounded search never prunes the path to a leaf equal
-to it; and the automorphism skips only drop subtrees whose leaves repeat
-those of a sibling already searched.  The LEMMA_2EDGES candidate sweep
-in ``verify`` uses the same deduplication.
+Maximal families are not hereditary, so they come from pivoted
+Bron-Kerbosch over the edge compatibility graph instead.  A nonempty
+canonical form starts with the least r-set mask, {1..r}, so the search
+lists only the maximal cliques through that edge and keeps those whose
+sorted masks pass the canonicity test: one per class.
 
 Output order is deterministic: ascending edge count, then canonical
 form, with each representative rebuilt from its canonical masks.
@@ -70,7 +65,7 @@ __all__ = [
 
 DEFAULT_CEILING = 9
 
-# Largest edge pool the unrestricted subset sweep will accept.
+# Largest edge pool a sweep without tau_le <= 2 or maximal_only will accept.
 _GENERAL_POOL_LIMIT = 24
 
 
@@ -78,7 +73,8 @@ _GENERAL_POOL_LIMIT = 24
 
 
 def invariant_key(h: Hypergraph) -> tuple:
-    """Cheap relabeling-invariant fingerprint used to pre-bucket families."""
+    """Cheap relabeling-invariant fingerprint: isomorphic families share
+    it, but families that share it need not be isomorphic."""
     degs = [0] * (h.n + 1)
     pair: dict[tuple[int, int], int] = {}
     for e in h.edges:
@@ -124,14 +120,13 @@ def _canonical_masks(
     """``canonical_form`` on bare masks: r-sets on the ground set [n].
 
     With a bound, the same search starts from the bound as its best
-    tuple and stops at the first leaf not above it: the result is the
-    bound itself when the family reaches it, a tuple below it, or None
-    when every relabeling lies above it.
+    tuple and stops at the first leaf strictly below it, which it
+    returns; None means no relabeling lies below the bound.  Run with
+    the family's own sorted masks as the bound, this is the canonicity
+    test: None exactly when the masks are their own canonical form.
     """
     masks = list(edges)
     m = len(masks)
-    if m == 0:
-        return ()
     mask_set = frozenset(masks)
 
     degs = [0] * (n + 1)
@@ -176,9 +171,8 @@ def _canonical_masks(
                 if got > ref:
                     return False
             else:
-                # a tie can still complete to the bound itself
-                if bound is None:
-                    return False
+                # a tie completes to nothing strictly below best
+                return False
         if depth == n:
             best = lbs
             return bound is not None
@@ -209,33 +203,10 @@ def _canonical_masks(
             placed[v] = False
         return False
 
-    if rec(0, [0] * m, [r] * m):
-        return tuple(best)
-    if bound is not None:
+    found = rec(0, [0] * m, [r] * m)
+    if bound is not None and not found:
         return None
-    if best is None:
-        raise AssertionError("canonical_form found no relabeling")
     return tuple(best)
-
-
-def _distinct_classes(n: int, r: int, families) -> list[Hypergraph]:
-    """One representative per isomorphism class among families, rebuilt
-    from its canonical masks, ordered by edge count, then canonical form.
-
-    Keys are bucketed by invariant_key.  A family is tested against each
-    key in its bucket by the bounded search, and only a family that
-    reaches none of them pays for a full canonical_form.
-    """
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    for h in families:
-        bucket = buckets.setdefault(invariant_key(h), [])
-        if not any(_canonical_masks(n, r, h.edges, key) == key for key in bucket):
-            bucket.append(canonical_form(h))
-    keys = sorted(
-        (key for bucket in buckets.values() for key in bucket),
-        key=lambda c: (len(c), c),
-    )
-    return [Hypergraph.from_masks(n, r, c) for c in keys]
 
 
 # -- filters ----------------------------------------------------------------
@@ -292,80 +263,43 @@ class EnumerationFilter:
 # -- generation strategies --------------------------------------------------
 
 
-def _frame_candidates(n: int, r: int, f: EnumerationFilter):
-    """Families whose edges all meet {1, 2}, up to the frame's symmetry:
-    hosts every class with cover number at most two.
-
-    s1 takes the edges through 1 only, s2 those through 2 only, s0 those
-    through both.  Only candidates with len(s2) <= len(s1) and a
-    canonical s1 are produced (see the module docstring).
-    """
-    b1, b2 = 1, 2
-    e_both, e_one, e_two = [], [], []
-    for c in combinations(range(1, n + 1), r):
-        e = mask_of(c)
-        hit = (e & b1, e & b2)
-        if hit == (b1, b2):
-            e_both.append(e)
-        elif hit[0]:
-            e_one.append(e)
-        elif hit[1]:
-            e_two.append(e)
-    cap = f.max_edges
-    for k1 in range(len(e_one) + 1):
-        if cap is not None and k1 > cap:
-            break
-        for s1 in combinations(e_one, k1):
-            if r > 1:
-                # s1 without the bits of 1 and 2: an (r-1)-graph on n-2
-                low = sorted(e >> 2 for e in s1)
-                if tuple(low) != _canonical_masks(n - 2, r - 1, low):
-                    continue
-            compat = [e for e in e_two if all(e & g for g in s1)]
-            for k2 in range(min(k1, len(compat)) + 1):
-                if cap is not None and k1 + k2 > cap:
-                    break
-                for s2 in combinations(compat, k2):
-                    for k0 in range(len(e_both) + 1):
-                        if cap is not None and k1 + k2 + k0 > cap:
-                            break
-                        for s0 in combinations(e_both, k0):
-                            yield (*s1, *s2, *s0)
-
-
 def _edge_pool(n: int, r: int) -> list[int]:
-    return [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    """Every r-set of [n] as a mask, ascending: pool[0] is {1..r}."""
+    return sorted(mask_of(c) for c in combinations(range(1, n + 1), r))
 
 
-def _general_candidates(n: int, r: int, f: EnumerationFilter):
-    """Subset sweep over every edge, pruned to intersecting prefixes
-    when the filter asks for intersecting families."""
+def _orderly(n: int, r: int, keep) -> list[Hypergraph]:
+    """Orderly generation: every class whose canonical form has all its
+    prefixes accepted, as representatives rebuilt from their canonical
+    masks, by edge count, then canonical form.
+
+    keep(fam, e) decides whether the canonical tuple fam may grow by the
+    edge e above its last mask.  It must be hereditary and invariant
+    under relabeling; see the module docstring.
+    """
     pool = _edge_pool(n, r)
-    cap = f.max_edges
-    prune = f.intersecting
-    chosen: list[int] = []
-
-    def rec(idx: int):
-        if cap is not None and len(chosen) == cap:
-            yield tuple(chosen)
-            return
-        if idx == len(pool):
-            yield tuple(chosen)
-            return
-        yield from rec(idx + 1)
-        e = pool[idx]
-        if not prune or all(e & g for g in chosen):
-            chosen.append(e)
-            yield from rec(idx + 1)
-            chosen.pop()
-
-    yield from rec(0)
+    out: list[Hypergraph] = []
+    # parents of one size in canonical order give children in canonical
+    # order, so each level comes out sorted
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while level:
+        grown = []
+        for fam, start in level:
+            out.append(Hypergraph.from_masks(n, r, fam))
+            for i in range(start, len(pool)):
+                e = pool[i]
+                child = (*fam, e)
+                if keep(fam, e) and _canonical_masks(n, r, child, child) is None:
+                    grown.append((child, i + 1))
+        level = grown
+    return out
 
 
-def _maximal_candidates(n: int, r: int):
-    """Maximal intersecting families through the edge {1..r}: maximal
-    cliques of the edge compatibility graph that contain pool[0], by
-    pivoted Bron-Kerbosch over index bitsets."""
+def _maximal_classes(n: int, r: int) -> list[Hypergraph]:
+    """Maximal intersecting families, one per class, ordered as in
+    _orderly: the canonical maximal cliques of the edge compatibility
+    graph, all of which contain pool[0] = {1..r}, found by pivoted
+    Bron-Kerbosch over index bitsets started from that edge."""
     pool = _edge_pool(n, r)
     k = len(pool)
     nbr = [0] * k
@@ -379,7 +313,9 @@ def _maximal_candidates(n: int, r: int):
 
     def expand(rset: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            out.append(tuple(pool[i] for i in _bits(rset)))
+            clique = tuple(pool[i] for i in _bits(rset))
+            if _canonical_masks(n, r, clique, clique) is None:
+                out.append(clique)
             return
         pivot = max(_bits(p | x), key=lambda u: (p & nbr[u]).bit_count())
         rest = p & ~nbr[pivot]
@@ -393,7 +329,8 @@ def _maximal_candidates(n: int, r: int):
         expand(1, nbr[0], 0)
     else:
         out.append(())
-    return out
+    out.sort(key=lambda c: (len(c), c))
+    return [Hypergraph.from_masks(n, r, c) for c in out]
 
 
 def _bits(x: int):
@@ -430,20 +367,25 @@ def enumerate_intersecting(
         raise ValueError(f"n={n} exceeds the enumeration ceiling {ceiling}")
 
     if f.maximal_only:
-        candidates = _maximal_candidates(n, r)
-    elif f.tau_le is not None and f.tau_le <= 2:
-        if f.tau_le == 0:
-            candidates = [()]
-        else:
-            candidates = _frame_candidates(n, r, f)
+        fams = _maximal_classes(n, r)
     else:
-        pool_size = len(_edge_pool(n, r))
-        if pool_size > _GENERAL_POOL_LIMIT:
-            raise ValueError(
-                f"edge pool of {pool_size} is too large for an unrestricted "
-                "sweep; restrict with tau_le <= 2 or maximal_only"
-            )
-        candidates = _general_candidates(n, r, f)
+        if f.tau_le is None or f.tau_le > 2:
+            pool_size = len(_edge_pool(n, r))
+            if pool_size > _GENERAL_POOL_LIMIT:
+                raise ValueError(
+                    f"edge pool of {pool_size} is too large for an unrestricted "
+                    "sweep; restrict with tau_le <= 2 or maximal_only"
+                )
 
-    families = (Hypergraph.from_masks(n, r, masks) for masks in candidates)
-    return _distinct_classes(n, r, (h for h in families if f.admits(h)))
+        def keep(fam: tuple[int, ...], e: int) -> bool:
+            if f.max_edges is not None and len(fam) >= f.max_edges:
+                return False
+            if f.intersecting and not all(e & g for g in fam):
+                return False
+            return (
+                f.tau_le is None
+                or cover_number(Hypergraph(n, r, (*fam, e))) <= f.tau_le
+            )
+
+        fams = _orderly(n, r, keep)
+    return [h for h in fams if f.admits(h)]

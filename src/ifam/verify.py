@@ -36,14 +36,15 @@ TH4_A
     needed: a family needing three cover vertices has at most ten
     edges, so the enumeration with cover number at most two is the
     complete scope.  At n = 6 the largest such family has ten edges,
-    so the scope is empty and the statement holds vacuously; n = 7 is
-    the first ground set where it bites.
+    so the scope is empty and the statement holds vacuously; n = 7, the
+    default, is the first ground set where it bites.
 
 TH4_B
     Every intersecting 3-graph with more than n + 4 edges is contained
     in one of the first four templates (star or index 0, 1, 2), and
     the three remaining templates (index 3, 4, 5) each have exactly
-    n + 4 edges, witnessing that the size threshold is sharp.
+    n + 4 edges, witnessing that the size threshold is sharp.  The
+    default is n = 7, as for TH4_A: at n = 6 no family is in scope.
 
 LEMMA_2EDGES
     An intersecting 3-graph on n >= 6 vertices with a vertex x whose
@@ -87,8 +88,7 @@ from .constructions import (
 from .enumeration import (
     DEFAULT_CEILING,
     EnumerationFilter,
-    _canonical_masks,
-    _distinct_classes,
+    _orderly,
     canonical_form,
     enumerate_intersecting,
 )
@@ -183,9 +183,9 @@ def _verify_folk(
     witnesses = []
     k5_found = fp_found = False
     for h in extremal:
-        key = canonical_form(h)
-        is_k5 = key == k5_key
-        is_fp = fp_key is not None and key == fp_key
+        # representatives are rebuilt from their canonical masks
+        is_k5 = h.edges == k5_key
+        is_fp = h.edges == fp_key
         k5_found = k5_found or is_k5
         fp_found = fp_found or is_fp
         witnesses.append(_family_record(h, tau=cover_number(h), k5=is_k5, fp_type=is_fp))
@@ -254,7 +254,7 @@ def _verify_th4_main(
 
 
 def _verify_th4_a(
-    n: int = 6, ceiling: int = DEFAULT_CEILING
+    n: int = 7, ceiling: int = DEFAULT_CEILING
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
     params = {"n": n, "ceiling": ceiling}
     _require_n6("TH4_A", n)
@@ -278,7 +278,7 @@ def _verify_th4_a(
 
 
 def _verify_th4_b(
-    n: int = 6, ceiling: int = DEFAULT_CEILING
+    n: int = 7, ceiling: int = DEFAULT_CEILING
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
     params = {"n": n, "ceiling": ceiling}
     _require_n6("TH4_B", n)
@@ -322,36 +322,19 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
     """One representative per isomorphism class of intersecting 3-graphs
     on [n] having a vertex whose deletion leaves at most two edges.
 
-    Normal form: the distinguished vertex is 1, so a candidate is any
-    set of star edges at 1 plus an outside part of at most two edges
-    avoiding 1.  Star edges pairwise meet at 1 and the outside part is
-    kept pairwise intersecting, so intersectivity reduces to each kept
-    star edge meeting each outside edge, which is enforced up front.
-
-    A permutation fixing 1 maps star edges to star edges and the outside
-    part to an outside part, so every candidate has a relabeled copy
-    whose outside part is canonical: shifted down by the bit of vertex
-    1 it is a 3-graph on n - 1 vertices equal to its own canonical form.
-    Only such outside parts are kept.
+    Both conditions survive deleting edges and relabeling, so the orderly
+    generator prunes with them directly.
     """
-    star_pool = [mask_of((1, a, b)) for a, b in combinations(range(2, n + 1), 2)]
-    out_pool = [mask_of(c) for c in combinations(range(2, n + 1), 3)]
-    outside: list[tuple[int, ...]] = [()]
-    outside.extend((e,) for e in out_pool)
-    outside.extend(p for p in combinations(out_pool, 2) if p[0] & p[1])
 
-    def families():
-        for part in outside:
-            low = tuple(sorted(e >> 1 for e in part))
-            if low != _canonical_masks(n - 1, 3, low):
-                continue
-            ok = [e for e in star_pool if all(e & f for f in part)]
-            for pick in range(1 << len(ok)):
-                fam = [ok[j] for j in range(len(ok)) if pick >> j & 1]
-                fam.extend(part)
-                yield Hypergraph.from_masks(n, 3, fam)
+    def keep(fam: tuple[int, ...], e: int) -> bool:
+        if not all(e & g for g in fam):
+            return False
+        child = (*fam, e)
+        return any(
+            sum(g >> v & 1 for g in child) >= len(child) - 2 for v in range(n)
+        )
 
-    return _distinct_classes(n, 3, families())
+    return _orderly(n, 3, keep)
 
 
 def _verify_lemma_2edges(

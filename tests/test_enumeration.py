@@ -3,14 +3,19 @@
 Completeness evidence comes from independent oracles: a Burnside orbit
 count over the full symmetric group at n <= 5, a naive sweep of all
 subsets of the fixed covering-pair frame at n <= 6 (with and without an
-edge cap), and every maximal clique of the edge compatibility graph at
-n <= 7.  The generators skip labeled copies by symmetry; these oracles
-skip none.
+edge cap), every maximal clique of the edge compatibility graph at
+n <= 7, and the orbit-stabilizer identity at n = 6 and 7: over the
+classes of intersecting 3-graphs with cover number at most two, the sum
+of n!/|Aut| must equal the labelled count, with both |Aut| and the count
+found without canonical forms.  The orderly generator and the canonical
+Bron-Kerbosch filter reach each class once; these oracles skip no
+labeled family.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from itertools import combinations, permutations
 
@@ -154,22 +159,23 @@ def differential_pairs(rng):
     return pairs
 
 
-def test_bounded_search_reaches_exactly_the_isomorphic_keys():
-    # the bounded search, run on b with a's key as its bound, must reach
-    # that key exactly when a and b are isomorphic, and otherwise stop
-    # below the key or at no leaf at all
+def test_canonicity_test_agrees_with_canonical_form():
+    # run with a tuple as its own bound, the search finds nothing below it
+    # exactly when the tuple is canonical; otherwise it returns a lower
+    # relabeling of the same family
     rng = random.Random(SEED)
-    pairs = differential_pairs(rng)
-    rejects_on_shared_invariant = 0
-    for a, b in pairs:
-        key_a = _canonical_masks(a.n, a.r, a.edges)
-        key_b = _canonical_masks(b.n, b.r, b.edges)
-        got = _canonical_masks(b.n, b.r, b.edges, key_a)
-        assert (got == key_a) == (key_a == key_b), (a.edges, b.edges)
-        assert got is None or got <= key_a
-        if key_a != key_b and invariant_key(a) == invariant_key(b):
-            rejects_on_shared_invariant += 1
-    assert rejects_on_shared_invariant > 0
+    fams = [h for pair in differential_pairs(rng) for h in pair]
+    fams += [Hypergraph.from_masks(h.n, h.r, canonical_form(h)) for h in fams]
+    verdicts = set()
+    for h in fams:
+        key = canonical_form(h)
+        got = _canonical_masks(h.n, h.r, h.edges, h.edges)
+        assert (got is None) == (key == h.edges), h.edges
+        if got is not None:
+            assert got < h.edges
+            assert canonical_form(Hypergraph.from_masks(h.n, h.r, got)) == key
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 def test_invariant_key_respects_isomorphism():
@@ -210,8 +216,6 @@ def burnside_class_count(n, r, pred):
             ]
             if pred(Hypergraph.from_masks(n, r, fam)):
                 total += 1
-    import math
-
     assert total % math.factorial(n) == 0
     return total // math.factorial(n)
 
@@ -221,6 +225,75 @@ def test_enumeration_matches_burnside_at_tiny_n():
         got = len(list(enumerate_intersecting(n, 3, EnumerationFilter(min_edges=1))))
         oracle = burnside_class_count(n, 3, is_intersecting)
         assert got == oracle, n
+
+
+def test_non_intersecting_tau2_sweep_matches_burnside():
+    f = EnumerationFilter(intersecting=False, tau_le=2, min_edges=1)
+    got = len(enumerate_intersecting(5, 2, f))
+    assert got == burnside_class_count(5, 2, lambda h: cover_number(h) <= 2)
+    assert got == 19
+
+
+def labelled_tau2_count(n, r):
+    """Labelled intersecting r-graphs on [n] with at least one edge and
+    cover number at most two: a clique recursion over the bitset edge
+    compatibility graph that tracks which vertex pairs still cover the
+    clique and prunes when none does (covering is hereditary)."""
+    pool = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    pairs = [mask_of(p) for p in combinations(range(1, n + 1), 2)]
+    later = [
+        sum(1 << j for j in range(i + 1, len(pool)) if pool[i] & pool[j])
+        for i in range(len(pool))
+    ]
+    covering = [sum(1 << k for k, p in enumerate(pairs) if p & e) for e in pool]
+
+    def count(cands, alive):
+        total = 0
+        while cands:
+            i = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            still = alive & covering[i]
+            if still:
+                total += 1 + count(cands & later[i], still)
+        return total
+
+    return count((1 << len(pool)) - 1, (1 << len(pairs)) - 1)
+
+
+def automorphism_count(h):
+    """Permutations of [n] that map the edge set onto itself, by
+    backtracking that sends each vertex to one of equal degree and checks
+    each edge once its largest vertex is mapped."""
+    edges = set(h.edges)
+    deg = [0] + [h.degree(v) for v in range(1, h.n + 1)]
+    closing = [[e for e in h.edges if e.bit_length() == v] for v in range(h.n + 1)]
+    image = [0] * (h.n + 1)
+
+    def extend(v, used):
+        if v > h.n:
+            return 1
+        total = 0
+        for w in range(1, h.n + 1):
+            if used >> w & 1 or deg[w] != deg[v]:
+                continue
+            image[v] = w
+            if all(
+                mask_of(tuple(image[u] for u in vertices_of(e))) in edges
+                for e in closing[v]
+            ):
+                total += extend(v + 1, used | 1 << w)
+        return total
+
+    return extend(1, 0)
+
+
+@pytest.mark.parametrize("n, labelled", [(6, 54_870), (7, 1_246_070)])
+def test_orbit_stabilizer_identity(n, labelled):
+    # an isomorph-free list that lost or repeated a class would miss the
+    # count of labelled families that its orbits must add up to
+    fams = enumerate_intersecting(n, 3, EnumerationFilter(tau_le=2, min_edges=1))
+    orbits = [math.factorial(n) // automorphism_count(h) for h in fams]
+    assert sum(orbits) == labelled_tau2_count(n, 3) == labelled
 
 
 def test_four_point_classes_are_the_edge_counts():
@@ -377,7 +450,15 @@ def test_golden_class_lists(n, r, f, classes, digest):
     assert class_list_digest(fams) == digest
 
 
-def test_full_canonical_search_runs_once_per_class(monkeypatch):
+@pytest.mark.parametrize(
+    "n, f, classes",
+    [
+        (6, EnumerationFilter(tau_le=2, min_edges=1), 174),
+        (7, EnumerationFilter(maximal_only=True), 15),
+    ],
+)
+def test_sweeps_run_no_full_canonical_search(monkeypatch, n, f, classes):
+    # the canonicity test replaces every full search
     calls = []
 
     def counting(h):
@@ -385,9 +466,8 @@ def test_full_canonical_search_runs_once_per_class(monkeypatch):
         return canonical_form(h)
 
     monkeypatch.setattr(ifam.enumeration, "canonical_form", counting)
-    fams = enumerate_intersecting(6, 3, EnumerationFilter(tau_le=2, min_edges=1))
-    assert len(fams) == 174
-    assert len(calls) == 174
+    assert len(enumerate_intersecting(n, 3, f)) == classes
+    assert calls == []
 
 
 # -- interface discipline ---------------------------------------------------

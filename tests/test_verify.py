@@ -62,6 +62,26 @@ def test_th4_a_vacuous_at_n6():
     assert rep.witnesses[0]["largest_family"] == 10
 
 
+def test_th4_a_default_scope_is_n7():
+    rep = verify("TH4_A")
+    assert rep.passed
+    assert rep.params["n"] == 7
+    assert rep.checked == 41
+    assert rep.witnesses[0]["families_in_scope"] == 41
+
+
+def test_th4_b_default_scope_is_n7():
+    rep = verify("TH4_B")
+    assert rep.passed
+    assert rep.params["n"] == 7
+    assert rep.checked == 16
+    assert rep.witnesses[0]["tail_template_sizes"] == {
+        "H3(3)": 11,
+        "H3(4)": 11,
+        "H3(5)": 11,
+    }
+
+
 def test_th4_b_tail_sizes_at_n6():
     rep = verify("TH4_B", n=6)
     assert rep.passed
