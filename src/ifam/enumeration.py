@@ -50,10 +50,10 @@ form, with each representative rebuilt from its canonical masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .hypergraph import Hypergraph, cover_number, is_intersecting, mask_of
+from .hypergraph import Hypergraph, _bits, cover_number, is_intersecting, mask_of
 
 __all__ = [
     "DEFAULT_CEILING",
@@ -333,13 +333,6 @@ def _maximal_classes(n: int, r: int) -> list[Hypergraph]:
     return [Hypergraph.from_masks(n, r, c) for c in out]
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
 # -- public entry point -----------------------------------------------------
 
 
@@ -368,6 +361,8 @@ def enumerate_intersecting(
 
     if f.maximal_only:
         fams = _maximal_classes(n, r)
+        # maximal cliques of the compatibility graph are intersecting
+        rest = replace(f, intersecting=False)
     else:
         if f.tau_le is None or f.tau_le > 2:
             pool_size = len(_edge_pool(n, r))
@@ -388,4 +383,9 @@ def enumerate_intersecting(
             )
 
         fams = _orderly(n, r, keep)
-    return [h for h in fams if f.admits(h)]
+        # keep held every prefix to the hereditary conditions; the lower
+        # bounds are left
+        rest = EnumerationFilter(
+            intersecting=False, tau_ge=f.tau_ge, min_edges=f.min_edges
+        )
+    return [h for h in fams if rest.admits(h)]

@@ -52,15 +52,30 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of 1-based vertex labels in a bitmask."""
+    """Sorted tuple of 1-based vertex labels in a bitmask: one step per
+    set bit, so the cost follows |mask|, not the ground set size."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
+
+
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of x, ascending.
+
+    One pass over the reversed binary digits, then a C-level search per
+    set bit: on ints of thousands of bits this beats peeling x & -x,
+    which copies the whole int at every step.
+    """
+    digits = bin(x)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _check_ground(n: int) -> None:

@@ -16,9 +16,16 @@ sum over i of |B_i| * C(n-i, r-i).
 
 Core search is complete: a core of any sunflower with at least two
 members is the intersection of two of them, hence a proper nonempty
-subset of an edge.  All such subsets are scored by codegree first
-(a core of a k-sunflower lies in at least k edges), and only survivors
-get the exact fixed-core packing test.
+subset of an edge, and a core of a k-sunflower lies in at least k
+edges.  Candidate cores come from one level-wise walk over per-vertex
+incidence rows (``sunflower._heavy_cores``): T grows one vertex at a
+time in increasing order, its codegree is the popcount of the AND of
+its vertices' rows, and a branch stops once the codegree falls below
+the multiplicity its size needs.  Both schemes' multiplicities grow
+with the core size, and removing a vertex from T can only raise its
+codegree, so every prefix of a surviving core survives too and the
+walk misses none.  Only survivors get the exact fixed-core packing
+test.
 
 The reduction step applies when a pair of vertices covers the family:
 edges carrying a member of the second or third layer are kept, and each
@@ -35,11 +42,10 @@ multiplicity (r+1)^|T|, and a coarser one with multiplicity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
-from .hypergraph import Hypergraph, SetFamily, cover_number, is_intersecting, mask_of, pack_exists, vertices_of
-from .sunflower import find_sunflower
+from .hypergraph import Hypergraph, SetFamily, cover_number, is_intersecting, pack_exists, vertices_of
+from .sunflower import _heavy_cores, find_sunflower
 
 __all__ = [
     "ThresholdScheme",
@@ -131,17 +137,14 @@ def b_star(h: Hypergraph, scheme: ThresholdScheme) -> SetFamily:
     """All exact cores of scheme-sized sunflowers in H, sizes 1..r-1."""
     if h.r < 2 or not h.edges:
         return SetFamily(h.n, ())
-    carriers: dict[int, list[int]] = {}
-    for e in h.edges:
-        vs = vertices_of(e)
-        for size in range(1, h.r):
-            for sub in combinations(vs, size):
-                carriers.setdefault(mask_of(sub), []).append(e)
     thresholds = scheme.table(h.r)
+    # an r-set lies in at most one edge, so holding the last threshold
+    # past r - 1 keeps the need nondecreasing and ends the walk there
     out = []
-    for t, through in carriers.items():
-        k = thresholds[t.bit_count()]
-        if len(through) >= k and pack_exists([e & ~t for e in through], k) is not None:
+    for t, petals in _heavy_cores(
+        h.edges, lambda size: thresholds[min(size, h.r - 1)]
+    ):
+        if pack_exists(petals, thresholds[t.bit_count()]) is not None:
             out.append(t)
     return SetFamily.from_masks(h.n, out)
 

@@ -9,10 +9,14 @@ whose residues are disjoint form a sunflower with that element as core.
 Detection is exact and runs in two phases.  A complete feasibility test
 first decides existence: the core of any sunflower with at least two
 members is the intersection of two of them, so candidate cores are the
-empty set plus either all proper nonempty subsets of members (scored by
-codegree, for families of small sets) or all distinct pairwise
-intersections; each candidate that enough members contain is settled by
-exact set packing on the residues.  Only when a sunflower exists does
+empty set plus either every nonempty set that at least k members
+contain (for families of small sets) or all distinct pairwise
+intersections; each candidate is settled by exact set packing on the
+residues.  The first kind comes from ``_heavy_cores``, a depth-first
+walk over cores in increasing vertex order on per-vertex incidence
+rows: the members containing T are the AND of its vertices' rows, and
+a branch ends once fewer than k members remain, since every extension
+of T lies in a subset of them.  Only when a sunflower exists does
 the witness search run: members are scanned in lexicographic order of
 their sorted vertex tuples, each ordered pair fixes a core, and the
 packing engine completes the collection with the least remaining
@@ -26,12 +30,12 @@ kernelization thresholds; no attempt is made at sharper constants.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
+from typing import Callable, Iterator, Sequence
 
-from .hypergraph import SetFamily, mask_of, pack_exists, vertices_of
+from .hypergraph import SetFamily, _bits, pack_exists, vertices_of
 
 __all__ = [
     "Sunflower",
@@ -40,8 +44,8 @@ __all__ = [
     "find_sunflower_with_core",
 ]
 
-# members at most this large get subset-enumerated candidate cores;
-# larger ones fall back to pairwise intersections
+# members at most this large get their candidate cores from the codegree
+# walk; larger ones fall back to pairwise intersections
 _SUBSET_CAP = 12
 
 
@@ -94,9 +98,44 @@ def _tuple_sorted(masks) -> list[int]:
     return sorted(masks, key=vertices_of)
 
 
-def _core_packs(masks, core: int, k: int) -> bool:
-    petals = [m & ~core for m in masks if m & core == core]
-    return len(petals) >= k and pack_exists(petals, k) is not None
+def _heavy_cores(
+    masks: Sequence[int], need: Callable[[int], int]
+) -> Iterator[tuple[int, list[int]]]:
+    """Every nonempty T that at least need(|T|) masks contain, lazily,
+    each with its petals m & ~T over those masks in input order.
+
+    Bit j of a vertex's incidence row marks masks[j] as containing it.
+    Cores are walked depth-first in increasing vertex order; extending
+    T by a vertex ANDs that vertex's row into T's carrier bits, and a
+    branch stops as soon as fewer than need(|T|) carriers remain.
+    The walk is complete when need is nondecreasing: the carriers of T
+    are a subset of those of its prefix P (T without its largest
+    vertex), so |carriers(P)| >= |carriers(T)| >= need(|T|) >=
+    need(|P|), and P was visited and extended.  Each T is reached
+    once, along its own increasing vertex order.
+    """
+    rows = [0] * max(masks, default=0).bit_length()
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] |= bit
+            m ^= low
+    verts = [(1 << v, row) for v, row in enumerate(rows) if row]
+
+    def walk(start: int, core: int, carriers: int, size: int):
+        floor = need(size + 1)
+        if carriers.bit_count() < floor:
+            return
+        for i in range(start, len(verts)):
+            bit, row = verts[i]
+            sub = carriers & row
+            if sub.bit_count() >= floor:
+                t = core | bit
+                yield t, [masks[j] & ~t for j in _bits(sub)]
+                yield from walk(i + 1, t, sub, size + 1)
+
+    return walk(0, 0, (1 << len(masks)) - 1, 0)
 
 
 def _sunflower_exists(masks: list[int], k: int) -> bool:
@@ -106,18 +145,17 @@ def _sunflower_exists(masks: list[int], k: int) -> bool:
     if pack_exists(masks, k) is not None:
         return True  # empty core
     if max(m.bit_count() for m in masks) <= _SUBSET_CAP:
-        # include each member itself: in mixed-size families the core can
-        # coincide with a member contained in all the others
-        codegree: Counter[int] = Counter()
-        for m in masks:
-            vs = vertices_of(m)
-            for size in range(1, len(vs) + 1):
-                for sub in combinations(vs, size):
-                    codegree[mask_of(sub)] += 1
-        candidates = (t for t, deg in codegree.items() if deg >= k)
-    else:
-        candidates = iter({a & b for a, b in combinations(masks, 2) if a & b})
-    return any(_core_packs(masks, t, k) for t in candidates)
+        # a core can be a whole member: in mixed-size families it may be
+        # contained in all the others
+        return any(
+            pack_exists(petals, k) is not None
+            for _, petals in _heavy_cores(masks, lambda size: k)
+        )
+    for t in {a & b for a, b in combinations(masks, 2) if a & b}:
+        petals = [m & ~t for m in masks if m & t == t]
+        if len(petals) >= k and pack_exists(petals, k) is not None:
+            return True
+    return False
 
 
 def find_sunflower(family: SetFamily, k: int) -> Sunflower | None:

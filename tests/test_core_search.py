@@ -1,0 +1,238 @@
+"""The codegree walk behind `b_star` and the sunflower existence test,
+against the subset-enumeration code it replaced.
+
+The oracles score every proper nonempty subset of every member by
+codegree (`b_star`) or every nonempty subset (`_sunflower_exists`), and
+only then drop the light ones; the walk prunes by codegree as it grows
+each core.  Both must find the same cores and ask the packing engine
+the same questions.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+import ifam.kernel
+from ifam.hypergraph import Hypergraph, SetFamily, mask_of, pack_exists, vertices_of
+from ifam.kernel import b_star, paper_r, paper_rs
+from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _sunflower_exists, find_sunflower
+from ifam.verify import _random_greedy, _random_star_noise, _random_structured
+
+
+def oracle_candidates(h, scheme):
+    """(core, petals, k) for every proper nonempty subset of an edge that
+    enough edges contain, in first-seen order."""
+    carriers: dict[int, list[int]] = {}
+    for e in h.edges:
+        vs = vertices_of(e)
+        for size in range(1, h.r):
+            for sub in combinations(vs, size):
+                carriers.setdefault(mask_of(sub), []).append(e)
+    thresholds = scheme.table(h.r)
+    out = []
+    for t, through in carriers.items():
+        k = thresholds[t.bit_count()]
+        if len(through) >= k:
+            out.append((t, [e & ~t for e in through], k))
+    return out
+
+
+def oracle_b_star(h, scheme):
+    if h.r < 2 or not h.edges:
+        return SetFamily(h.n, ())
+    cores = [
+        t for t, petals, k in oracle_candidates(h, scheme)
+        if pack_exists(petals, k) is not None
+    ]
+    return SetFamily.from_masks(h.n, cores)
+
+
+def oracle_sunflower_exists(masks, k):
+    if len(masks) < k:
+        return False
+    if pack_exists(masks, k) is not None:
+        return True
+    if max(m.bit_count() for m in masks) <= _SUBSET_CAP:
+        codegree: Counter[int] = Counter()
+        for m in masks:
+            vs = vertices_of(m)
+            for size in range(1, len(vs) + 1):
+                for sub in combinations(vs, size):
+                    codegree[mask_of(sub)] += 1
+        candidates = [t for t, deg in codegree.items() if deg >= k]
+    else:
+        candidates = {a & b for a, b in combinations(masks, 2) if a & b}
+    for t in candidates:
+        petals = [m & ~t for m in masks if m & t == t]
+        if len(petals) >= k and pack_exists(petals, k) is not None:
+            return True
+    return False
+
+
+GENERATORS = (_random_star_noise, _random_structured, _random_greedy)
+SCHEMES = (paper_r(), paper_rs(1), paper_rs(2), paper_rs(3))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
+def test_b_star_matches_oracle_on_kernel_props_families(gen, seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        h = gen(rng, rng.choice((3, 4)))
+        for scheme in SCHEMES:
+            assert b_star(h, scheme) == oracle_b_star(h, scheme), (h, scheme)
+        masks = sorted(h.edges, key=vertices_of)
+        for k in (2, 3, 5):
+            assert _sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
+
+
+def dense_star(rng, r):
+    """Random r-sets through a few small centres of 1 to r - 1 vertices,
+    so that codegrees reach the thresholds at several core sizes."""
+    n = rng.randint(r + 1, 30)
+    centres = [
+        rng.sample(range(1, r + 1), rng.randint(1, r - 1)) for _ in range(2)
+    ]
+    edges = set()
+    for _ in range(rng.randint(1, 120)):
+        centre = rng.choice(centres)
+        others = [v for v in range(1, n + 1) if v not in centre]
+        edges.add(mask_of((*centre, *rng.sample(others, r - len(centre)))))
+    return Hypergraph.from_masks(n, r, edges)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_b_star_matches_oracle_across_r_and_schemes(r):
+    rng = random.Random(100 + r)
+    core_sizes = Counter()
+    for _ in range(25):
+        h = dense_star(rng, r)
+        for scheme in SCHEMES:
+            got = b_star(h, scheme)
+            assert got == oracle_b_star(h, scheme), (h, scheme)
+            core_sizes.update(got.sizes())
+    assert core_sizes, "no family reached a threshold"
+
+
+def planted(r, core_size, k):
+    """A k-sunflower of r-sets with core {1..core_size}, plus a few
+    random edges through vertex 1 and the first petal, which never add a
+    petal disjoint from that one's."""
+    rng = random.Random(r * 100 + core_size * 10 + k)
+    petal = r - core_size
+    n = core_size + k * petal + 2
+    core = tuple(range(1, core_size + 1))
+    edges = {
+        mask_of((*core, *range(core_size + 1 + i * petal, core_size + 1 + (i + 1) * petal)))
+        for i in range(k)
+    }
+    others = [v for v in range(2, n + 1) if v != core_size + 1]
+    for _ in range(5):
+        edges.add(mask_of((1, core_size + 1, *rng.sample(others, r - 2))))
+    return Hypergraph.from_masks(n, r, edges), mask_of(core)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_b_star_finds_planted_cores_of_every_size(r):
+    for scheme in SCHEMES:
+        for core_size in range(1, r):
+            k = scheme.required(r, core_size)
+            if k * (r - core_size) > 3000:
+                continue
+            for petals in (k - 1, k):
+                h, core = planted(r, core_size, petals)
+                got = b_star(h, scheme)
+                assert got == oracle_b_star(h, scheme), (r, scheme, core_size)
+                assert (core in got.members) == (petals == k)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_b_star_asks_the_packing_engine_the_same_questions(r, monkeypatch):
+    # the same candidate cores, with the same petals in the same order,
+    # reach the packing test: the walk changes which subsets are
+    # enumerated, never which ones are settled
+    rng = random.Random(200 + r)
+    for _ in range(10):
+        h = dense_star(rng, r)
+        for scheme in SCHEMES:
+            asked = []
+
+            def recording(masks, k):
+                asked.append((tuple(masks), k))
+                return pack_exists(masks, k)
+
+            monkeypatch.setattr(ifam.kernel, "pack_exists", recording)
+            b_star(h, scheme)
+            want = [(tuple(p), k) for _, p, k in oracle_candidates(h, scheme)]
+            assert sorted(asked) == sorted(want)
+
+
+def test_mixed_size_families_with_empty_member_and_member_as_core():
+    rng = random.Random(7)
+    n = 8
+    hits = 0
+    for trial in range(300):
+        members = {0, mask_of((1,))} if trial % 2 else {0}
+        for _ in range(rng.randint(1, 14)):
+            size = rng.randint(0, 5)
+            members.add(mask_of(rng.sample(range(1, n + 1), size)))
+        if trial % 3 == 0:
+            # a member equal to a core: {1, 2} inside several members
+            members.update(mask_of(s) for s in ((1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5, 6)))
+        fam = SetFamily.from_masks(n, members)
+        masks = sorted(fam.members, key=vertices_of)
+        for k in (2, 3, 4):
+            want = oracle_sunflower_exists(masks, k)
+            assert _sunflower_exists(masks, k) == want, (fam, k)
+            assert (find_sunflower(fam, k) is not None) == want
+            hits += want
+    assert hits > 0
+
+
+def test_core_equal_to_a_member_is_found():
+    # {1}, {1,2}, {1,3}, {1,4} meet pairwise exactly in the member {1};
+    # every pair of residues {2}, {3}, {4}, {} is disjoint, but the empty
+    # core needs four pairwise-disjoint members and there are none
+    fam = SetFamily.from_vertex_sets(6, [(1,), (1, 2), (1, 3), (1, 4)])
+    masks = sorted(fam.members, key=vertices_of)
+    assert not pack_exists(masks, 4)
+    assert _sunflower_exists(masks, 4)
+    assert oracle_sunflower_exists(masks, 4)
+    assert find_sunflower(fam, 4).core == mask_of((1,))
+
+
+def test_members_above_the_subset_cap_use_pairwise_intersections():
+    rng = random.Random(11)
+    n = 24
+    for _ in range(20):
+        members = {mask_of(range(1, _SUBSET_CAP + 2))}
+        for _ in range(rng.randint(3, 10)):
+            size = rng.randint(_SUBSET_CAP - 2, _SUBSET_CAP + 3)
+            members.add(mask_of((1, *rng.sample(range(2, n + 1), size - 1))))
+        masks = sorted(members, key=vertices_of)
+        for k in (2, 3):
+            assert _sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
+    big = [mask_of((1, *range(2 + 13 * i, 15 + 13 * i))) for i in range(3)]
+    assert min(m.bit_count() for m in big) > _SUBSET_CAP
+    assert _sunflower_exists(big, 3) and oracle_sunflower_exists(big, 3)
+
+
+def test_heavy_cores_is_lazy_and_complete_for_constant_need():
+    masks = [mask_of(s) for s in ((1, 2, 3), (1, 2, 4), (1, 2), (2, 5), ())]
+    asked = []
+
+    def need(size):
+        asked.append(size)
+        return 2
+
+    walk = _heavy_cores(masks, need)
+    assert asked == []  # nothing is walked before the first core is asked for
+    assert next(walk) == (mask_of((1,)), [mask_of((2, 3)), mask_of((2, 4)), mask_of((2,))])
+    got = dict([(mask_of((1,)), None), *walk])
+    assert set(got) == {mask_of((1,)), mask_of((1, 2)), mask_of((2,))}
+    assert got[mask_of((1, 2))] == [mask_of((3,)), mask_of((4,)), 0]
+    assert list(_heavy_cores([], lambda size: 2)) == []

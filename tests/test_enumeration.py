@@ -470,6 +470,42 @@ def test_sweeps_run_no_full_canonical_search(monkeypatch, n, f, classes):
     assert calls == []
 
 
+def test_orderly_sweep_rechecks_only_the_lower_bounds(monkeypatch):
+    # the prune already held every prefix to intersecting and tau <= 2, so
+    # the 578 emitted classes cost no further cover_number call
+    calls = 0
+    real = ifam.enumeration.cover_number
+
+    def counting(h):
+        nonlocal calls
+        calls += 1
+        return real(h)
+
+    monkeypatch.setattr(ifam.enumeration, "cover_number", counting)
+    every = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, min_edges=1))
+    assert len(every) == 578
+    assert calls == 1_506
+    # a lower bound on tau is not hereditary: each class is checked once
+    calls = 0
+    got = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, tau_ge=2, min_edges=1))
+    assert got == [h for h in every if real(h) == 2]
+    assert calls == 1_506 + 578
+
+
+def test_maximal_sweep_still_applies_every_bound():
+    f = EnumerationFilter(maximal_only=True)
+    every = enumerate_intersecting(7, 3, f)
+    for bounds in (
+        dict(min_edges=8),
+        dict(max_edges=9),
+        dict(tau_le=2),
+        dict(tau_ge=3),
+    ):
+        got = enumerate_intersecting(7, 3, EnumerationFilter(maximal_only=True, **bounds))
+        want = [h for h in every if EnumerationFilter(**bounds).admits(h)]
+        assert got == want and 0 < len(got) < len(every), bounds
+
+
 # -- interface discipline ---------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from ifam.constructions import ConstructionId, ConstructionParams, build_constru
 from ifam.hypergraph import (
     Hypergraph,
     SetFamily,
+    _bits,
     cover_number,
     delete_vertices,
     is_intersecting,
@@ -65,6 +66,22 @@ def test_mask_roundtrip():
     assert vertices_of(0b100101) == (1, 3, 6)
     assert mask_of([]) == 0
     assert vertices_of(0) == ()
+
+
+def naive_vertices(mask, n):
+    return tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 130])
+def test_vertices_of_and_bits_match_the_position_loop(n):
+    rng = random.Random(n)
+    masks = [0, 1 << (n - 1), (1 << n) - 1]
+    masks += [rng.getrandbits(n) for _ in range(200)]
+    masks += [mask_of(rng.sample(range(1, n + 1), min(n, 3))) for _ in range(200)]
+    for m in masks:
+        want = naive_vertices(m, n)
+        assert vertices_of(m) == want
+        assert tuple(i + 1 for i in _bits(m)) == want
 
 
 def test_validation():
