@@ -1,34 +1,18 @@
-"""Intersecting set-family toolkit."""
+"""Intersecting set-family toolkit.
 
-from .classifier import (
-    Embedding,
-    Verdict,
-    VerdictKind,
-    classify,
-    classify_3graph,
-    classify_rgraph,
-    decompose_matching,
-    decompose_th4prime,
-    embed,
-    embedding_is_valid,
-)
-from .constructions import (
-    ConstructionError,
-    ConstructionId,
-    ConstructionParams,
-    build_construction,
-    layout_table,
-    size_formula,
-    special_vertices,
-    validate_construction_params,
-)
-from .enumeration import (
-    DEFAULT_CEILING,
-    EnumerationFilter,
-    canonical_form,
-    enumerate_intersecting,
-    invariant_key,
-)
+``import ifam`` loads only ``hypergraph`` (bitmask families, covers,
+matchings) and ``verify`` (with ``constructions``, which its statement
+tables need).  Every other public name is resolved on first access,
+which imports its submodule and caches the value here, so a caller pays
+only for the modules it uses.  ``from ifam import *`` loads them all.
+
+``verify`` stays eager because the submodule ``ifam.verify`` shares the
+function's name: importing that submodule after the package would set
+``ifam.verify`` to the module.
+"""
+
+from importlib import import_module as _import_module
+
 from .hypergraph import (
     Hypergraph,
     SetFamily,
@@ -41,29 +25,6 @@ from .hypergraph import (
     min_cover,
     vertices_of,
 )
-from .io import (
-    ParseError,
-    hypergraph_from_json,
-    hypergraph_to_json,
-    parse_hypergraph,
-    parse_set_family,
-    serialize_hypergraph,
-    serialize_set_family,
-    set_family_from_json,
-    set_family_to_json,
-)
-from .kernel import (
-    KernelDecomposition,
-    ThresholdScheme,
-    b_kernel,
-    b_star,
-    kernel_bound,
-    kernel_invariant_violations,
-    paper_r,
-    paper_rs,
-    reduce_to_3graph,
-)
-from .sunflower import Sunflower, er_bound, find_sunflower, find_sunflower_with_core
 from .verify import STATEMENTS, VerificationReport, verify
 
 __version__ = "0.1.0"
@@ -128,3 +89,52 @@ __all__ = [
     "VerificationReport",
     "verify",
 ]
+
+# Public name -> the submodule that defines it, for the names not bound above.
+_LAZY = {
+    **dict.fromkeys(
+        ("Embedding", "Verdict", "VerdictKind", "classify", "classify_3graph",
+         "classify_rgraph", "decompose_matching", "decompose_th4prime", "embed",
+         "embedding_is_valid"),
+        "classifier"),
+    **dict.fromkeys(
+        ("ConstructionError", "ConstructionId", "ConstructionParams",
+         "build_construction", "layout_table", "size_formula", "special_vertices",
+         "validate_construction_params"),
+        "constructions"),
+    **dict.fromkeys(
+        ("DEFAULT_CEILING", "EnumerationFilter", "canonical_form",
+         "enumerate_intersecting", "invariant_key"),
+        "enumeration"),
+    **dict.fromkeys(
+        ("ParseError", "hypergraph_from_json", "hypergraph_to_json",
+         "parse_hypergraph", "parse_set_family", "serialize_hypergraph",
+         "serialize_set_family", "set_family_from_json", "set_family_to_json"),
+        "io"),
+    **dict.fromkeys(
+        ("KernelDecomposition", "ThresholdScheme", "b_kernel", "b_star",
+         "kernel_bound", "kernel_invariant_violations", "paper_r", "paper_rs",
+         "reduce_to_3graph"),
+        "kernel"),
+    **dict.fromkeys(
+        ("Sunflower", "er_bound", "find_sunflower", "find_sunflower_with_core"),
+        "sunflower"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is not None:
+        value = getattr(_import_module(f".{module}", __name__), name)
+    elif name in _LAZY.values():
+        # the submodules this package used to import eagerly stay reachable
+        # as attributes, e.g. ``ifam.kernel`` right after ``import ifam``
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -55,7 +55,7 @@ from .hypergraph import (
     pack_exists,
     vertices_of,
 )
-from .kernel import b_kernel, paper_r, paper_rs, reduce_to_3graph
+from .kernel import _reduce_to_3graph, b_kernel, paper_r, paper_rs
 
 __all__ = [
     "VerdictKind",
@@ -856,7 +856,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)
     decomp = b_kernel(h, paper_r())
-    hp, h3 = reduce_to_3graph(h, decomp)
+    # h is intersecting with tau = 2, checked above
+    hp, h3 = _reduce_to_3graph(h, decomp)
     removed = len(h) - len(hp)
     v3 = classify_3graph(h3)
     if v3.kind is VerdictKind.STAR:

@@ -5,6 +5,12 @@ verify.  Exit code 0 reports success (a passing check, a found witness,
 a produced artifact), 1 reports a negative outcome (failed statement,
 no witness, no containing template), and 2 reports a usage error such
 as unparsable input or parameters outside a contract.
+
+Each call is a fresh process, so this module imports only the standard
+library and ``hypergraph`` at the top (``import ifam`` adds ``verify``
+and ``constructions``); each subcommand handler imports the modules it
+runs.  ``check`` loads ``io`` only; ``enumerate``, ``classify``,
+``kernel`` and ``sunflower`` load their engines when they start.
 """
 
 from __future__ import annotations
@@ -12,35 +18,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .classifier import Verdict, VerdictKind, classify, decompose_matching
-from .constructions import (
-    ConstructionId,
-    ConstructionParams,
-    build_construction,
-    layout_table,
-)
-from .enumeration import DEFAULT_CEILING, EnumerationFilter, enumerate_intersecting
-from .hypergraph import (
-    Hypergraph,
-    cover_number,
-    is_intersecting,
-    mask_of,
-    matching_number,
-)
-from .io import (
-    hypergraph_to_json,
-    parse_hypergraph,
-    parse_set_family,
-    serialize_hypergraph,
-)
-from .kernel import ThresholdScheme, b_kernel, kernel_bound, paper_r, paper_rs
-from .sunflower import find_sunflower, find_sunflower_with_core
-from .verify import STATEMENTS, verify
+from .hypergraph import Hypergraph, cover_number, is_intersecting, mask_of, matching_number
+
+if TYPE_CHECKING:
+    from .classifier import Verdict
+    from .kernel import ThresholdScheme
 
 
 def _read_hypergraph(path: str) -> Hypergraph:
+    from .io import parse_hypergraph
+
     with open(path, encoding="utf-8") as fh:
         return parse_hypergraph(fh.read())
 
@@ -74,6 +63,14 @@ def _print_verdict(v: Verdict) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .constructions import (
+        ConstructionId,
+        ConstructionParams,
+        build_construction,
+        layout_table,
+    )
+    from .io import hypergraph_to_json, serialize_hypergraph
+
     if args.layout:
         _emit(layout_table())
         return 0
@@ -112,6 +109,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sunflower(args: argparse.Namespace) -> int:
+    from .io import parse_set_family
+    from .sunflower import find_sunflower, find_sunflower_with_core
+
     with open(args.file, encoding="utf-8") as fh:
         fam = parse_set_family(fh.read())
     if args.core is not None:
@@ -133,6 +133,8 @@ def _cmd_sunflower(args: argparse.Namespace) -> int:
 
 
 def _parse_scheme(text: str) -> ThresholdScheme:
+    from .kernel import paper_r, paper_rs
+
     if text == "paper":
         return paper_r()
     if text.startswith("rs:"):
@@ -141,6 +143,8 @@ def _parse_scheme(text: str) -> ThresholdScheme:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
+    from .kernel import b_kernel, kernel_bound
+
     h = _read_hypergraph(args.file)
     scheme = _parse_scheme(args.scheme)
     d = b_kernel(h, scheme)
@@ -170,6 +174,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classifier import VerdictKind, classify, decompose_matching
+
     h = _read_hypergraph(args.file)
     if args.s is not None:
         zs, v = decompose_matching(h, args.s)
@@ -193,6 +199,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import DEFAULT_CEILING, EnumerationFilter, enumerate_intersecting
+    from .io import hypergraph_to_json, serialize_hypergraph
+
     f = EnumerationFilter(
         tau_le=args.tau_le,
         tau_ge=args.tau_ge,
@@ -200,7 +209,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         max_edges=args.max_edges,
         maximal_only=args.maximal,
     )
-    fams = enumerate_intersecting(args.n, args.r, f, ceiling=args.ceiling)
+    ceiling = DEFAULT_CEILING if args.ceiling is None else args.ceiling
+    fams = enumerate_intersecting(args.n, args.r, f, ceiling=ceiling)
     if args.count_only:
         _emit(str(len(fams)))
         return 0
@@ -216,6 +226,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify
+
     kwargs: dict[str, Any] = {}
     if args.n is not None:
         kwargs["n"] = args.n
@@ -248,6 +260,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .verify import STATEMENTS
+
     parser = argparse.ArgumentParser(
         prog="ifam",
         description="Intersecting set-family toolkit: constructions, covers, "
@@ -300,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-edges", type=int, default=0)
     p.add_argument("--max-edges", type=int)
     p.add_argument("--maximal", action="store_true")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--ceiling", type=int,
+                   help="largest n accepted (default: ifam.DEFAULT_CEILING)")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)

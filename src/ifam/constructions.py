@@ -342,9 +342,11 @@ def _build(res: Resolved, p: ConstructionParams) -> Hypergraph:
     edges = set()
     for gen in res.generators:
         g = mask_of(label[role] for role in gen)
-        rest = [v for v in range(1, p.n + 1) if not g & (1 << (v - 1))]
+        # single-bit masks of the free vertices: the sum of distinct bits
+        # is their union, so each r-set costs one sum
+        rest = [1 << v for v in range(p.n) if not g >> v & 1]
         for c in combinations(rest, p.r - len(gen)):
-            edges.add(g | mask_of(c))
+            edges.add(g | sum(c))
     return Hypergraph.from_masks(p.n, p.r, edges)
 
 

@@ -142,14 +142,29 @@ def _canonical_masks(
         for v in range(1, n + 1):
             if e >> (v - 1) & 1:
                 rows[v] |= 1 << j
-    # vertex pairs whose swap is an automorphism, precomputed so sibling
-    # branches that only differ by such a swap are explored once
+    # vertex pairs whose swap is an automorphism, so sibling branches that
+    # only differ by such a swap are explored once; a pair of equal degree
+    # is decided when the search first asks about it, then memoized
+    by_deg: dict[int, int] = {}
+    for v in range(1, n + 1):
+        by_deg[degs[v]] = by_deg.get(degs[v], 0) | 1 << v
+    undecided = [by_deg.get(d, 0) & ~(1 << v) for v, d in enumerate(degs)]
     swap_ok = [0] * (n + 1)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if degs[a] == degs[b] and _transposition_fixes(mask_set, a, b):
-                swap_ok[a] |= 1 << b
-                swap_ok[b] |= 1 << a
+
+    def decide(v: int, todo: int) -> bool:
+        """Decide the pairs (v, u), u in todo, until one swap is an
+        automorphism."""
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            undecided[v] ^= low
+            undecided[u] ^= 1 << v
+            if _transposition_fixes(mask_set, u, v):
+                swap_ok[v] |= low
+                swap_ok[u] |= 1 << v
+                return True
+        return False
 
     best = None if bound is None else list(bound)
     placed = [False] * (n + 1)
@@ -182,6 +197,9 @@ def _canonical_masks(
             if placed[v]:
                 continue
             if swap_ok[v] & tried:
+                continue
+            todo = tried & undecided[v]
+            if todo and decide(v, todo):
                 continue
             tried |= 1 << v
             row = rows[v]

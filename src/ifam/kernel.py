@@ -194,6 +194,12 @@ def reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph,
     """
     if not is_intersecting(h) or cover_number(h) > 2:
         raise ValueError("reduction needs an intersecting family with cover number <= 2")
+    return _reduce_to_3graph(h, d)
+
+
+def _reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph, Hypergraph]:
+    """reduce_to_3graph for a caller that has already checked that h is
+    intersecting with cover number at most 2."""
     b2 = d.by_size.get(2, SetFamily(h.n, ())).members
     b3 = d.by_size.get(3, SetFamily(h.n, ())).members
     carriers = b2 + b3

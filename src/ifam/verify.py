@@ -74,9 +74,8 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .classifier import Verdict, VerdictKind, classify_3graph, embed
 from .constructions import (
     ConstructionError,
     ConstructionId,
@@ -85,16 +84,13 @@ from .constructions import (
     size_formula,
     validate_construction_params,
 )
-from .enumeration import (
-    DEFAULT_CEILING,
-    EnumerationFilter,
-    _orderly,
-    canonical_form,
-    enumerate_intersecting,
-)
 from .hypergraph import Hypergraph, cover_number, mask_of
-from .io import serialize_hypergraph
-from .kernel import ThresholdScheme, b_kernel, kernel_invariant_violations, paper_r, paper_rs
+
+# ``import ifam`` loads this module, so it imports at the top only what
+# its statement tables need; each check imports the engines it runs.
+if TYPE_CHECKING:
+    from .classifier import Verdict
+    from .kernel import ThresholdScheme
 
 FOLK_MAX_EDGES = 10
 
@@ -140,6 +136,8 @@ class VerificationReport:
 
 
 def _family_record(h: Hypergraph, **extra: Any) -> dict[str, Any]:
+    from .io import serialize_hypergraph
+
     rec: dict[str, Any] = {
         "n": h.n,
         "r": h.r,
@@ -148,6 +146,12 @@ def _family_record(h: Hypergraph, **extra: Any) -> dict[str, Any]:
     }
     rec.update(extra)
     return rec
+
+
+def _resolve_ceiling(ceiling: int | None) -> int:
+    from .enumeration import DEFAULT_CEILING
+
+    return DEFAULT_CEILING if ceiling is None else ceiling
 
 
 # -- FOLK -------------------------------------------------------------------
@@ -159,8 +163,11 @@ def _k5_triples(n: int) -> Hypergraph:
 
 
 def _verify_folk(
-    max_support: int = 9, ceiling: int = DEFAULT_CEILING
+    max_support: int = 9, ceiling: int | None = None
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+    from .enumeration import EnumerationFilter, canonical_form, enumerate_intersecting
+
+    ceiling = _resolve_ceiling(ceiling)
     params = {"max_support": max_support, "ceiling": ceiling}
     if max_support < 5:
         raise ValueError("FOLK needs max_support >= 5 (no 3-graph below five "
@@ -214,6 +221,8 @@ _FIRST_FOUR = frozenset({0, 1, 2})
 
 
 def _verdict_in_first_four(v: Verdict) -> bool:
+    from .classifier import VerdictKind
+
     if v.kind is VerdictKind.STAR:
         return True
     return v.kind is VerdictKind.H3 and v.i in _FIRST_FOUR
@@ -226,6 +235,9 @@ def _require_n6(statement: str, n: int) -> None:
 
 
 def _tau2_classes(n: int, ceiling: int) -> list[tuple[Hypergraph, Verdict]]:
+    from .classifier import classify_3graph
+    from .enumeration import EnumerationFilter, enumerate_intersecting
+
     f = EnumerationFilter(tau_le=2, min_edges=1)
     fams = enumerate_intersecting(n, 3, f, ceiling=ceiling)
     return [(h, classify_3graph(h)) for h in fams]
@@ -239,8 +251,11 @@ def _verdict_histogram(pairs: list[tuple[Hypergraph, Verdict]]) -> list[dict[str
 
 
 def _verify_th4_main(
-    n: int = 6, ceiling: int = DEFAULT_CEILING
+    n: int = 6, ceiling: int | None = None
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+    from .classifier import VerdictKind
+
+    ceiling = _resolve_ceiling(ceiling)
     params = {"n": n, "ceiling": ceiling}
     _require_n6("TH4_MAIN", n)
     pairs = _tau2_classes(n, ceiling)
@@ -254,8 +269,11 @@ def _verify_th4_main(
 
 
 def _verify_th4_a(
-    n: int = 7, ceiling: int = DEFAULT_CEILING
+    n: int = 7, ceiling: int | None = None
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+    from .classifier import VerdictKind
+
+    ceiling = _resolve_ceiling(ceiling)
     params = {"n": n, "ceiling": ceiling}
     _require_n6("TH4_A", n)
     pairs = _tau2_classes(n, ceiling)
@@ -278,8 +296,9 @@ def _verify_th4_a(
 
 
 def _verify_th4_b(
-    n: int = 7, ceiling: int = DEFAULT_CEILING
+    n: int = 7, ceiling: int | None = None
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+    ceiling = _resolve_ceiling(ceiling)
     params = {"n": n, "ceiling": ceiling}
     _require_n6("TH4_B", n)
     pairs = _tau2_classes(n, ceiling)
@@ -325,6 +344,7 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
     Both conditions survive deleting edges and relabeling, so the orderly
     generator prunes with them directly.
     """
+    from .enumeration import _orderly
 
     def keep(fam: tuple[int, ...], e: int) -> bool:
         if not all(e & g for g in fam):
@@ -340,6 +360,8 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
 def _verify_lemma_2edges(
     n: int = 6,
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+    from .classifier import embed
+
     params = {"n": n}
     _require_n6("LEMMA_2EDGES", n)
     reps = _lemma_candidates(n)
@@ -488,6 +510,8 @@ def _random_family(rng: random.Random) -> Hypergraph:
 def _verify_kernel_props(
     count: int = 1000, seed: int = 20260822
 ) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+    from .kernel import b_kernel, kernel_invariant_violations, paper_r, paper_rs
+
     params = {"count": count, "seed": seed}
     if count < 1:
         raise ValueError("KERNEL_PROPS needs count >= 1")

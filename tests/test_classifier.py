@@ -570,6 +570,25 @@ def test_th4prime_lifted_family_at_scale():
     assert embedding_is_valid(hp, v.embedding)
 
 
+def test_th4prime_checks_its_hypotheses_once(monkeypatch):
+    # decompose_th4prime checks intersection and tau itself, so the kernel
+    # reduction it calls must not check them again; classify_3graph on the
+    # shadow makes the second cover_number call
+    calls = {"is_intersecting": 0, "cover_number": 0}
+    for name, fn in (("is_intersecting", is_intersecting), ("cover_number", cover_number)):
+        def counting(h, name=name, fn=fn):
+            calls[name] += 1
+            return fn(h)
+
+        for mod in (ifam.hypergraph, ifam.classifier, ifam.kernel):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    h = built(C.H3LIFT, 130, 4, i=3)
+    hp, removed, v = decompose_th4prime(h)
+    assert (removed, v.describe()) == (0, "H3(3)")
+    assert calls == {"is_intersecting": 1, "cover_number": 2}
+
+
 def test_th4prime_rejects_bad_input():
     with pytest.raises(ValueError):
         decompose_th4prime(built(C.HM0, 9, 3))

@@ -172,7 +172,13 @@ def test_enumerate_listing(capsys):
 
 
 def test_enumerate_ceiling_usage_error(capsys):
-    assert run(capsys, "enumerate", "--n", "10", "--r", "3", "--count-only")[0] == 2
+    code, _, err = run(capsys, "enumerate", "--n", "10", "--r", "3", "--count-only")
+    assert code == 2
+    assert "exceeds the enumeration ceiling 9" in err
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--r", "3", "--ceiling", "4",
+                       "--count-only")
+    assert (code, out) == (0, "5\n")
+    assert run(capsys, "enumerate", "--n", "4", "--r", "3", "--ceiling", "3")[0] == 2
 
 
 def test_verify_pass_and_report(capsys, tmp_path):
@@ -204,13 +210,77 @@ def test_verify_kernel_props_small(capsys):
     assert "KERNEL_PROPS: PASS" in out
 
 
-def test_import_does_not_load_numpy():
+def fresh(code):
+    """Run code in a fresh interpreter that imports ifam from this tree;
+    return its last stdout line parsed as JSON."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(ifam.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import ifam, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_does_not_load_numpy():
+    assert fresh("import ifam, sys; print(int('numpy' in sys.modules))") == 0
+
+
+def test_check_loads_no_engine_module(tmp_path):
+    path = write(tmp_path, "h.txt", serialize_hypergraph(
+        Hypergraph.from_vertex_sets(5, 3, [(1, 2, 3), (1, 4, 5), (2, 3, 4)])))
+    loaded = fresh(
+        "import json, sys, ifam.cli\n"
+        f"assert ifam.cli.main(['check', '--file', {path!r}]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert "ifam.io" in loaded
+    for module in ("classifier", "enumeration", "kernel", "sunflower"):
+        assert f"ifam.{module}" not in loaded
+
+
+def test_importing_the_verify_submodule_keeps_the_function():
+    # the package binds verify eagerly, so loading the submodule of the
+    # same name later, as the perfbench tracer does, cannot rebind it
+    assert fresh(
+        "import importlib, ifam.verify, ifam\n"
+        "importlib.import_module('ifam.verify')\n"
+        "import ifam.cli, ifam.classifier, ifam.kernel\n"
+        "print(int(callable(ifam.verify) and ifam.verify.__module__ == 'ifam.verify'))"
+    ) == 1
+
+
+def test_every_public_name_resolves_lazily():
+    got = fresh(
+        "import importlib, json, ifam\n"
+        "lazy = [n for n in ifam.__all__ if n not in vars(ifam)]\n"
+        "origin = {n: importlib.import_module(f'ifam.{ifam._LAZY[n]}') for n in lazy}\n"
+        "same = all(getattr(ifam, n) is getattr(origin[n], n) for n in lazy)\n"
+        "cached = all(n in vars(ifam) for n in lazy)\n"
+        "star = {}\n"
+        "exec('from ifam import *', star)\n"
+        "print(json.dumps({'lazy': lazy, 'same': same, 'cached': cached,\n"
+        "                  'star': sorted(set(star) - {'__builtins__'}),\n"
+        "                  'dir': dir(ifam), 'all': ifam.__all__,\n"
+        "                  'kernel': ifam.kernel.__name__}))"
+    )
+    assert "classify" in got["lazy"] and "verify" not in got["lazy"]
+    assert got["same"] and got["cached"]
+    assert got["star"] == sorted(got["all"])
+    assert set(got["all"]) <= set(got["dir"])
+    assert got["kernel"] == "ifam.kernel"
+    with pytest.raises(AttributeError):
+        ifam.no_such_name  # noqa: B018
+
+
+def test_verify_help_lists_every_statement(capsys):
+    from ifam.verify import STATEMENTS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for statement in STATEMENTS:
+        assert statement in out

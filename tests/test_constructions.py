@@ -17,6 +17,7 @@ from ifam.constructions import (
     ConstructionError,
     ConstructionId,
     ConstructionParams,
+    _resolve,
     build_construction,
     em_size,
     hm0_size,
@@ -27,11 +28,13 @@ from ifam.constructions import (
     special_vertices,
 )
 from ifam.hypergraph import (
+    Hypergraph,
     cover_number,
     is_intersecting,
     mask_of,
     matching_number,
 )
+from ifam.verify import _counts_grid
 
 
 def build(cid, n, r, **kw):
@@ -541,3 +544,38 @@ def test_build_matches_golden_edge_set(key):
         return
     h = build_construction(cid, p)
     assert (len(h), _edge_digest(h)) == GOLDEN[key]
+
+
+# -- the builder against its mask_of form -----------------------------------
+
+
+def _build_with_mask_of(res, p):
+    """The builder as it was before the single-bit sums: one mask_of call
+    per r-set."""
+    label = res.layout
+    edges = set()
+    for gen in res.generators:
+        g = mask_of(label[role] for role in gen)
+        rest = [v for v in range(1, p.n + 1) if not g & (1 << (v - 1))]
+        for c in combinations(rest, p.r - len(gen)):
+            edges.add(g | mask_of(c))
+    return Hypergraph.from_masks(p.n, p.r, edges)
+
+
+def _counts_grid_and_lifts():
+    for cid, p in _counts_grid((3, 4, 5), 20):
+        yield cid, p
+    for i in range(6):
+        yield ConstructionId.H3LIFT, ConstructionParams(130, 4, i=i)
+
+
+def test_build_matches_mask_of_builder():
+    built = 0
+    for cid, p in _counts_grid_and_lifts():
+        try:
+            res = _resolve(cid, p)
+        except ConstructionError:
+            continue
+        assert build_construction(cid, p) == _build_with_mask_of(res, p), (cid, p)
+        built += 1
+    assert built == 500 + 6

@@ -470,6 +470,24 @@ def test_sweeps_run_no_full_canonical_search(monkeypatch, n, f, classes):
     assert calls == []
 
 
+def test_canonicity_test_decides_swaps_on_first_use(monkeypatch):
+    # the transposition skip asks only about pairs the search reaches; a
+    # table of every degree-equal pair made 9,840 calls on this sweep
+    calls = 0
+    real = ifam.enumeration._transposition_fixes
+
+    def counting(masks, a, b):
+        nonlocal calls
+        calls += 1
+        return real(masks, a, b)
+
+    monkeypatch.setattr(ifam.enumeration, "_transposition_fixes", counting)
+    fams = enumerate_intersecting(7, 3, EnumerationFilter(tau_ge=3, maximal_only=True))
+    assert len(fams) == 8
+    assert class_list_digest(fams) == "b5223c1bcbe65fb5"
+    assert calls == 312
+
+
 def test_orderly_sweep_rechecks_only_the_lower_bounds(monkeypatch):
     # the prune already held every prefix to intersecting and tau <= 2, so
     # the 578 emitted classes cost no further cover_number call

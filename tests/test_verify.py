@@ -42,6 +42,7 @@ def test_counts_grid_and_spots():
 def test_th4_main_n6():
     rep = verify("TH4_MAIN", n=6)
     assert rep.passed
+    assert rep.params == {"n": 6, "ceiling": 9}
     assert rep.checked == 174
     hist = {w["verdict"]: w["classes"] for w in rep.witnesses}
     assert hist == {
@@ -65,7 +66,7 @@ def test_th4_a_vacuous_at_n6():
 def test_th4_a_default_scope_is_n7():
     rep = verify("TH4_A")
     assert rep.passed
-    assert rep.params["n"] == 7
+    assert rep.params == {"n": 7, "ceiling": 9}
     assert rep.checked == 41
     assert rep.witnesses[0]["families_in_scope"] == 41
 
@@ -73,7 +74,7 @@ def test_th4_a_default_scope_is_n7():
 def test_th4_b_default_scope_is_n7():
     rep = verify("TH4_B")
     assert rep.passed
-    assert rep.params["n"] == 7
+    assert rep.params == {"n": 7, "ceiling": 9}
     assert rep.checked == 16
     assert rep.witnesses[0]["tail_template_sizes"] == {
         "H3(3)": 11,
@@ -162,8 +163,15 @@ def test_folk_small_support():
 def test_folk_support_five_is_just_k5():
     rep = verify("FOLK", max_support=5)
     assert rep.passed
+    assert rep.params == {"max_support": 5, "ceiling": 9}
     assert rep.checked == 1
     assert rep.witnesses[0]["k5"]
+
+
+def test_explicit_ceiling_is_used_and_reported():
+    assert verify("FOLK", max_support=5, ceiling=5).params["ceiling"] == 5
+    with pytest.raises(ValueError, match="ceiling 5"):
+        verify("TH4_MAIN", n=6, ceiling=5)
 
 
 def test_folk_param_validation():
