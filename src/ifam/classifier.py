@@ -10,24 +10,37 @@ interchangeable filler and are never matched explicitly.
 
 ``embed`` decides, completely, whether a family is a subfamily of a
 construction instance on the same ground set, and returns a witness
-role assignment when one exists.  The searches are exact but anchored:
+role assignment when one exists.  It splits that work in two:
+
+* a search, one per template, proposes candidate vertex tuples, one
+  vertex per role in layout order.  A search must be complete (some
+  candidate is a witness whenever one exists) but need not be sound;
+* one check certifies a candidate: its labels are distinct labels of
+  [n], and every edge contains a generator under that role map.  The
+  first accepted candidate is the witness, and ``embedding_is_valid``
+  runs the same check on a given role map.
+
+The searches are anchored:
 
 * the apex candidate fixes the set of edges that avoid it, and those
   edges pin down the base set (two such edges intersect in exactly the
   base, one leaves r choices, none reduces to a covering problem);
 * a triple template is anchored on a covering pair, since every edge
   meets two of the three special vertices;
-* patterns built from a covering pair plus a bounded set of exceptional
-  triples are resolved by branching on the first edge not yet explained,
-  which keeps the search tree small without giving up completeness.
+* the pair patterns and the lifted tailed patterns, whose first two
+  roles meet every generator, are anchored on a covering pair as well
+  and then branch on the first edge not yet explained, which keeps the
+  search tree small without giving up completeness.
 
-``classify_3graph`` and ``classify_rgraph`` run the containment tests in
-a fixed documented order and report the first hit; ``classify`` is the one
-entry point that picks between them for any family.  ``decompose_matching``
-peels a small vertex set so that the rest of the family collapses onto a
-single classified structure, and ``decompose_th4prime`` runs the kernel
-reduction to a 3-uniform shadow, classifies the shadow, and lifts the
-verdict back to the r-uniform family.
+Classification is one ladder: ``_first_fit`` tries (kind, template,
+parameters) rungs in a fixed documented order and reports the first
+hit.  ``classify_3graph`` and ``classify_rgraph`` are the two ladders,
+and ``classify`` is the one entry point that picks between them for any
+family.  ``decompose_matching`` peels a small vertex set so that the
+rest of the family collapses onto a single classified structure, and
+``decompose_th4prime`` runs the kernel reduction to a 3-uniform shadow,
+classifies the shadow, and lifts the verdict back to the r-uniform
+family.
 """
 
 from __future__ import annotations
@@ -171,17 +184,24 @@ def _slots(res: Resolved) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]
 
 def _witness_check(h: Hypergraph, res: Resolved):
     """``fits(vertices)``: the role map that puts the vertices on the
-    template's roles in layout order, if every edge of H is a member
-    under it, else None.
+    template's roles in layout order, if they are distinct labels of [n]
+    and every edge of H is a member under it, else None.
 
-    An edge of size r is a member exactly when it equals a generator of
-    size r or contains a smaller one.  The generators are read once; each
-    call only puts vertices on their roles.
+    This is the one certificate for a witness: ``embed`` keeps the first
+    search candidate it accepts and ``embedding_is_valid`` runs it on a
+    given role map.  An edge of size r is a member exactly when it equals
+    a generator of size r or contains a smaller one.  The generators are
+    read once; each call only puts vertices on their roles.
     """
-    edges = h.edges
+    edges, n = h.edges, h.n
     names, gens = _slots(res)
+    size = len(names)
 
     def fits(vertices) -> dict[str, int] | None:
+        if len(vertices) != size or len(set(vertices)) != size:
+            return None
+        if min(vertices) < 1 or max(vertices) > n:
+            return None
         bits = [1 << (v - 1) for v in vertices]
         masks = []
         for gen in gens:
@@ -200,20 +220,6 @@ def _witness_check(h: Hypergraph, res: Resolved):
     return fits
 
 
-def _roles_fit(h: Hypergraph, res: Resolved, roles: dict[str, int]) -> bool:
-    """Exactly the template's role names, on distinct labels of [n], with
-    every edge of H a member of the instance."""
-    names = _slots(res)[0]
-    if set(roles) != set(names):
-        return False
-    values = list(roles.values())
-    if len(set(values)) != len(values):
-        return False
-    if any(not 1 <= v <= h.n for v in values):
-        return False
-    return _witness_check(h, res)([roles[name] for name in names]) is not None
-
-
 def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
     """Check an embedding witness edge by edge against the template's generators."""
     p = emb.params
@@ -223,7 +229,11 @@ def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
         res = _resolve(emb.template, p)
     except ConstructionError:
         return False
-    return _roles_fit(h, res, emb.mapping)
+    names = _slots(res)[0]
+    roles = emb.mapping
+    if set(roles) != set(names):
+        return False
+    return _witness_check(h, res)([roles[name] for name in names]) is not None
 
 
 # -- covering-pair candidates -----------------------------------------------
@@ -282,26 +292,25 @@ def _pair_anchor_cands(h: Hypergraph):
 
 # -- per-template searches --------------------------------------------------
 #
-# Each search takes a family with at least one edge, the resolved template
-# and its ``fits`` check, and returns a full role assignment or None.  They
-# all end with a ``fits`` pass over every edge, so a returned witness is
-# sound by construction; the comments argue completeness.
+# Each search takes a family with at least one edge and the resolved
+# template, and yields candidate vertex tuples, one vertex per role in
+# layout order.  ``embed`` keeps the first candidate that ``fits``
+# accepts, so a search only proposes: it need not check its candidates,
+# and it stops as soon as one is accepted.  The comments argue
+# completeness: whenever a witness exists, some candidate is one.
 
 
-def _embed_em(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+def _embed_em(h: Hypergraph, res: Resolved):
     # H fits iff the s centers can cover it, i.e. tau(H) <= s.
     s = res.k
     mc = min_cover(h)
-    if len(mc) > s:
-        return None
-    excluded = mask_of(mc)
-    pads = _lowest_free(h.n, excluded, s - len(mc))
-    if pads is None:
-        return None
-    return dict(zip(res.roles, sorted(list(mc) + pads)))
+    if len(mc) <= s:
+        pads = _lowest_free(h.n, mask_of(mc), s - len(mc))
+        if pads is not None:
+            yield tuple(sorted(list(mc) + pads))
 
 
-def _embed_hm0(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+def _embed_hm0(h: Hypergraph, res: Resolved):
     # Every edge meets two of the triple, hence meets every pair inside
     # it: anchor on covering pairs, then the third vertex must lie in
     # every edge meeting the pair only once.
@@ -320,43 +329,36 @@ def _embed_hm0(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
             free = _lowest_free(h.n, pair, 1)
             ccands = tuple(free) if free else ()
         for cv in ccands:
-            got = fits(sorted((pv, qv, cv)))
-            if got:
-                return got
-    return None
+            yield tuple(sorted((pv, qv, cv)))
 
 
-def _hm_t_finish(
-    h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[int], fits
-) -> dict[str, int] | None:
-    """Fix apex and base, then solve for the tail set."""
+def _hm_t_finish(h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[int]):
+    """Fix apex and base (r - 1 labels other than the apex), then solve
+    for the tail set."""
     xb = _bit(xv)
-    if xmask & xb or xmask.bit_count() != r - 1:
-        return None
     demand = 0
     for e in e0:
         if xmask & ~e:
-            return None
+            return
         demand |= e & ~xmask
-    if demand.bit_count() > t or demand & xb:
-        return None
+    if demand.bit_count() > t:
+        return
     bad = [e for e in h.edges if e & xb and not e & xmask]
     full = (1 << h.n) - 1
     if bad:
         if t > r - 1:
-            return None
+            return
         pool = _and_all(bad, full) & ~(xb | xmask)
         if demand & ~pool:
-            return None
+            return
     else:
         pool = full & ~(xb | xmask)
     fills = _lowest_free(h.n, full & ~(pool & ~demand), t - demand.bit_count())
-    if fills is None:
-        return None
-    return fits((xv, *vertices_of(xmask), *vertices_of(demand | mask_of(fills))))
+    if fills is not None:
+        yield (xv, *vertices_of(xmask), *vertices_of(demand | mask_of(fills)))
 
 
-def _embed_hm_t(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+def _embed_hm_t(h: Hypergraph, res: Resolved):
     t, r, n = res.k, h.r, h.n
     edges = h.edges
     full = (1 << n) - 1
@@ -386,23 +388,15 @@ def _embed_hm_t(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
                 # No small cover exists: some edges must carry the whole
                 # tail, and the tail lies inside each of them.  Guess the
                 # first such edge and the tail, then cover the rest.
-                got = _hm_t_star_residue(h, t, r, xv, links, fits)
-                if got:
-                    return got
+                yield from _hm_t_star_residue(h, t, r, xv, links)
                 continue
         for xmask in xcands:
-            got = _hm_t_finish(h, t, r, xv, xmask, e0, fits)
-            if got:
-                return got
-    return None
+            yield from _hm_t_finish(h, t, r, xv, xmask, e0)
 
 
-def _hm_t_star_residue(
-    h: Hypergraph, t: int, r: int, xv: int, links: list[int], fits
-) -> dict[str, int] | None:
+def _hm_t_star_residue(h: Hypergraph, t: int, r: int, xv: int, links: list[int]):
     n = h.n
     xb = _bit(xv)
-    full = (1 << n) - 1
     for c0 in h.edges:
         for yverts in combinations(vertices_of(c0 & ~xb), t):
             ymask = mask_of(yverts)
@@ -416,13 +410,10 @@ def _hm_t_star_residue(
             pads = _lowest_free(n, xb | ymask | mask_of(mc), r - 1 - len(mc))
             if pads is None:
                 continue
-            got = fits((xv, *vertices_of(mask_of(mc) | mask_of(pads)), *yverts))
-            if got:
-                return got
-    return None
+            yield (xv, *vertices_of(mask_of(mc) | mask_of(pads)), *yverts)
 
 
-def _embed_hm_dp(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
+def _embed_hm_dp(h: Hypergraph, res: Resolved):
     r, n = h.r, h.n
     edges = h.edges
     for xv in range(1, n + 1):
@@ -432,11 +423,8 @@ def _embed_hm_dp(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
             continue
         if len(e0) == 2:
             xmask = e0[0] & e0[1]
-            if xmask.bit_count() != r - 2:
-                continue
-            got = _dp_try(xv, xmask, e0[0] & ~xmask, e0[1] & ~xmask, fits)
-            if got:
-                return got
+            if xmask.bit_count() == r - 2:
+                yield _dp_roles(xv, xmask, e0[0] & ~xmask, e0[1] & ~xmask)
         elif len(e0) == 1:
             for pairverts in combinations(vertices_of(e0[0]), 2):
                 p1 = mask_of(pairverts)
@@ -445,17 +433,12 @@ def _embed_hm_dp(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
                 if any(not g & p1 for g in bad2):
                     continue
                 for p2 in _two_cover_cands(bad2, xb | xmask | p1, n):
-                    got = _dp_try(xv, xmask, p1, p2, fits)
-                    if got:
-                        return got
+                    yield _dp_roles(xv, xmask, p1, p2)
         else:
-            got = _dp_star(h, xv, fits)
-            if got:
-                return got
-    return None
+            yield from _dp_star(h, xv)
 
 
-def _dp_star(h: Hypergraph, xv: int, fits) -> dict[str, int] | None:
+def _dp_star(h: Hypergraph, xv: int):
     # All edges contain the apex.  A base vertex outside the support hits
     # nothing, so base and tail candidates may be confined to the support
     # of the links, with free labels as padding.
@@ -476,56 +459,43 @@ def _dp_star(h: Hypergraph, xv: int, fits) -> dict[str, int] | None:
                     continue
                 xmask = xh | mask_of(pads)
                 frees = _lowest_free(n, xb | xmask, 4)
-                if frees is None:
-                    continue
-                got = _dp_try(
-                    xv, xmask,
-                    _bit(frees[0]) | _bit(frees[1]), _bit(frees[2]) | _bit(frees[3]),
-                    fits,
-                )
-                if got:
-                    return got
+                if frees is not None:
+                    yield _dp_roles(
+                        xv, xmask, _bit(frees[0]) | _bit(frees[1]), _bit(frees[2]) | _bit(frees[3])
+                    )
                 continue
             for p1 in _two_cover_cands(residue, xb | xh, n):
                 for p2 in _two_cover_cands(residue, xb | xh | p1, n):
                     pads = _lowest_free(n, xb | xh | p1 | p2, r - 2 - k)
-                    if pads is None:
-                        continue
-                    got = _dp_try(xv, xh | mask_of(pads), p1, p2, fits)
-                    if got:
-                        return got
-    return None
+                    if pads is not None:
+                        yield _dp_roles(xv, xh | mask_of(pads), p1, p2)
 
 
-def _dp_try(xv: int, xmask: int, p1: int, p2: int, fits) -> dict[str, int] | None:
-    if p1.bit_count() != 2 or p2.bit_count() != 2:
-        return None
-    if xmask & (p1 | p2) or p1 & p2 or _bit(xv) & (xmask | p1 | p2):
-        return None
+def _dp_roles(xv: int, xmask: int, p1: int, p2: int) -> tuple[int, ...]:
+    """Apex, base and the two tail pairs (the lesser pair first) in layout order."""
     pairs = sorted((vertices_of(p1), vertices_of(p2)))
-    return fits((xv, *vertices_of(xmask), *pairs[0], *pairs[1]))
+    return (xv, *vertices_of(xmask), *pairs[0], *pairs[1])
 
 
-# -- schema-driven backtracking (FP and the pair-plus-extras patterns) ------
+# -- schema-driven backtracking (FP and the covering-pair patterns) ---------
 
 
-def _schema_dfs(
-    h: Hypergraph,
-    all_roles: tuple[str, ...],
-    schemas: list[tuple[str, ...]],
-    assigned: dict[str, int],
-) -> dict[str, int] | None:
-    """Branch on the first edge no fully-assigned schema explains.
+def _schema_dfs(h: Hypergraph, res: Resolved, assigned: dict[int, int]):
+    """Branch on the first edge that no fully-assigned generator explains,
+    and yield each complete assignment (free labels fill the roles no
+    generator needed) as a vertex tuple in layout order.  `assigned` maps
+    role positions to vertices.
 
     Complete: a valid total assignment extending `assigned` explains that
-    edge through some schema, whose unassigned roles then take values
+    edge through some generator, whose unassigned roles then take values
     inside the edge; that extension is among the branches.
     """
     edges = h.edges
     n = h.n
+    names, schemas = _slots(res)
     memo: set[tuple] = set()
 
-    def satisfied(e: int, asg: dict[str, int]) -> bool:
+    def satisfied(e: int, asg: dict[int, int]) -> bool:
         for schema in schemas:
             m = 0
             for role in schema:
@@ -538,28 +508,19 @@ def _schema_dfs(
                 return True
         return False
 
-    def rec(asg: dict[str, int]) -> dict[str, int] | None:
+    def rec(asg: dict[int, int]):
         key = tuple(sorted(asg.items()))
         if key in memo:
-            return None
+            return
         memo.add(key)
-        pend = None
-        for e in edges:
-            if not satisfied(e, asg):
-                pend = e
-                break
-        if pend is None:
-            used = set(asg.values())
-            fill = (v for v in range(1, n + 1) if v not in used)
-            out = dict(asg)
-            try:
-                for role in all_roles:
-                    if role not in out:
-                        out[role] = next(fill)
-            except StopIteration:
-                return None
-            return out
+        pend = next((e for e in edges if not satisfied(e, asg)), None)
         used = set(asg.values())
+        if pend is None:
+            fill = (v for v in range(1, n + 1) if v not in used)
+            out = [asg[j] if j in asg else next(fill, None) for j in range(len(names))]
+            if None not in out:
+                yield tuple(out)
+            return
         everts = [v for v in vertices_of(pend) if v not in used]
         for schema in schemas:
             unassigned = []
@@ -576,77 +537,21 @@ def _schema_dfs(
             for combo in permutations(everts, len(unassigned)):
                 nxt = dict(asg)
                 nxt.update(zip(unassigned, combo))
-                got = rec(nxt)
-                if got:
-                    return got
-        return None
+                yield from rec(nxt)
 
     return rec(dict(assigned))
 
 
-def _embed_fp(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
-    return _schema_dfs(h, res.roles, res.generators, {})
+def _embed_fp(h: Hypergraph, res: Resolved):
+    return _schema_dfs(h, res, {})
 
 
-def _embed_h3_pair(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
-    names, schemas = res.roles, res.generators
+def _embed_pair(h: Hypergraph, res: Resolved):
+    # The first two roles meet every generator (v1, v2 of the pair
+    # patterns; apex and first base vertex of HM_T(3, t)), so they cover
+    # H: anchor them on each covering pair, then branch.
     for pv, qv in _pair_anchor_cands(h):
-        got = _schema_dfs(h, names, schemas, {"v1": pv, "v2": qv})
-        if got:
-            return got
-    return None
-
-
-def _embed_h3_lift_tail(h: Hypergraph, res: Resolved, fits) -> dict[str, int] | None:
-    # Lifted tailed pattern: edges avoiding the apex contain the (2-vertex)
-    # base and meet the tail; edges missing the base contain apex and tail.
-    t, n = res.k, h.n
-    edges = h.edges
-    full = (1 << n) - 1
-
-    for xv in range(1, n + 1):
-        xb = _bit(xv)
-        e0 = [e for e in edges if not e & xb]
-        if e0:
-            inter = _and_all(e0, full)
-            xcands = [mask_of(c) for c in combinations(vertices_of(inter), 2)]
-            for xmask in xcands:
-                bad = [e for e in edges if e & xb and not e & xmask]
-                pool = (_and_all(bad, full) if bad else full) & ~(xb | xmask)
-                e0m = [e & ~(xmask | xb) for e in e0]
-                if any(m == 0 for m in e0m):
-                    continue
-                if t == 1:
-                    for yv in vertices_of(_and_all(e0m, full) & pool):
-                        got = fits((xv, *vertices_of(xmask), yv))
-                        if got:
-                            return got
-                else:
-                    forb = full & ~pool
-                    for ymask in _two_cover_cands(e0m, forb, n):
-                        got = fits((xv, *vertices_of(xmask), *vertices_of(ymask)))
-                        if got:
-                            return got
-        else:
-            links = [e & ~xb for e in edges]
-            for xmask in _two_cover_cands(links, xb, n):
-                frees = _lowest_free(n, xb | xmask, t)
-                if frees is None:
-                    continue
-                got = fits((xv, *vertices_of(xmask), *frees))
-                if got:
-                    return got
-            for c0 in edges:
-                for yverts in combinations(vertices_of(c0 & ~xb), t):
-                    ymask = mask_of(yverts)
-                    residue = [l & ~ymask for l in links if ymask & ~l]
-                    if any(s == 0 for s in residue):
-                        continue
-                    for xmask in _two_cover_cands(residue, xb | ymask, n):
-                        got = fits((xv, *vertices_of(xmask), *yverts))
-                        if got:
-                            return got
-    return None
+        yield from _schema_dfs(h, res, {0: pv, 1: qv})
 
 
 # -- public embedding dispatcher --------------------------------------------
@@ -658,11 +563,11 @@ _SEARCHES = {
     ("HM0", False): _embed_hm0,
     ("HM0", True): _embed_hm0,
     ("HM_T", False): _embed_hm_t,
-    ("HM_T", True): _embed_h3_lift_tail,
+    ("HM_T", True): _embed_pair,
     ("HM_DP", False): _embed_hm_dp,
     ("FP", False): _embed_fp,
-    ("H3", False): _embed_h3_pair,
-    ("H3", True): _embed_h3_pair,
+    ("H3", False): _embed_pair,
+    ("H3", True): _embed_pair,
 }
 
 
@@ -683,32 +588,38 @@ def embed(
         )
     res = _resolve(cid, params)
     if h.edges:
-        search = _SEARCHES[res.template.name, res.r != h.r]
-        roles = search(h, res, _witness_check(h, res))
+        candidates = _SEARCHES[res.template.name, res.r != h.r](h, res)
     else:
-        roles = res.layout
-    if roles is None:
-        return None
-    if not _roles_fit(h, res, roles):
-        raise AssertionError("search returned an unsound witness")
-    return Embedding(template=cid, params=params, roles=tuple(sorted(roles.items())))
+        candidates = [tuple(range(1, len(_slots(res)[0]) + 1))]
+    for roles in filter(None, map(_witness_check(h, res), candidates)):
+        return Embedding(template=cid, params=params, roles=tuple(sorted(roles.items())))
+    return None
 
 
 # -- classification ---------------------------------------------------------
 
 
-def _star_verdict(h: Hypergraph) -> Verdict | None:
-    try:
-        emb = embed(h, ConstructionId.EM, ConstructionParams(h.n, h.r, s=1))
-    except ConstructionError:
-        return None
-    if emb is None:
-        return None
-    return Verdict(VerdictKind.STAR, embedding=emb)
+def _first_fit(h: Hypergraph, rungs) -> Verdict:
+    """The verdict of the first (kind, template, parameters) rung whose
+    instance contains H, skipping parameters that name no instance on
+    H's ground set; NONE when no rung fits."""
+    for kind, cid, params in rungs:
+        try:
+            emb = embed(h, cid, params)
+        except ConstructionError:
+            continue
+        if emb is not None:
+            return Verdict(kind, t=params.t, i=params.i, embedding=emb)
+    return Verdict(VerdictKind.NONE)
+
+
+def _star_rungs(h: Hypergraph) -> list:
+    return [(VerdictKind.STAR, ConstructionId.EM, ConstructionParams(h.n, h.r, s=1))]
 
 
 def classify_3graph(h: Hypergraph) -> Verdict:
-    """First containing template among the six 3-uniform patterns.
+    """First containing template among the star and the six 3-uniform
+    patterns.
 
     Order: star first, then the tail patterns by index.  Intersecting
     families with cover number three or more are reported as such (they
@@ -718,21 +629,17 @@ def classify_3graph(h: Hypergraph) -> Verdict:
         raise ValueError(f"classify_3graph needs r = 3, got r={h.r}")
     tau = cover_number(h)
     if tau <= 1:
-        star = _star_verdict(h)
-        return star if star is not None else Verdict(VerdictKind.NONE)
+        return _first_fit(h, _star_rungs(h))
     if tau == 2:
-        for i in range(6):
-            try:
-                emb = embed(h, ConstructionId.H3FAM, ConstructionParams(h.n, 3, i=i))
-            except ConstructionError:
-                continue
-            if emb is not None:
-                return Verdict(VerdictKind.H3, i=i, embedding=emb)
-    elif is_intersecting(h):
-        if len(h) > 10:
-            raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
-        return Verdict(VerdictKind.TAU_GE_3)
-    return Verdict(VerdictKind.NONE)
+        return _first_fit(h, [
+            (VerdictKind.H3, ConstructionId.H3FAM, ConstructionParams(h.n, 3, i=i))
+            for i in range(6)
+        ])
+    if not is_intersecting(h):
+        return Verdict(VerdictKind.NONE)
+    if len(h) > 10:
+        raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
+    return Verdict(VerdictKind.TAU_GE_3)
 
 
 def classify_rgraph(h: Hypergraph) -> Verdict:
@@ -751,31 +658,15 @@ def classify_rgraph(h: Hypergraph) -> Verdict:
 
 def _classify_rgraph(h: Hypergraph) -> Verdict:
     """``classify_rgraph`` once r >= 4 and cover number >= 2 are known."""
-    seen = set()
-    for t in [*range(1, h.r), h.n - h.r]:
-        if t in seen:
-            continue
-        seen.add(t)
-        try:
-            emb = embed(h, ConstructionId.HM_T, ConstructionParams(h.n, h.r, t=t))
-        except ConstructionError:
-            continue
-        if emb is not None:
-            return Verdict(VerdictKind.HM_T, t=t, embedding=emb)
-    if h.r == 4:
-        try:
-            emb = embed(h, ConstructionId.HM0, ConstructionParams(h.n, h.r))
-        except ConstructionError:
-            emb = None
-        if emb is not None:
-            return Verdict(VerdictKind.HM0, embedding=emb)
-    try:
-        emb = embed(h, ConstructionId.HM_DP, ConstructionParams(h.n, h.r))
-    except ConstructionError:
-        emb = None
-    if emb is not None:
-        return Verdict(VerdictKind.HM_DP, embedding=emb)
-    return Verdict(VerdictKind.NONE)
+    n, r = h.n, h.r
+    rungs = [
+        (VerdictKind.HM_T, ConstructionId.HM_T, ConstructionParams(n, r, t=t))
+        for t in dict.fromkeys([*range(1, r), n - r])
+    ]
+    if r == 4:
+        rungs.append((VerdictKind.HM0, ConstructionId.HM0, ConstructionParams(n, r)))
+    rungs.append((VerdictKind.HM_DP, ConstructionId.HM_DP, ConstructionParams(n, r)))
+    return _first_fit(h, rungs)
 
 
 def classify(h: Hypergraph) -> Verdict:
@@ -790,8 +681,7 @@ def classify(h: Hypergraph) -> Verdict:
     if h.r == 3:
         return classify_3graph(h)
     if cover_number(h) <= 1:
-        star = _star_verdict(h)
-        return star if star is not None else Verdict(VerdictKind.NONE)
+        return _first_fit(h, _star_rungs(h))
     if not is_intersecting(h):
         return Verdict(VerdictKind.NONE)
     if h.r >= 4:
@@ -851,8 +741,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     if tau >= 3:
         raise ValueError("decompose_th4prime needs cover number at most 2")
     if tau <= 1:
-        star = _star_verdict(h)
-        if star is None:
+        star = _first_fit(h, _star_rungs(h))
+        if star.kind is VerdictKind.NONE:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)
     decomp = b_kernel(h, paper_r())
@@ -860,23 +750,15 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     hp, h3 = _reduce_to_3graph(h, decomp)
     removed = len(h) - len(hp)
     v3 = classify_3graph(h3)
+    # the shadow's witness lifts as it stands: the star's center, or the
+    # pattern's roles inside every r-set containing one of its triples
     if v3.kind is VerdictKind.STAR:
-        center = v3.embedding.mapping["x1"]
-        emb = Embedding(
-            ConstructionId.EM,
-            ConstructionParams(h.n, h.r, s=1),
-            (("x1", center),),
-        )
-        if not embedding_is_valid(hp, emb):
-            raise AssertionError("retained edges escape the lifted star")
-        return (hp, removed, Verdict(VerdictKind.STAR, embedding=emb))
-    if v3.kind is VerdictKind.H3:
-        emb = Embedding(
-            ConstructionId.H3LIFT,
-            ConstructionParams(h.n, h.r, i=v3.i),
-            v3.embedding.roles,
-        )
-        if not embedding_is_valid(hp, emb):
-            raise AssertionError("retained edges escape the lifted pattern")
-        return (hp, removed, Verdict(VerdictKind.H3, i=v3.i, embedding=emb))
-    raise AssertionError("three-uniform shadow produced no liftable verdict")
+        lifted = ConstructionId.EM, ConstructionParams(h.n, h.r, s=1)
+    elif v3.kind is VerdictKind.H3:
+        lifted = ConstructionId.H3LIFT, ConstructionParams(h.n, h.r, i=v3.i)
+    else:
+        raise AssertionError("three-uniform shadow produced no liftable verdict")
+    emb = Embedding(*lifted, v3.embedding.roles)
+    if not embedding_is_valid(hp, emb):
+        raise AssertionError(f"retained edges escape the lifted {v3.describe()} witness")
+    return (hp, removed, Verdict(v3.kind, i=v3.i, embedding=emb))

@@ -55,7 +55,7 @@ LEMMA_2EDGES
     vertex 1 together with at most two edges avoiding 1.  No bound on
     the cover number is assumed, so a hypothetical candidate needing
     three cover vertices would surface here and fail the membership
-    test.
+    test.  The default is n = 7 (539 classes); n = 6 has 160.
 
 COUNTS
     The size formulas agree with the built edge counts for EM, HM_T,
@@ -93,6 +93,10 @@ if TYPE_CHECKING:
     from .kernel import ThresholdScheme
 
 FOLK_MAX_EDGES = 10
+
+# What each ``_verify_*`` handler returns: the parameters it used, the
+# number of cases it checked, its witnesses and its counterexamples.
+_Outcome = tuple[dict[str, Any], int, list[dict[str, Any]], list[dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def _k5_triples(n: int) -> Hypergraph:
 
 def _verify_folk(
     max_support: int = 9, ceiling: int | None = None
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+) -> _Outcome:
     from .enumeration import EnumerationFilter, canonical_form, enumerate_intersecting
 
     ceiling = _resolve_ceiling(ceiling)
@@ -252,7 +256,7 @@ def _verdict_histogram(pairs: list[tuple[Hypergraph, Verdict]]) -> list[dict[str
 
 def _verify_th4_main(
     n: int = 6, ceiling: int | None = None
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+) -> _Outcome:
     from .classifier import VerdictKind
 
     ceiling = _resolve_ceiling(ceiling)
@@ -270,7 +274,7 @@ def _verify_th4_main(
 
 def _verify_th4_a(
     n: int = 7, ceiling: int | None = None
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+) -> _Outcome:
     from .classifier import VerdictKind
 
     ceiling = _resolve_ceiling(ceiling)
@@ -297,7 +301,7 @@ def _verify_th4_a(
 
 def _verify_th4_b(
     n: int = 7, ceiling: int | None = None
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+) -> _Outcome:
     ceiling = _resolve_ceiling(ceiling)
     params = {"n": n, "ceiling": ceiling}
     _require_n6("TH4_B", n)
@@ -328,15 +332,6 @@ def _verify_th4_b(
 
 # -- LEMMA_2EDGES -----------------------------------------------------------
 
-_LEMMA_TEMPLATES: tuple[tuple[ConstructionId, dict[str, int]], ...] = (
-    (ConstructionId.EM, {"s": 1}),
-    (ConstructionId.H3FAM, {"i": 0}),
-    (ConstructionId.H3FAM, {"i": 1}),
-    (ConstructionId.H3FAM, {"i": 2}),
-    (ConstructionId.H3FAM, {"i": 4}),
-)
-
-
 def _lemma_candidates(n: int) -> list[Hypergraph]:
     """One representative per isomorphism class of intersecting 3-graphs
     on [n] having a vertex whose deletion leaves at most two edges.
@@ -357,30 +352,27 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
     return _orderly(n, 3, keep)
 
 
-def _verify_lemma_2edges(
-    n: int = 6,
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
-    from .classifier import embed
+def _verify_lemma_2edges(n: int = 7) -> _Outcome:
+    from .classifier import VerdictKind, _first_fit
 
     params = {"n": n}
     _require_n6("LEMMA_2EDGES", n)
+    rungs = [(VerdictKind.STAR, ConstructionId.EM, ConstructionParams(n, 3, s=1))] + [
+        (VerdictKind.H3, ConstructionId.H3FAM, ConstructionParams(n, 3, i=i))
+        for i in (0, 1, 2, 4)
+    ]
     reps = _lemma_candidates(n)
     hits: dict[str, int] = {}
     counterexamples = []
     for h in reps:
-        found = None
-        for cid, kw in _LEMMA_TEMPLATES:
-            emb = embed(h, cid, ConstructionParams(n, 3, **kw))
-            if emb is not None:
-                found = "STAR" if cid is ConstructionId.EM else f"H3({kw['i']})"
-                break
-        if found is None:
+        v = _first_fit(h, rungs)
+        if v.kind is VerdictKind.NONE:
             counterexamples.append(_family_record(
                 h, tau=cover_number(h),
                 reason="a vertex deletion leaves at most two edges but no "
                        "template of the five contains the family"))
         else:
-            hits[found] = hits.get(found, 0) + 1
+            hits[v.describe()] = hits.get(v.describe(), 0) + 1
     witnesses = [{"template": k, "classes": hits[k]} for k in sorted(hits)]
     return params, len(reps), witnesses, counterexamples
 
@@ -413,7 +405,7 @@ def _counts_grid(r_values: tuple[int, ...], n_max: int):
 
 def _verify_counts(
     r_values: tuple[int, ...] = (3, 4, 5), n_max: int = 20
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+) -> _Outcome:
     params = {"r_values": list(r_values), "n_max": n_max}
     checked = 0
     counterexamples = []
@@ -509,7 +501,7 @@ def _random_family(rng: random.Random) -> Hypergraph:
 
 def _verify_kernel_props(
     count: int = 1000, seed: int = 20260822
-) -> tuple[dict[str, Any], int, bool, list[dict[str, Any]], list[dict[str, Any]]]:
+) -> _Outcome:
     from .kernel import b_kernel, kernel_invariant_violations, paper_r, paper_rs
 
     params = {"count": count, "seed": seed}
@@ -534,7 +526,7 @@ def _verify_kernel_props(
 
 # -- dispatcher -------------------------------------------------------------
 
-_HANDLERS: dict[str, Callable[..., tuple]] = {
+_HANDLERS: dict[str, Callable[..., _Outcome]] = {
     "FOLK": _verify_folk,
     "TH4_MAIN": _verify_th4_main,
     "TH4_A": _verify_th4_a,

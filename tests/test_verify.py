@@ -99,8 +99,16 @@ def test_lemma_2edges_n6():
     assert rep.passed
     assert rep.checked == 160
     hist = {w["template"]: w["classes"] for w in rep.witnesses}
-    assert set(hist) <= {"STAR", "H3(0)", "H3(1)", "H3(2)", "H3(4)"}
-    assert sum(hist.values()) == 160
+    assert hist == {"H3(0)": 41, "H3(1)": 32, "H3(2)": 32, "H3(4)": 21, "STAR": 34}
+
+
+def test_lemma_2edges_default_scope_is_n7():
+    rep = verify("LEMMA_2EDGES")
+    assert rep.passed
+    assert rep.params == {"n": 7}
+    assert rep.checked == 539
+    hist = {w["template"]: w["classes"] for w in rep.witnesses}
+    assert hist == {"H3(0)": 112, "H3(1)": 136, "H3(2)": 92, "H3(4)": 43, "STAR": 156}
 
 
 def test_lemma_rejects_small_n():
