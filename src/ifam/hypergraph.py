@@ -19,9 +19,13 @@ Conventions used throughout the package:
 
 The exact nu/tau routines are branch-and-bound searches.  They are built
 for the small, structured instances that arise here (covers of size at
-most ~6, matchings of size at most ~5) and are exact for any input.  nu
-is the largest k that ``pack_exists`` reaches; tau and the minimum cover
-come from one cover search.
+most ~6, matchings of size at most ~5) and are exact for any input.  tau
+and the minimum cover come from one cover search.  Every packing
+question, from ``pack_exists``, ``matching_number``, ``b_star`` and the
+sunflower searches, goes to one engine, ``_pack_rows``, on per-vertex
+incidence rows (bit j of a vertex's row marks member j as containing
+it) and a bitset of candidate members.  nu is the largest k that the
+engine reaches.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask of a vertex collection (1-based labels)."""
     m = 0
     for v in vertices:
+        if v < 1:
+            raise ValueError(f"vertex labels start at 1, got {v}")
         m |= 1 << (v - 1)
     return m
 
@@ -54,6 +60,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted tuple of 1-based vertex labels in a bitmask: one step per
     set bit, so the cost follows |mask|, not the ground set size."""
+    if mask < 0:
+        raise ValueError(f"a vertex mask is nonnegative, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -227,102 +235,114 @@ def _greedy_packing(masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _support_packing_cap(masks: Sequence[int]) -> int:
-    """Upper bound on a packing from vertex supply.
+def _incidence_rows(masks: Sequence[int]) -> list[int]:
+    """rows[v] has bit j set iff masks[j] contains vertex v + 1."""
+    rows = [0] * max(masks, default=0).bit_length()
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] |= bit
+            m ^= low
+    return rows
 
-    Disjoint members consume disjoint vertex sets, so at most as many
-    members fit as the smallest member sizes that sum within the
-    support.  Empty members are free riders and always fit.
+
+def _pack_rows(
+    masks: Sequence[int], rows: Sequence[int], cand: int, k: int, core: int, least: int
+) -> list[int] | None:
+    """Least k indices of the bitset cand, ascending, whose petals
+    masks[j] & ~core are pairwise disjoint, or None.
+
+    ``rows`` are the incidence rows of masks and every petal in cand has
+    at least ``least`` vertices.  No petal is built: the members that a
+    petal clashes with are the OR of its vertices' rows, and the bounds
+    read the rows of the vertices outside core, cut down to the members
+    still available (an empty petal gets a row of its own, as it clashes
+    with nothing).  A node is dropped when these rows cannot supply the
+    petals it needs or a greedy max-degree cover of its members takes
+    fewer vertices than it needs; neither drops a packing, and the
+    branch extends with the least available index, so the witness is
+    the lexicographically least one.
     """
-    support = 0
-    free = 0
-    by_size: dict[int, int] = {}
-    for m in masks:
-        if m == 0:
-            free += 1
-            continue
-        support |= m
-        c = m.bit_count()
-        by_size[c] = by_size.get(c, 0) + 1
-    budget = support.bit_count()
-    cap = free
-    for size in sorted(by_size):
-        take = min(by_size[size], budget // size)
-        cap += take
-        budget -= take * size
-        if budget < size:
-            break
-    return cap
+    if k <= 0:
+        return []
+    if cand.bit_count() < k:
+        return None
+    outside = ~core
 
+    def clash(j: int) -> int:
+        out = 1 << j
+        petal = masks[j] & outside
+        while petal:
+            low = petal & -petal
+            out |= rows[low.bit_length() - 1]
+            petal ^= low
+        return out
 
-def _greedy_cover_size(masks: Sequence[int]) -> int:
-    """Size of a vertex cover found by repeated max-degree choice.
+    live = [x for v, row in enumerate(rows) if (x := row & cand) and not core >> v & 1]
+    if least <= 0:
+        empty = cand
+        for x in live:
+            empty &= ~x
+        live += [1 << j for j in _bits(empty)]
+    unit = max(least, 1)
 
-    No vertex covers an empty member, so empty members count one each;
-    this keeps the result a valid packing upper bound for inputs that
-    may contain them.
-    """
-    remaining = [m for m in masks if m]
-    size = sum(1 for m in masks if not m)
-    while remaining:
-        counts: dict[int, int] = {}
-        for m in remaining:
-            while m:
-                low = m & -m
-                counts[low] = counts.get(low, 0) + 1
-                m ^= low
-        bit = max(counts, key=lambda b: (counts[b], -b))
-        remaining = [m for m in remaining if not m & bit]
-        size += 1
-    return size
+    def extend(avail: int, need: int, live: list[int]) -> list[int] | None:
+        # live holds the nonzero rows cut down to avail
+        if len(live) // unit < need:
+            return None
+        if need == k:  # first-fit from the root settles most hits
+            chosen = []
+            left = avail
+            while left:
+                j = (left & -left).bit_length() - 1
+                chosen.append(j)
+                if len(chosen) == k:
+                    return chosen
+                left &= ~clash(j)
+        left = avail
+        for _ in range(need - 1):
+            degrees = [(x & left).bit_count() for x in live]
+            left &= ~live[degrees.index(max(degrees))]
+            if not left:
+                return None
+        while avail.bit_count() >= need:
+            low = avail & -avail
+            avail ^= low
+            j = low.bit_length() - 1
+            if need == 1:
+                return [j]
+            sub = avail & ~clash(j)
+            if sub.bit_count() >= need - 1:
+                got = extend(sub, need - 1, [x for row in live if (x := row & sub)])
+                if got is not None:
+                    return [j] + got
+        return None
+
+    return extend(cand, k, live)
 
 
 def pack_exists(masks: Sequence[int], k: int) -> list[int] | None:
     """Indices of k pairwise-disjoint members, or None.
 
     Members may include the empty set (disjoint from everything).  The
-    witness is the first found in index order, which is the
-    lexicographically least one because the search always extends with
-    the smallest admissible index.
+    witness is the lexicographically least one (see ``_pack_rows``).
     """
-    if k <= 0:
-        return []
     masks = list(masks)
-    if len(masks) < k:
-        return None
-    greedy = _greedy_packing(masks)
-    if len(greedy) >= k:
-        return greedy[:k]
-
-    def extend(start: int, used: int, chosen: list[int]) -> list[int] | None:
-        need = k - len(chosen)
-        if need == 0:
-            return chosen
-        avail = [i for i in range(start, len(masks)) if not masks[i] & used]
-        if len(avail) < need:
-            return None
-        sub = [masks[i] for i in avail]
-        if _support_packing_cap(sub) < need:
-            return None
-        if _greedy_cover_size(sub) < need:
-            return None
-        for pos, i in enumerate(avail):
-            if len(avail) - pos < need:
-                return None
-            got = extend(i + 1, used | masks[i], chosen + [i])
-            if got is not None:
-                return got
-        return None
-
-    return extend(0, 0, [])
+    least = min((m.bit_count() for m in masks), default=0)
+    return _pack_rows(masks, _incidence_rows(masks), (1 << len(masks)) - 1, k, 0, least)
 
 
 def matching_number(h: Hypergraph | SetFamily) -> int:
     """Maximum number of pairwise disjoint members (exact): the largest k
-    that ``pack_exists`` reaches, counting up from the greedy packing."""
+    that the packing engine reaches, counting up from the greedy packing
+    on one set of incidence rows."""
     masks = _members(h)
+    rows = _incidence_rows(masks)
+    everyone = (1 << len(masks)) - 1
+    least = min((m.bit_count() for m in masks), default=0)
     k = len(_greedy_packing(masks))
-    while pack_exists(masks, k + 1) is not None:
+    while _pack_rows(masks, rows, everyone, k + 1, 0, least) is not None:
         k += 1
     return k
 

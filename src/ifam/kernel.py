@@ -24,8 +24,9 @@ its vertices' rows, and a branch stops once the codegree falls below
 the multiplicity its size needs.  Both schemes' multiplicities grow
 with the core size, and removing a vertex from T can only raise its
 codegree, so every prefix of a surviving core survives too and the
-walk misses none.  Only survivors get the exact fixed-core packing
-test.
+walk misses none.  Each survivor's carrier bitset goes straight to the
+exact packing engine (``hypergraph._pack_rows``) on the walk's own
+rows, with T as the core its petals leave out; no petal list is built.
 
 The reduction step applies when a pair of vertices covers the family:
 edges carrying a member of the second or third layer are kept, and each
@@ -44,7 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .hypergraph import Hypergraph, SetFamily, cover_number, is_intersecting, pack_exists, vertices_of
+from .hypergraph import (
+    Hypergraph,
+    SetFamily,
+    _incidence_rows,
+    _pack_rows,
+    cover_number,
+    is_intersecting,
+    vertices_of,
+)
 from .sunflower import _heavy_cores, find_sunflower
 
 __all__ = [
@@ -140,11 +149,13 @@ def b_star(h: Hypergraph, scheme: ThresholdScheme) -> SetFamily:
     thresholds = scheme.table(h.r)
     # an r-set lies in at most one edge, so holding the last threshold
     # past r - 1 keeps the need nondecreasing and ends the walk there
+    rows = _incidence_rows(h.edges)
     out = []
-    for t, petals in _heavy_cores(
-        h.edges, lambda size: thresholds[min(size, h.r - 1)]
+    for t, carriers in _heavy_cores(
+        rows, (1 << len(h.edges)) - 1, lambda size: thresholds[min(size, h.r - 1)]
     ):
-        if pack_exists(petals, thresholds[t.bit_count()]) is not None:
+        size = t.bit_count()
+        if _pack_rows(h.edges, rows, carriers, thresholds[size], t, h.r - size) is not None:
             out.append(t)
     return SetFamily.from_masks(h.n, out)
 

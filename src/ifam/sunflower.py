@@ -11,17 +11,20 @@ first decides existence: the core of any sunflower with at least two
 members is the intersection of two of them, so candidate cores are the
 empty set plus either every nonempty set that at least k members
 contain (for families of small sets) or all distinct pairwise
-intersections; each candidate is settled by exact set packing on the
-residues.  The first kind comes from ``_heavy_cores``, a depth-first
-walk over cores in increasing vertex order on per-vertex incidence
-rows: the members containing T are the AND of its vertices' rows, and
-a branch ends once fewer than k members remain, since every extension
-of T lies in a subset of them.  Only when a sunflower exists does
-the witness search run: members are scanned in lexicographic order of
-their sorted vertex tuples, each ordered pair fixes a core, and the
-packing engine completes the collection with the least remaining
-indices.  The first completion is the lexicographically least witness,
-which makes the output deterministic.
+intersections; each candidate is settled by the exact packing engine
+on the residues.  Both phases work on per-vertex incidence rows, bit
+j of a row marking member j: the members containing T are the AND of
+its vertices' rows, and the engine reads a residue's clashes from the
+rows of its vertices outside T, so no residue is built.  The first
+kind of core comes from ``_heavy_cores``, a depth-first walk over cores
+in increasing vertex order whose branch ends once fewer than k members
+remain, since every extension of T lies in a subset of them.  Only when
+a sunflower exists does the witness search run: members are scanned in
+lexicographic order of their sorted vertex tuples, each ordered pair
+fixes a core, the rows give the later members that contain it and miss
+both residues, and the packing engine completes the collection with
+the least of them.  The first completion is the lexicographically least
+witness, which makes the output deterministic.
 
 ``er_bound(k, i)`` returns k^i * i!, a family size at which i-uniform
 families are guaranteed to contain a k-sunflower.  It is used by the
@@ -35,7 +38,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
-from .hypergraph import SetFamily, _bits, pack_exists, vertices_of
+from .hypergraph import Hypergraph, SetFamily, _bits, _incidence_rows, _members, _pack_rows, vertices_of
 
 __all__ = [
     "Sunflower",
@@ -99,28 +102,21 @@ def _tuple_sorted(masks) -> list[int]:
 
 
 def _heavy_cores(
-    masks: Sequence[int], need: Callable[[int], int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Every nonempty T that at least need(|T|) masks contain, lazily,
-    each with its petals m & ~T over those masks in input order.
+    rows: Sequence[int], carriers: int, need: Callable[[int], int]
+) -> Iterator[tuple[int, int]]:
+    """Every nonempty T that at least need(|T|) of the members in
+    ``carriers`` contain, lazily, each with the bitset of those members.
 
-    Bit j of a vertex's incidence row marks masks[j] as containing it.
-    Cores are walked depth-first in increasing vertex order; extending
-    T by a vertex ANDs that vertex's row into T's carrier bits, and a
-    branch stops as soon as fewer than need(|T|) carriers remain.
-    The walk is complete when need is nondecreasing: the carriers of T
-    are a subset of those of its prefix P (T without its largest
-    vertex), so |carriers(P)| >= |carriers(T)| >= need(|T|) >=
-    need(|P|), and P was visited and extended.  Each T is reached
-    once, along its own increasing vertex order.
+    Bit j of rows[v] marks member j as containing vertex v + 1.  Cores
+    are walked depth-first in increasing vertex order; extending T by a
+    vertex ANDs that vertex's row into T's carrier bits, and a branch
+    stops as soon as fewer than need(|T|) carriers remain.  The walk is
+    complete when need is nondecreasing: the carriers of T are a subset
+    of those of its prefix P (T without its largest vertex), so
+    |carriers(P)| >= |carriers(T)| >= need(|T|) >= need(|P|), and P was
+    visited and extended.  Each T is reached once, along its own
+    increasing vertex order.
     """
-    rows = [0] * max(masks, default=0).bit_length()
-    for j, m in enumerate(masks):
-        bit = 1 << j
-        while m:
-            low = m & -m
-            rows[low.bit_length() - 1] |= bit
-            m ^= low
     verts = [(1 << v, row) for v, row in enumerate(rows) if row]
 
     def walk(start: int, core: int, carriers: int, size: int):
@@ -132,33 +128,45 @@ def _heavy_cores(
             sub = carriers & row
             if sub.bit_count() >= floor:
                 t = core | bit
-                yield t, [masks[j] & ~t for j in _bits(sub)]
+                yield t, sub
                 yield from walk(i + 1, t, sub, size + 1)
 
-    return walk(0, 0, (1 << len(masks)) - 1, 0)
+    return walk(0, 0, carriers, 0)
+
+
+def _through(rows: Sequence[int], core: int, carriers: int) -> int:
+    """The members of ``carriers`` that contain every vertex of core."""
+    for v in _bits(core):
+        carriers &= rows[v]
+    return carriers
 
 
 def _sunflower_exists(masks: list[int], k: int) -> bool:
     """Complete existence test over all candidate cores."""
     if len(masks) < k:
         return False
-    if pack_exists(masks, k) is not None:
+    rows = _incidence_rows(masks)
+    everyone = (1 << len(masks)) - 1
+    sizes = [m.bit_count() for m in masks]
+    least = min(sizes)
+    if _pack_rows(masks, rows, everyone, k, 0, least) is not None:
         return True  # empty core
-    if max(m.bit_count() for m in masks) <= _SUBSET_CAP:
+    if max(sizes) <= _SUBSET_CAP:
         # a core can be a whole member: in mixed-size families it may be
         # contained in all the others
-        return any(
-            pack_exists(petals, k) is not None
-            for _, petals in _heavy_cores(masks, lambda size: k)
+        cores = _heavy_cores(rows, everyone, lambda size: k)
+    else:
+        cores = (
+            (t, _through(rows, t, everyone))
+            for t in {a & b for a, b in combinations(masks, 2) if a & b}
         )
-    for t in {a & b for a, b in combinations(masks, 2) if a & b}:
-        petals = [m & ~t for m in masks if m & t == t]
-        if len(petals) >= k and pack_exists(petals, k) is not None:
-            return True
-    return False
+    return any(
+        _pack_rows(masks, rows, carriers, k, t, least - t.bit_count()) is not None
+        for t, carriers in cores
+    )
 
 
-def find_sunflower(family: SetFamily, k: int) -> Sunflower | None:
+def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
     """Lexicographically least k-sunflower inside the family, if any.
 
     Absence is decided by the complete feasibility test; when a sunflower
@@ -167,31 +175,31 @@ def find_sunflower(family: SetFamily, k: int) -> Sunflower | None:
     """
     if k < 2:
         raise ValueError("find_sunflower requires k >= 2")
-    members = _tuple_sorted(family.members)
+    members = _tuple_sorted(_members(family))
     m = len(members)
     if not _sunflower_exists(members, k):
         return None
+    rows = _incidence_rows(members)
+    everyone = (1 << m) - 1
+    least = min(mb.bit_count() for mb in members)
     for i0 in range(m - k + 1):
         e0 = members[i0]
         for i1 in range(i0 + 1, m - k + 2):
             e1 = members[i1]
             core = e0 & e1
-            outside = (e0 | e1) & ~core
-            cands = [
-                j
-                for j in range(i1 + 1, m)
-                if members[j] & core == core and not members[j] & outside
-            ]
-            if len(cands) < k - 2:
-                continue
-            got = pack_exists([members[j] & ~core for j in cands], k - 2)
+            cands = _through(rows, core, everyone >> (i1 + 1) << (i1 + 1))
+            for v in _bits((e0 | e1) & ~core):
+                cands &= ~rows[v]
+            got = _pack_rows(members, rows, cands, k - 2, core, least - core.bit_count())
             if got is not None:
-                chosen = [e0, e1] + [members[cands[j]] for j in got]
+                chosen = [e0, e1] + [members[j] for j in got]
                 return Sunflower(family.n, core, tuple(chosen))
     raise AssertionError("feasibility and witness search disagree")
 
 
-def find_sunflower_with_core(family: SetFamily, core: int, k: int) -> Sunflower | None:
+def find_sunflower_with_core(
+    family: SetFamily | Hypergraph, core: int, k: int
+) -> Sunflower | None:
     """Least k-sunflower whose pairwise intersections equal `core` exactly.
 
     Members not containing the core cannot participate; among the rest a
@@ -200,11 +208,13 @@ def find_sunflower_with_core(family: SetFamily, core: int, k: int) -> Sunflower 
     """
     if k < 2:
         raise ValueError("find_sunflower_with_core requires k >= 2")
-    carriers = _tuple_sorted(mb for mb in family.members if mb & core == core)
+    carriers = _tuple_sorted(mb for mb in _members(family) if mb & core == core)
     if len(carriers) < k:
         return None
-    petals = [mb & ~core for mb in carriers]
-    picked = pack_exists(petals, k)
+    least = min(mb.bit_count() for mb in carriers) - core.bit_count()
+    picked = _pack_rows(
+        carriers, _incidence_rows(carriers), (1 << len(carriers)) - 1, k, core, least
+    )
     if picked is None:
         return None
     return Sunflower(family.n, core, tuple(carriers[i] for i in picked))

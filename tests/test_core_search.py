@@ -17,7 +17,16 @@ from itertools import combinations
 import pytest
 
 import ifam.kernel
-from ifam.hypergraph import Hypergraph, SetFamily, mask_of, pack_exists, vertices_of
+from ifam.hypergraph import (
+    Hypergraph,
+    SetFamily,
+    _bits,
+    _incidence_rows,
+    _pack_rows,
+    mask_of,
+    pack_exists,
+    vertices_of,
+)
 from ifam.kernel import b_star, paper_r, paper_rs
 from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _sunflower_exists, find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured
@@ -150,6 +159,10 @@ def test_b_star_finds_planted_cores_of_every_size(r):
                 assert (core in got.members) == (petals == k)
 
 
+def petals_of(masks, carriers, core):
+    return [masks[j] & ~core for j in _bits(carriers)]
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_b_star_asks_the_packing_engine_the_same_questions(r, monkeypatch):
     # the same candidate cores, with the same petals in the same order,
@@ -161,11 +174,11 @@ def test_b_star_asks_the_packing_engine_the_same_questions(r, monkeypatch):
         for scheme in SCHEMES:
             asked = []
 
-            def recording(masks, k):
-                asked.append((tuple(masks), k))
-                return pack_exists(masks, k)
+            def recording(masks, rows, carriers, k, core, least):
+                asked.append((tuple(petals_of(masks, carriers, core)), k))
+                return _pack_rows(masks, rows, carriers, k, core, least)
 
-            monkeypatch.setattr(ifam.kernel, "pack_exists", recording)
+            monkeypatch.setattr(ifam.kernel, "_pack_rows", recording)
             b_star(h, scheme)
             want = [(tuple(p), k) for _, p, k in oracle_candidates(h, scheme)]
             assert sorted(asked) == sorted(want)
@@ -223,16 +236,23 @@ def test_members_above_the_subset_cap_use_pairwise_intersections():
 
 def test_heavy_cores_is_lazy_and_complete_for_constant_need():
     masks = [mask_of(s) for s in ((1, 2, 3), (1, 2, 4), (1, 2), (2, 5), ())]
+    rows = _incidence_rows(masks)
     asked = []
 
     def need(size):
         asked.append(size)
         return 2
 
-    walk = _heavy_cores(masks, need)
+    walk = _heavy_cores(rows, (1 << len(masks)) - 1, need)
     assert asked == []  # nothing is walked before the first core is asked for
-    assert next(walk) == (mask_of((1,)), [mask_of((2, 3)), mask_of((2, 4)), mask_of((2,))])
-    got = dict([(mask_of((1,)), None), *walk])
+    assert next(walk) == (mask_of((1,)), 0b111)
+    assert petals_of(masks, 0b111, mask_of((1,))) == [
+        mask_of((2, 3)), mask_of((2, 4)), mask_of((2,))
+    ]
+    got = dict([(mask_of((1,)), 0b111), *walk])
     assert set(got) == {mask_of((1,)), mask_of((1, 2)), mask_of((2,))}
-    assert got[mask_of((1, 2))] == [mask_of((3,)), mask_of((4,)), 0]
-    assert list(_heavy_cores([], lambda size: 2)) == []
+    assert petals_of(masks, got[mask_of((1, 2))], mask_of((1, 2))) == [
+        mask_of((3,)), mask_of((4,)), 0
+    ]
+    assert got[mask_of((2,))] == 0b1111
+    assert list(_heavy_cores([], 0, lambda size: 2)) == []

@@ -68,6 +68,17 @@ def test_mask_roundtrip():
     assert vertices_of(0) == ()
 
 
+def test_mask_conversions_reject_out_of_contract_input():
+    # a negative mask has infinitely many set bits: the peeling loop
+    # used to run forever on it
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            vertices_of(mask)
+    for labels in ([0], [2, 0], [3, -1]):
+        with pytest.raises(ValueError, match="labels start at 1"):
+            mask_of(labels)
+
+
 def naive_vertices(mask, n):
     return tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
 

@@ -1,0 +1,156 @@
+"""The row-based packing engine against the list-based search it replaced.
+
+`oracle_pack_exists` is the earlier `pack_exists`: it builds the list of
+available members at every node and bounds it by vertex supply and by a
+greedy max-degree cover.  The engine must return the identical witness,
+the lexicographically least packing in index order, on every input.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from ifam.hypergraph import (
+    SetFamily,
+    _bits,
+    _greedy_packing,
+    _incidence_rows,
+    _pack_rows,
+    matching_number,
+    pack_exists,
+)
+
+
+def oracle_support_cap(masks):
+    support = 0
+    free = 0
+    by_size: dict[int, int] = {}
+    for m in masks:
+        if m == 0:
+            free += 1
+            continue
+        support |= m
+        c = m.bit_count()
+        by_size[c] = by_size.get(c, 0) + 1
+    budget = support.bit_count()
+    cap = free
+    for size in sorted(by_size):
+        take = min(by_size[size], budget // size)
+        cap += take
+        budget -= take * size
+        if budget < size:
+            break
+    return cap
+
+
+def oracle_greedy_cover_size(masks):
+    remaining = [m for m in masks if m]
+    size = sum(1 for m in masks if not m)
+    while remaining:
+        counts: dict[int, int] = {}
+        for m in remaining:
+            while m:
+                low = m & -m
+                counts[low] = counts.get(low, 0) + 1
+                m ^= low
+        bit = max(counts, key=lambda b: (counts[b], -b))
+        remaining = [m for m in remaining if not m & bit]
+        size += 1
+    return size
+
+
+def oracle_pack_exists(masks, k):
+    if k <= 0:
+        return []
+    masks = list(masks)
+    if len(masks) < k:
+        return None
+    greedy = _greedy_packing(masks)
+    if len(greedy) >= k:
+        return greedy[:k]
+
+    def extend(start, used, chosen):
+        need = k - len(chosen)
+        if need == 0:
+            return chosen
+        avail = [i for i in range(start, len(masks)) if not masks[i] & used]
+        if len(avail) < need:
+            return None
+        sub = [masks[i] for i in avail]
+        if oracle_support_cap(sub) < need:
+            return None
+        if oracle_greedy_cover_size(sub) < need:
+            return None
+        for pos, i in enumerate(avail):
+            if len(avail) - pos < need:
+                return None
+            got = extend(i + 1, used | masks[i], chosen + [i])
+            if got is not None:
+                return got
+        return None
+
+    return extend(0, 0, [])
+
+
+def random_masks(rng):
+    """Uniform or mixed sizes on a small ground set, sometimes with empty
+    members and repeats: the shapes the packing callers pass."""
+    n = rng.randint(1, 12)
+    count = rng.randint(0, 16)
+    if rng.random() < 0.5:
+        r = rng.randint(1, min(4, n))
+        masks = [sum(1 << v for v in rng.sample(range(n), r)) for _ in range(count)]
+    else:
+        masks = [
+            sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(5, n))))
+            for _ in range(count)
+        ]
+    if masks and rng.random() < 0.3:
+        masks.insert(rng.randrange(len(masks) + 1), 0)
+    return masks
+
+
+def test_pack_exists_returns_the_oracle_witness():
+    rng = random.Random(2016)
+    searched = hits = 0
+    for _ in range(6000):
+        masks = random_masks(rng)
+        k = rng.randint(0, 6)
+        want = oracle_pack_exists(masks, k)
+        assert pack_exists(masks, k) == want, (masks, k)
+        hits += want is not None
+        searched += want is not None and len(_greedy_packing(masks)) < k
+    # both answers occur, and some packings are past first-fit
+    assert 1000 < hits < 5000
+    assert searched > 50
+
+
+def test_pack_rows_with_a_core_matches_the_oracle_on_petals():
+    rng = random.Random(1977)
+    hits = 0
+    for _ in range(4000):
+        masks = random_masks(rng)
+        n = max(masks, default=0).bit_length()
+        core = sum(1 << v for v in range(n) if rng.random() < 0.25)
+        cand = sum(1 << j for j in range(len(masks)) if rng.random() < 0.8)
+        picked = _bits(cand)
+        petals = [masks[j] & ~core for j in picked]
+        least = min((p.bit_count() for p in petals), default=0) - rng.randint(0, 1)
+        k = rng.randint(0, 6)
+        want = oracle_pack_exists(petals, k)
+        got = _pack_rows(masks, _incidence_rows(masks), cand, k, core, least)
+        assert got == (None if want is None else [picked[i] for i in want])
+        hits += want is not None
+    assert 500 < hits < 3500
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_matching_number_is_the_largest_oracle_packing(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        masks = sorted(set(random_masks(rng)))
+        nu = matching_number(SetFamily(12, tuple(masks)))
+        assert oracle_pack_exists(masks, nu) is not None
+        assert oracle_pack_exists(masks, nu + 1) is None

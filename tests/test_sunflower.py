@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from ifam.hypergraph import SetFamily, mask_of
+from ifam.hypergraph import Hypergraph, SetFamily, mask_of
 from ifam.sunflower import Sunflower, er_bound, find_sunflower, find_sunflower_with_core
 
 
@@ -112,6 +112,20 @@ def test_core_member_itself_can_participate():
     # not a proper subset of every member
     s2 = find_sunflower(f, 3)
     assert s2 is not None and s2.core == mask_of([1, 2])
+
+
+def test_searches_accept_a_hypergraph():
+    h = Hypergraph.from_vertex_sets(
+        7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (3, 5, 7)]
+    )
+    f = SetFamily(h.n, h.edges)
+    for k in (2, 3, 4):
+        assert find_sunflower(h, k) == find_sunflower(f, k)
+        assert find_sunflower_with_core(h, mask_of([1]), k) == find_sunflower_with_core(
+            f, mask_of([1]), k
+        )
+    assert find_sunflower(h, 3).core == mask_of([1])
+    assert find_sunflower_with_core(h, mask_of([1]), 4) is None
 
 
 def test_lexicographic_tie_break():
