@@ -269,57 +269,74 @@ def _pack_rows(
     if cand.bit_count() < k:
         return None
     outside = ~core
-
-    def clash(j: int) -> int:
-        out = 1 << j
-        petal = masks[j] & outside
-        while petal:
-            low = petal & -petal
-            out |= rows[low.bit_length() - 1]
-            petal ^= low
-        return out
-
     live = [x for v, row in enumerate(rows) if (x := row & cand) and not core >> v & 1]
     if least <= 0:
         empty = cand
         for x in live:
             empty &= ~x
         live += [1 << j for j in _bits(empty)]
-    unit = max(least, 1)
+    return _extend(masks, rows, outside, k, max(least, 1), cand, k, live)
 
-    def extend(avail: int, need: int, live: list[int]) -> list[int] | None:
-        # live holds the nonzero rows cut down to avail
-        if len(live) // unit < need:
-            return None
-        if need == k:  # first-fit from the root settles most hits
-            chosen = []
-            left = avail
-            while left:
-                j = (left & -left).bit_length() - 1
-                chosen.append(j)
-                if len(chosen) == k:
-                    return chosen
-                left &= ~clash(j)
-        left = avail
-        for _ in range(need - 1):
-            degrees = [(x & left).bit_count() for x in live]
-            left &= ~live[degrees.index(max(degrees))]
-            if not left:
-                return None
-        while avail.bit_count() >= need:
-            low = avail & -avail
-            avail ^= low
-            j = low.bit_length() - 1
-            if need == 1:
-                return [j]
-            sub = avail & ~clash(j)
-            if sub.bit_count() >= need - 1:
-                got = extend(sub, need - 1, [x for row in live if (x := row & sub)])
-                if got is not None:
-                    return [j] + got
+
+def _clash(masks: Sequence[int], rows: Sequence[int], outside: int, j: int) -> int:
+    """Bit j and the members that meet the petal masks[j] & outside."""
+    out = 1 << j
+    petal = masks[j] & outside
+    while petal:
+        low = petal & -petal
+        out |= rows[low.bit_length() - 1]
+        petal ^= low
+    return out
+
+
+def _extend(
+    masks: Sequence[int],
+    rows: Sequence[int],
+    outside: int,
+    k: int,
+    unit: int,
+    avail: int,
+    need: int,
+    live: list[int],
+) -> list[int] | None:
+    """One node of ``_pack_rows``: the least need indices of avail whose
+    petals are pairwise disjoint.  live holds the nonzero rows cut down
+    to avail, and every petal has at least unit vertices.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep the caller's rows alive until
+    the next full garbage collection.
+    """
+    if len(live) // unit < need:
         return None
-
-    return extend(cand, k, live)
+    if need == k:  # first-fit from the root settles most hits
+        chosen = []
+        left = avail
+        while left:
+            j = (left & -left).bit_length() - 1
+            chosen.append(j)
+            if len(chosen) == k:
+                return chosen
+            left &= ~_clash(masks, rows, outside, j)
+    left = avail
+    for _ in range(need - 1):
+        degrees = [(x & left).bit_count() for x in live]
+        left &= ~live[degrees.index(max(degrees))]
+        if not left:
+            return None
+    while avail.bit_count() >= need:
+        low = avail & -avail
+        avail ^= low
+        j = low.bit_length() - 1
+        if need == 1:
+            return [j]
+        sub = avail & ~_clash(masks, rows, outside, j)
+        if sub.bit_count() >= need - 1:
+            sub_live = [x for row in live if (x := row & sub)]
+            got = _extend(masks, rows, outside, k, unit, sub, need - 1, sub_live)
+            if got is not None:
+                return [j] + got
+    return None
 
 
 def pack_exists(masks: Sequence[int], k: int) -> list[int] | None:

@@ -118,20 +118,33 @@ def _heavy_cores(
     increasing vertex order.
     """
     verts = [(1 << v, row) for v, row in enumerate(rows) if row]
+    return _walk_cores(verts, need, 0, 0, carriers, 0)
 
-    def walk(start: int, core: int, carriers: int, size: int):
-        floor = need(size + 1)
-        if carriers.bit_count() < floor:
-            return
-        for i in range(start, len(verts)):
-            bit, row = verts[i]
-            sub = carriers & row
-            if sub.bit_count() >= floor:
-                t = core | bit
-                yield t, sub
-                yield from walk(i + 1, t, sub, size + 1)
 
-    return walk(0, 0, carriers, 0)
+def _walk_cores(
+    verts: list[tuple[int, int]],
+    need: Callable[[int], int],
+    start: int,
+    core: int,
+    carriers: int,
+    size: int,
+) -> Iterator[tuple[int, int]]:
+    """The subtree of ``_heavy_cores`` below core, extended by verts[start:].
+
+    A module-level generator, not a closure: a closure that calls itself
+    is a reference cycle, which would keep the rows alive until the next
+    full garbage collection.
+    """
+    floor = need(size + 1)
+    if carriers.bit_count() < floor:
+        return
+    for i in range(start, len(verts)):
+        bit, row = verts[i]
+        sub = carriers & row
+        if sub.bit_count() >= floor:
+            t = core | bit
+            yield t, sub
+            yield from _walk_cores(verts, need, i + 1, t, sub, size + 1)
 
 
 def _through(rows: Sequence[int], core: int, carriers: int) -> int:

@@ -10,6 +10,7 @@ the same questions.
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 from itertools import combinations
@@ -24,6 +25,7 @@ from ifam.hypergraph import (
     _incidence_rows,
     _pack_rows,
     mask_of,
+    matching_number,
     pack_exists,
     vertices_of,
 )
@@ -256,3 +258,21 @@ def test_heavy_cores_is_lazy_and_complete_for_constant_need():
     ]
     assert got[mask_of((2,))] == 0b1111
     assert list(_heavy_cores([], 0, lambda size: 2)) == []
+
+
+def test_the_core_walk_and_the_packing_engine_leave_no_cyclic_garbage():
+    # A reference cycle would keep a call's incidence rows alive until the
+    # next full collection, so memory would grow from call to call.
+    rng = random.Random(5)
+    hs = [dense_star(rng, r) for r in (3, 4) for _ in range(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for h in hs:
+            b_star(h, paper_r())
+            find_sunflower(h, 3)
+            matching_number(h)
+            pack_exists(h.edges, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
