@@ -19,7 +19,6 @@ from .hypergraph import (
     cover_number,
     delete_vertices,
     is_intersecting,
-    link_graph,
     mask_of,
     matching_number,
     min_cover,
@@ -52,13 +51,11 @@ __all__ = [
     "EnumerationFilter",
     "canonical_form",
     "enumerate_intersecting",
-    "invariant_key",
     "Hypergraph",
     "SetFamily",
     "cover_number",
     "delete_vertices",
     "is_intersecting",
-    "link_graph",
     "mask_of",
     "matching_number",
     "min_cover",
@@ -104,7 +101,7 @@ _LAZY = {
         "constructions"),
     **dict.fromkeys(
         ("DEFAULT_CEILING", "EnumerationFilter", "canonical_form",
-         "enumerate_intersecting", "invariant_key"),
+         "enumerate_intersecting"),
         "enumeration"),
     **dict.fromkeys(
         ("ParseError", "hypergraph_from_json", "hypergraph_to_json",

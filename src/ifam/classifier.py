@@ -490,56 +490,59 @@ def _schema_dfs(h: Hypergraph, res: Resolved, assigned: dict[int, int]):
     edge through some generator, whose unassigned roles then take values
     inside the edge; that extension is among the branches.
     """
-    edges = h.edges
-    n = h.n
     names, schemas = _slots(res)
-    memo: set[tuple] = set()
+    return _schema_rec(h.edges, h.n, len(names), schemas, set(), dict(assigned))
 
-    def satisfied(e: int, asg: dict[int, int]) -> bool:
-        for schema in schemas:
-            m = 0
-            for role in schema:
-                v = asg.get(role)
-                if v is None:
-                    m = -1
-                    break
-                m |= _bit(v)
-            if m >= 0 and not m & ~e:
-                return True
-        return False
 
-    def rec(asg: dict[int, int]):
-        key = tuple(sorted(asg.items()))
-        if key in memo:
-            return
-        memo.add(key)
-        pend = next((e for e in edges if not satisfied(e, asg)), None)
-        used = set(asg.values())
-        if pend is None:
-            fill = (v for v in range(1, n + 1) if v not in used)
-            out = [asg[j] if j in asg else next(fill, None) for j in range(len(names))]
-            if None not in out:
-                yield tuple(out)
-            return
-        everts = [v for v in vertices_of(pend) if v not in used]
-        for schema in schemas:
-            unassigned = []
-            conflict = False
-            for role in schema:
-                v = asg.get(role)
-                if v is None:
-                    unassigned.append(role)
-                elif not pend & _bit(v):
-                    conflict = True
-                    break
-            if conflict or not unassigned or len(everts) < len(unassigned):
-                continue
-            for combo in permutations(everts, len(unassigned)):
-                nxt = dict(asg)
-                nxt.update(zip(unassigned, combo))
-                yield from rec(nxt)
+def _schema_satisfied(schemas, e: int, asg: dict[int, int]) -> bool:
+    """Does some fully-assigned generator of the schemas lie inside e?"""
+    for schema in schemas:
+        m = 0
+        for role in schema:
+            v = asg.get(role)
+            if v is None:
+                m = -1
+                break
+            m |= _bit(v)
+        if m >= 0 and not m & ~e:
+            return True
+    return False
 
-    return rec(dict(assigned))
+
+def _schema_rec(edges, n: int, width: int, schemas, memo: set, asg: dict[int, int]):
+    """One node of ``_schema_dfs``; memo holds the assignments already
+    searched.  A module-level generator, not a closure: a closure that
+    calls itself is a reference cycle, which would keep the search state
+    alive until the next full garbage collection."""
+    key = tuple(sorted(asg.items()))
+    if key in memo:
+        return
+    memo.add(key)
+    pend = next((e for e in edges if not _schema_satisfied(schemas, e, asg)), None)
+    used = set(asg.values())
+    if pend is None:
+        fill = (v for v in range(1, n + 1) if v not in used)
+        out = [asg[j] if j in asg else next(fill, None) for j in range(width)]
+        if None not in out:
+            yield tuple(out)
+        return
+    everts = [v for v in vertices_of(pend) if v not in used]
+    for schema in schemas:
+        unassigned = []
+        conflict = False
+        for role in schema:
+            v = asg.get(role)
+            if v is None:
+                unassigned.append(role)
+            elif not pend & _bit(v):
+                conflict = True
+                break
+        if conflict or not unassigned or len(everts) < len(unassigned):
+            continue
+        for combo in permutations(everts, len(unassigned)):
+            nxt = dict(asg)
+            nxt.update(zip(unassigned, combo))
+            yield from _schema_rec(edges, n, width, schemas, memo, nxt)
 
 
 def _embed_fp(h: Hypergraph, res: Resolved):

@@ -2,13 +2,18 @@
 
 Families are compared up to relabeling of the ground set.  The canonical
 form of a family is the lexicographically least tuple of sorted edge
-bitmasks over all vertex relabelings, found by a prefix-pruned search:
-assigning labels low to high only ever raises each partial mask, and the
-sorted order statistics rise with them, so a branch whose sorted partial
-masks already reach the best known tuple is dead.  Branches that differ
-from an explored sibling by a transposition that is an automorphism of
-the family are skipped, which collapses the leaf symmetry of stars and
-other highly regular inputs.
+bitmasks over all vertex relabelings, found by a prefix-pruned search
+that assigns labels low to high, busiest vertices first.  Each mask's
+lower bound is the labels it has so far plus its missing vertices packed
+onto the lowest free labels, read from a fill table indexed by depth and
+by the number missing.  Every completion dominates these bounds
+pointwise, and so their sorted order statistics too, so a branch whose
+sorted bounds compare at or above the best known tuple, in one list
+comparison, is dead.  One pass over the set bits lists the masks through
+each vertex, so assigning a vertex touches only those masks.  Branches
+that differ from an explored sibling by a transposition that is an
+automorphism of the family are skipped, which collapses the leaf
+symmetry of stars and other highly regular inputs.
 
 Sweeps use orderly generation (Read, "Every one a winner", Ann.
 Discrete Math. 2, 1978; McKay, "Isomorph-free exhaustive generation",
@@ -51,6 +56,7 @@ form, with each representative rebuilt from its canonical masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 from .hypergraph import Hypergraph, _bits, cover_number, is_intersecting, mask_of
@@ -60,7 +66,6 @@ __all__ = [
     "EnumerationFilter",
     "canonical_form",
     "enumerate_intersecting",
-    "invariant_key",
 ]
 
 DEFAULT_CEILING = 9
@@ -69,27 +74,7 @@ DEFAULT_CEILING = 9
 _GENERAL_POOL_LIMIT = 24
 
 
-# -- isomorphism invariants and canonical form ------------------------------
-
-
-def invariant_key(h: Hypergraph) -> tuple:
-    """Cheap relabeling-invariant fingerprint: isomorphic families share
-    it, but families that share it need not be isomorphic."""
-    degs = [0] * (h.n + 1)
-    pair: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        vs = [v for v in range(1, h.n + 1) if e >> (v - 1) & 1]
-        for v in vs:
-            degs[v] += 1
-        for a, b in combinations(vs, 2):
-            pair[(a, b)] = pair.get((a, b), 0) + 1
-    return (
-        h.n,
-        h.r,
-        len(h),
-        tuple(sorted(degs[1:])),
-        tuple(sorted(pair.values())),
-    )
+# -- canonical form ----------------------------------------------------------
 
 
 def _transposition_fixes(masks: frozenset[int], a: int, b: int) -> bool:
@@ -114,6 +99,21 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
     return _canonical_masks(h.n, h.r, h.edges)
 
 
+# the canonical search's transposition state: the mask set, and for each
+# vertex the bitsets of equal-degree partners not yet decided and of
+# partners whose swap is an automorphism
+_Swaps = tuple[frozenset[int], list[int], list[int]]
+
+
+@lru_cache(maxsize=32)
+def _fill_table(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """fills[depth][d]: the d lowest labels from depth on, as a mask."""
+    return tuple(
+        tuple(((1 << d) - 1) << depth for d in range(r + 1))
+        for depth in range(n + 1)
+    )
+
+
 def _canonical_masks(
     n: int, r: int, edges, bound: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
@@ -124,24 +124,26 @@ def _canonical_masks(
     returns; None means no relabeling lies below the bound.  Run with
     the family's own sorted masks as the bound, this is the canonicity
     test: None exactly when the masks are their own canonical form.
+
+    One pass over the set bits builds inc[v], the indices of the masks
+    through v, so a child touches only the masks of its vertex.  A node
+    reads its lower bounds from the fill table and prunes on one list
+    comparison with the best tuple.  Without a bound the best tuple
+    starts as [1 << n], above every tuple of masks on [n].
     """
     masks = list(edges)
     m = len(masks)
-    mask_set = frozenset(masks)
-
-    degs = [0] * (n + 1)
-    for e in masks:
-        for v in range(1, n + 1):
-            if e >> (v - 1) & 1:
-                degs[v] += 1
-    # heuristic candidate order: busy vertices first so small labels land
-    # on them and the partial masks shrink early
-    base_order = sorted(range(1, n + 1), key=lambda v: (-degs[v], v))
-    rows = [0] * (n + 1)
+    inc: list[list[int]] = [[] for _ in range(n + 1)]
     for j, e in enumerate(masks):
-        for v in range(1, n + 1):
-            if e >> (v - 1) & 1:
-                rows[v] |= 1 << j
+        while e:
+            low = e & -e
+            inc[low.bit_length()].append(j)
+            e ^= low
+    degs = [len(ids) for ids in inc]
+    # heuristic candidate order: busy vertices first so small labels land
+    # on them and the partial masks shrink early; the sort is stable, so
+    # equal degrees keep ascending labels
+    order = sorted(range(1, n + 1), key=degs.__getitem__, reverse=True)
     # vertex pairs whose swap is an automorphism, so sibling branches that
     # only differ by such a swap are explored once; a pair of equal degree
     # is decided when the search first asks about it, then memoized
@@ -149,82 +151,93 @@ def _canonical_masks(
     for v in range(1, n + 1):
         by_deg[degs[v]] = by_deg.get(degs[v], 0) | 1 << v
     undecided = [by_deg.get(d, 0) & ~(1 << v) for v, d in enumerate(degs)]
-    swap_ok = [0] * (n + 1)
-
-    def decide(v: int, todo: int) -> bool:
-        """Decide the pairs (v, u), u in todo, until one swap is an
-        automorphism."""
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            u = low.bit_length() - 1
-            undecided[v] ^= low
-            undecided[u] ^= 1 << v
-            if _transposition_fixes(mask_set, u, v):
-                swap_ok[v] |= low
-                swap_ok[u] |= 1 << v
-                return True
-        return False
-
-    best = None if bound is None else list(bound)
-    placed = [False] * (n + 1)
-    fill = [(1 << d) - 1 for d in range(r + 1)]
-
-    def rec(depth: int, partial: list[int], defs: list[int]) -> bool:
-        """Search below this node; True ends the whole search."""
-        nonlocal best
-        # tightest completion of each edge packs its remaining vertices
-        # onto the lowest unassigned labels; the true finals dominate
-        # these bounds pointwise, so their order statistics do too
-        lbs = sorted(
-            pm | (fill[d] << depth) for pm, d in zip(partial, defs)
-        )
-        if best is not None:
-            for got, ref in zip(lbs, best):
-                if got < ref:
-                    break
-                if got > ref:
-                    return False
-            else:
-                # a tie completes to nothing strictly below best
-                return False
-        if depth == n:
-            best = lbs
-            return bound is not None
-        bit = 1 << depth
-        tried = 0
-        for v in base_order:
-            if placed[v]:
-                continue
-            if swap_ok[v] & tried:
-                continue
-            todo = tried & undecided[v]
-            if todo and decide(v, todo):
-                continue
-            tried |= 1 << v
-            row = rows[v]
-            if row:
-                nxt = list(partial)
-                nds = list(defs)
-                j = 0
-                while row:
-                    if row & 1:
-                        nxt[j] |= bit
-                        nds[j] -= 1
-                    row >>= 1
-                    j += 1
-            else:
-                nxt, nds = partial, defs
-            placed[v] = True
-            if rec(depth + 1, nxt, nds):
-                return True
-            placed[v] = False
-        return False
-
-    found = rec(0, [0] * m, [r] * m)
+    swaps = (frozenset(masks), undecided, [0] * (n + 1))
+    best = [1 << n] if bound is None else list(bound)
+    found = _search(
+        0, [0] * m, [r] * m, best, bound is not None,
+        n, order, inc, [False] * (n + 1), _fill_table(n, r), swaps,
+    )
     if bound is not None and not found:
         return None
     return tuple(best)
+
+
+def _decide_swap(swaps: _Swaps, v: int, todo: int) -> bool:
+    """Decide the pairs (v, u), u in todo, until one swap is an
+    automorphism, and record each decision in swaps."""
+    mask_set, undecided, swap_ok = swaps
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        undecided[v] ^= low
+        undecided[u] ^= 1 << v
+        if _transposition_fixes(mask_set, u, v):
+            swap_ok[v] |= low
+            swap_ok[u] |= 1 << v
+            return True
+    return False
+
+
+def _search(
+    depth: int,
+    partial: list[int],
+    defs: list[int],
+    best: list[int],
+    stop: bool,
+    n: int,
+    order: list[int],
+    inc: list[list[int]],
+    placed: list[bool],
+    fills: tuple[tuple[int, ...], ...],
+    swaps: _Swaps,
+) -> bool:
+    """One node of ``_canonical_masks``, with labels 1..depth assigned:
+    partial[j] holds the labels mask j has so far and defs[j] how many
+    it still lacks.  A leaf below best replaces it in place; True ends
+    the whole search, at the first such leaf when stop is set.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep the call's state alive until
+    the next full garbage collection.
+    """
+    # tightest completion of each mask packs its remaining vertices onto
+    # the lowest unassigned labels; the true finals dominate these bounds
+    # pointwise, so their order statistics do too, and a branch whose
+    # bounds reach best (a tie included) completes to nothing below it
+    fill = fills[depth]
+    lbs = sorted([pm | fill[d] for pm, d in zip(partial, defs)])
+    if lbs >= best:
+        return False
+    if depth == n:
+        best[:] = lbs
+        return stop
+    bit = 1 << depth
+    undecided, swap_ok = swaps[1], swaps[2]
+    tried = 0
+    for v in order:
+        if placed[v] or swap_ok[v] & tried:
+            continue
+        todo = tried & undecided[v]
+        if todo and _decide_swap(swaps, v, todo):
+            continue
+        tried |= 1 << v
+        ids = inc[v]
+        if ids:
+            nxt = partial.copy()
+            nds = defs.copy()
+            for j in ids:
+                nxt[j] |= bit
+                nds[j] -= 1
+        else:
+            nxt, nds = partial, defs
+        placed[v] = True
+        if _search(
+            depth + 1, nxt, nds, best, stop, n, order, inc, placed, fills, swaps
+        ):
+            return True
+        placed[v] = False
+    return False
 
 
 # -- filters ----------------------------------------------------------------
@@ -328,27 +341,44 @@ def _maximal_classes(n: int, r: int) -> list[Hypergraph]:
                 nbr[j] |= 1 << i
 
     out: list[tuple[int, ...]] = []
-
-    def expand(rset: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            clique = tuple(pool[i] for i in _bits(rset))
-            if _canonical_masks(n, r, clique, clique) is None:
-                out.append(clique)
-            return
-        pivot = max(_bits(p | x), key=lambda u: (p & nbr[u]).bit_count())
-        rest = p & ~nbr[pivot]
-        for v in _bits(rest):
-            vb = 1 << v
-            expand(rset | vb, p & nbr[v], x & nbr[v])
-            p &= ~vb
-            x |= vb
-
     if k:
-        expand(1, nbr[0], 0)
+        _expand(n, r, pool, nbr, out, 1, nbr[0], 0)
     else:
         out.append(())
     out.sort(key=lambda c: (len(c), c))
     return [Hypergraph.from_masks(n, r, c) for c in out]
+
+
+def _expand(
+    n: int,
+    r: int,
+    pool: list[int],
+    nbr: list[int],
+    out: list[tuple[int, ...]],
+    rset: int,
+    p: int,
+    x: int,
+) -> None:
+    """One Bron-Kerbosch node of ``_maximal_classes``: the clique rset,
+    candidates p and excluded x as index bitsets.  Appends each maximal
+    clique below it that passes the canonicity test to out.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep the sweep's state alive until
+    the next full garbage collection.
+    """
+    if p == 0 and x == 0:
+        clique = tuple(pool[i] for i in _bits(rset))
+        if _canonical_masks(n, r, clique, clique) is None:
+            out.append(clique)
+        return
+    pivot = max(_bits(p | x), key=lambda u: (p & nbr[u]).bit_count())
+    rest = p & ~nbr[pivot]
+    for v in _bits(rest):
+        vb = 1 << v
+        _expand(n, r, pool, nbr, out, rset | vb, p & nbr[v], x & nbr[v])
+        p &= ~vb
+        x |= vb
 
 
 # -- public entry point -----------------------------------------------------
@@ -365,12 +395,19 @@ def enumerate_intersecting(
 
     Representatives are rebuilt from their canonical masks and arrive in
     a deterministic order: ascending edge count, then canonical form.
-    Raises ValueError when n exceeds the ceiling, when the filter is
-    inconsistent, or when the filter leaves a search space too large to
-    sweep (no tau_le <= 2 and no maximal_only on a big pool).
+    Raises TypeError when n or r is not an int (a bool is refused) or f
+    is not an EnumerationFilter, and ValueError when n exceeds the
+    ceiling, when the filter is inconsistent, or when the filter leaves
+    a search space too large to sweep (no tau_le <= 2 and no
+    maximal_only on a big pool).
     """
+    for name, v in (("n", n), ("r", r)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{name} must be an int, got {v!r}")
     if f is None:
         f = EnumerationFilter()
+    elif not isinstance(f, EnumerationFilter):
+        raise TypeError(f"f must be an EnumerationFilter, got {type(f).__name__}")
     f.validate()
     if n < 1 or r < 1:
         raise ValueError(f"need positive n and r, got n={n}, r={r}")

@@ -43,7 +43,6 @@ __all__ = [
     "matching_number",
     "cover_number",
     "delete_vertices",
-    "link_graph",
 ]
 
 
@@ -425,10 +424,3 @@ def delete_vertices(h: Hypergraph, zs: Iterable[int]) -> Hypergraph:
     relabeled = [mask_of(new_of[v] for v in vertices_of(e)) for e in kept]
     return Hypergraph.from_masks(len(old_labels), h.r, relabeled)
 
-
-def link_graph(h: Hypergraph, v: int) -> SetFamily:
-    """The (r-1)-sets e - v over edges e containing v, on the same ground set."""
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex {v} not in ground set [{h.n}]")
-    bit = 1 << (v - 1)
-    return SetFamily.from_masks(h.n, (e ^ bit for e in h.edges if e & bit))

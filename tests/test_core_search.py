@@ -31,7 +31,7 @@ from ifam.hypergraph import (
 )
 from ifam.kernel import b_star, paper_r, paper_rs
 from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _sunflower_exists, find_sunflower
-from ifam.verify import _random_greedy, _random_star_noise, _random_structured
+from ifam.verify import _random_greedy, _random_star_noise, _random_structured, verify
 
 
 def oracle_candidates(h, scheme):
@@ -273,6 +273,20 @@ def test_the_core_walk_and_the_packing_engine_leave_no_cyclic_garbage():
             find_sunflower(h, 3)
             matching_number(h)
             pack_exists(h.edges, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_sweeps_leave_no_cyclic_garbage():
+    # The canonicity test, the maximal-clique search and the schema
+    # embedding search recurse through module-level functions: a closure
+    # that calls itself is a reference cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify("TH4_MAIN", n=6).passed
+        assert verify("FOLK", max_support=7).passed
         assert gc.collect() == 0
     finally:
         gc.enable()

