@@ -44,10 +44,19 @@ at or above the best tuple, and an automorphism skip drops only a
 subtree whose leaves repeat those of a sibling already searched.
 
 Maximal families are not hereditary, so they come from pivoted
-Bron-Kerbosch over the edge compatibility graph instead.  A nonempty
-canonical form starts with the least r-set mask, {1..r}, so the search
-lists only the maximal cliques through that edge and keeps those whose
-sorted masks pass the canonicity test: one per class.
+Bron-Kerbosch over the edge compatibility graph, seeded by orderly
+generation.  A clique's sorted prefix of d masks is unique, and the
+prefix of a canonical clique is canonical: it is reached by dropping
+largest masks, and the parent argument holds at each step.  So the
+seeds are the canonical intersecting tuples of d edges.  From a seed T
+the search adds only edges above T's last mask, so each clique is built
+once, from its own prefix; the edges that meet all of T below its last
+mask start in the excluded set X, so a clique is reported only when no
+edge at all extends it.  A canonical tuple of fewer than d edges that
+no edge extends is a maximal class as it is.  Each reported clique
+still gets the canonicity test, which keeps one per class.  With d = 1
+the only seed is {1..r}, the least r-set mask, which starts every
+nonempty canonical form: Bron-Kerbosch through that edge alone.
 
 Output order is deterministic: ascending edge count, then canonical
 form, with each representative rebuilt from its canonical masks.
@@ -255,8 +264,14 @@ class EnumerationFilter:
     maximal_only: bool = False
 
     def validate(self) -> None:
+        for name in ("intersecting", "maximal_only"):
+            v = getattr(self, name)
+            if not isinstance(v, bool):
+                raise TypeError(f"{name} must be a bool, got {v!r}")
         for name in ("tau_le", "tau_ge", "min_edges", "max_edges"):
             v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                raise TypeError(f"{name} must be an int or None, got {v!r}")
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
         if (
@@ -326,12 +341,30 @@ def _orderly(n: int, r: int, keep) -> list[Hypergraph]:
     return out
 
 
+# Length of the canonical prefixes that seed the maximal sweep.  Seconds
+# for the maximal (n, 3) sweep by depth 1 to 6, best of three, 2 vCPUs:
+#   n = 7:  0.140  0.055  0.043  0.038  0.051  0.089
+#   n = 10: 1.370  0.360  0.261  0.187  0.176  0.244
+# Deeper, the orderly levels cost more than the cliques they save.
+_SEED_DEPTH = 4
+
+
 def _maximal_classes(n: int, r: int) -> list[Hypergraph]:
     """Maximal intersecting families, one per class, ordered as in
     _orderly: the canonical maximal cliques of the edge compatibility
-    graph, all of which contain pool[0] = {1..r}, found by pivoted
-    Bron-Kerbosch over index bitsets started from that edge."""
+    graph, found by pivoted Bron-Kerbosch over index bitsets.
+
+    Each canonical intersecting tuple T of _SEED_DEPTH edges, listed by
+    _orderly, seeds one search: clique T, candidates the edges meeting
+    all of T above its last mask, excluded the ones below it.  So each
+    clique maximal in the whole graph is reported from its own sorted
+    prefix, once.  A shorter tuple that no edge extends is maximal as it
+    is.  With depth 1 the only seed is {1..r}, the edge that starts
+    every nonempty canonical form.  The module docstring says why every
+    class is reached.
+    """
     pool = _edge_pool(n, r)
+    index = {e: i for i, e in enumerate(pool)}
     k = len(pool)
     nbr = [0] * k
     for i in range(k):
@@ -341,10 +374,21 @@ def _maximal_classes(n: int, r: int) -> list[Hypergraph]:
                 nbr[j] |= 1 << i
 
     out: list[tuple[int, ...]] = []
-    if k:
-        _expand(n, r, pool, nbr, out, 1, nbr[0], 0)
-    else:
-        out.append(())
+    prefixes = _orderly(
+        n, r, lambda fam, e: len(fam) < _SEED_DEPTH and all(e & g for g in fam)
+    )
+    for h in prefixes:
+        # rset: the prefix as index bits; common: the edges meeting all of it
+        rset, common = 0, (1 << k) - 1
+        for e in h.edges:
+            rset |= 1 << index[e]
+            common &= nbr[index[e]]
+        if len(h.edges) < _SEED_DEPTH:
+            if common == 0:
+                out.append(h.edges)
+        else:
+            above = -1 << rset.bit_length()
+            _expand(n, r, pool, nbr, out, rset, common & above, common & ~above)
     out.sort(key=lambda c: (len(c), c))
     return [Hypergraph.from_masks(n, r, c) for c in out]
 
@@ -395,8 +439,9 @@ def enumerate_intersecting(
 
     Representatives are rebuilt from their canonical masks and arrive in
     a deterministic order: ascending edge count, then canonical form.
-    Raises TypeError when n or r is not an int (a bool is refused) or f
-    is not an EnumerationFilter, and ValueError when n exceeds the
+    Raises TypeError when n or r is not an int (a bool is refused), when
+    f is not an EnumerationFilter, or when a bound of f is not an int or
+    None or a flag of f is not a bool, and ValueError when n exceeds the
     ceiling, when the filter is inconsistent, or when the filter leaves
     a search space too large to sweep (no tau_le <= 2 and no
     maximal_only on a big pool).

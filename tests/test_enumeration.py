@@ -9,7 +9,9 @@ classes of intersecting 3-graphs with cover number at most two, the sum
 of n!/|Aut| must equal the labelled count, with both |Aut| and the count
 found without canonical forms.  The orderly generator and the canonical
 Bron-Kerbosch filter reach each class once; these oracles skip no
-labeled family.
+labeled family.  The maximal sweep seeded with canonical prefixes is
+also checked against the one it replaced, Bron-Kerbosch through {1..r}
+alone, over a grid of (n, r).
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ import ifam.enumeration
 from ifam.enumeration import (
     EnumerationFilter,
     _canonical_masks,
+    _edge_pool,
     canonical_form,
     enumerate_intersecting,
 )
 from ifam.hypergraph import (
     Hypergraph,
+    _bits,
     cover_number,
     is_intersecting,
     mask_of,
@@ -446,6 +450,76 @@ def test_maximal_families_are_maximal():
             assert not all(e & g for g in edges), "extendable family reported maximal"
 
 
+def anchored_maximal_classes(n, r):
+    """The maximal sweep before prefix seeding: Bron-Kerbosch through
+    {1..r} alone, one canonicity test per maximal clique through it."""
+    pool = _edge_pool(n, r)
+    k = len(pool)
+    nbr = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if pool[i] & pool[j]:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    out = []
+    if k:
+        anchored_expand(n, r, pool, nbr, out, 1, nbr[0], 0)
+    else:
+        out.append(())
+    out.sort(key=lambda c: (len(c), c))
+    return [Hypergraph.from_masks(n, r, c) for c in out]
+
+
+def anchored_expand(n, r, pool, nbr, out, rset, p, x):
+    if p == 0 and x == 0:
+        clique = tuple(pool[i] for i in _bits(rset))
+        if _canonical_masks(n, r, clique, clique) is None:
+            out.append(clique)
+        return
+    pivot = max(_bits(p | x), key=lambda u: (p & nbr[u]).bit_count())
+    rest = p & ~nbr[pivot]
+    for v in _bits(rest):
+        vb = 1 << v
+        anchored_expand(n, r, pool, nbr, out, rset | vb, p & nbr[v], x & nbr[v])
+        p &= ~vb
+        x |= vb
+
+
+_ANCHORED_GRID = [
+    (n, r)
+    for r, top in ((1, 5), (2, 10), (3, 9), (4, 7), (5, 8))
+    for n in range(r, top + 1)
+]
+
+
+@pytest.mark.parametrize("bounds", [{}, {"tau_ge": 3}], ids=["all", "tau_ge3"])
+@pytest.mark.parametrize("n, r", _ANCHORED_GRID)
+def test_prefix_seeded_maximal_sweep_matches_the_anchored_one(n, r, bounds):
+    f = EnumerationFilter(maximal_only=True, **bounds)
+    got = enumerate_intersecting(n, r, f, ceiling=n)
+    admit = EnumerationFilter(intersecting=False, **bounds).admits
+    want = [h for h in anchored_maximal_classes(n, r) if admit(h)]
+    assert got == want
+
+
+def test_maximal_sweep_tests_only_seeds_and_their_cliques(monkeypatch):
+    # seeding Bron-Kerbosch with the canonical 4-edge prefixes skips the
+    # cliques whose prefix is not canonical; through {1..3} alone the
+    # sweep made 1,860 canonicity tests, one per maximal clique
+    calls = 0
+    real = ifam.enumeration._canonical_masks
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(ifam.enumeration, "_canonical_masks", counting)
+    fams = enumerate_intersecting(7, 3, EnumerationFilter(maximal_only=True))
+    assert class_list_digest(fams) == "e7bede545cdd49a1"
+    assert calls == 451
+
+
 # -- golden class lists -----------------------------------------------------
 
 
@@ -494,7 +568,9 @@ def test_sweeps_run_no_full_canonical_search(monkeypatch, n, f, classes):
 
 def test_canonicity_test_decides_swaps_on_first_use(monkeypatch):
     # the transposition skip asks only about pairs the search reaches; a
-    # table of every degree-equal pair made 9,840 calls on this sweep
+    # table of every degree-equal pair made 9,840 calls on this sweep, and
+    # the sweep through {1..3} alone made 312 (most of its tests now run
+    # on small, symmetric seed prefixes)
     calls = 0
     real = ifam.enumeration._transposition_fixes
 
@@ -507,7 +583,7 @@ def test_canonicity_test_decides_swaps_on_first_use(monkeypatch):
     fams = enumerate_intersecting(7, 3, EnumerationFilter(tau_ge=3, maximal_only=True))
     assert len(fams) == 8
     assert class_list_digest(fams) == "b5223c1bcbe65fb5"
-    assert calls == 312
+    assert calls == 408
 
 
 def test_orderly_sweep_rechecks_only_the_lower_bounds(monkeypatch):
@@ -581,6 +657,21 @@ def test_filter_validation():
         enumerate_intersecting(5, 3, EnumerationFilter(maximal_only=True, intersecting=False))
     with pytest.raises(ValueError):
         enumerate_intersecting(5, 3, EnumerationFilter(tau_le=-1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("maximal_only", "no"),
+        ("intersecting", 1),
+        ("tau_le", True),
+        ("max_edges", 2.5),
+        ("tau_le", "2"),
+    ],
+)
+def test_filter_fields_of_the_wrong_type_are_refused(field, value):
+    with pytest.raises(TypeError, match=field):
+        enumerate_intersecting(5, 3, EnumerationFilter(**{field: value}))
 
 
 def test_a_filter_that_is_not_an_enumeration_filter_is_refused():
