@@ -2,9 +2,12 @@
 
 ``import ifam`` loads only ``hypergraph`` (bitmask families, covers,
 matchings) and ``verify`` (with ``constructions``, which its statement
-tables need).  Every other public name is resolved on first access,
-which imports its submodule and caches the value here, so a caller pays
-only for the modules it uses.  ``from ifam import *`` loads them all.
+tables need), and binds the package names those two define.  Every
+other public name is listed once, in the table behind ``_LAZY``, under
+the submodule that defines it; the table also yields ``__all__``.  Such
+a name is resolved on first access, which imports its submodule and
+caches the value here, so a caller pays only for the modules it uses.
+``from ifam import *`` loads them all.
 
 ``verify`` stays eager because the submodule ``ifam.verify`` shares the
 function's name: importing that submodule after the package would set
@@ -28,29 +31,33 @@ from .verify import STATEMENTS, VerificationReport, verify
 
 __version__ = "0.1.0"
 
+# The public names not bound above, each under the submodule that defines
+# it.  ``_LAZY`` maps each name to its submodule; ``__all__`` adds them to
+# the eager names.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("classifier", ("Embedding", "Verdict", "VerdictKind", "classify",
+                        "classify_3graph", "classify_rgraph", "decompose_matching",
+                        "decompose_th4prime", "embed", "embedding_is_valid")),
+        ("constructions", ("ConstructionError", "ConstructionId", "ConstructionParams",
+                           "build_construction", "layout_table", "size_formula",
+                           "special_vertices", "validate_construction_params")),
+        ("enumeration", ("DEFAULT_CEILING", "EnumerationFilter", "canonical_form",
+                         "enumerate_intersecting")),
+        ("io", ("ParseError", "hypergraph_from_json", "hypergraph_to_json",
+                "parse_hypergraph", "parse_set_family", "serialize_hypergraph",
+                "serialize_set_family", "set_family_from_json", "set_family_to_json")),
+        ("kernel", ("KernelDecomposition", "ThresholdScheme", "b_kernel", "b_star",
+                    "kernel_bound", "kernel_invariant_violations", "paper_r", "paper_rs",
+                    "reduce_to_3graph")),
+        ("sunflower", ("Sunflower", "er_bound", "find_sunflower",
+                       "find_sunflower_with_core")),
+    )
+    for name in names
+}
+
 __all__ = [
-    "Embedding",
-    "Verdict",
-    "VerdictKind",
-    "classify",
-    "classify_3graph",
-    "classify_rgraph",
-    "decompose_matching",
-    "decompose_th4prime",
-    "embed",
-    "embedding_is_valid",
-    "ConstructionError",
-    "ConstructionId",
-    "ConstructionParams",
-    "build_construction",
-    "layout_table",
-    "size_formula",
-    "special_vertices",
-    "validate_construction_params",
-    "DEFAULT_CEILING",
-    "EnumerationFilter",
-    "canonical_form",
-    "enumerate_intersecting",
     "Hypergraph",
     "SetFamily",
     "cover_number",
@@ -60,63 +67,11 @@ __all__ = [
     "matching_number",
     "min_cover",
     "vertices_of",
-    "ParseError",
-    "hypergraph_from_json",
-    "hypergraph_to_json",
-    "parse_hypergraph",
-    "parse_set_family",
-    "serialize_hypergraph",
-    "serialize_set_family",
-    "set_family_from_json",
-    "set_family_to_json",
-    "KernelDecomposition",
-    "ThresholdScheme",
-    "b_kernel",
-    "b_star",
-    "kernel_bound",
-    "kernel_invariant_violations",
-    "paper_r",
-    "paper_rs",
-    "reduce_to_3graph",
-    "Sunflower",
-    "er_bound",
-    "find_sunflower",
-    "find_sunflower_with_core",
     "STATEMENTS",
     "VerificationReport",
     "verify",
+    *_LAZY,
 ]
-
-# Public name -> the submodule that defines it, for the names not bound above.
-_LAZY = {
-    **dict.fromkeys(
-        ("Embedding", "Verdict", "VerdictKind", "classify", "classify_3graph",
-         "classify_rgraph", "decompose_matching", "decompose_th4prime", "embed",
-         "embedding_is_valid"),
-        "classifier"),
-    **dict.fromkeys(
-        ("ConstructionError", "ConstructionId", "ConstructionParams",
-         "build_construction", "layout_table", "size_formula", "special_vertices",
-         "validate_construction_params"),
-        "constructions"),
-    **dict.fromkeys(
-        ("DEFAULT_CEILING", "EnumerationFilter", "canonical_form",
-         "enumerate_intersecting"),
-        "enumeration"),
-    **dict.fromkeys(
-        ("ParseError", "hypergraph_from_json", "hypergraph_to_json",
-         "parse_hypergraph", "parse_set_family", "serialize_hypergraph",
-         "serialize_set_family", "set_family_from_json", "set_family_to_json"),
-        "io"),
-    **dict.fromkeys(
-        ("KernelDecomposition", "ThresholdScheme", "b_kernel", "b_star",
-         "kernel_bound", "kernel_invariant_violations", "paper_r", "paper_rs",
-         "reduce_to_3graph"),
-        "kernel"),
-    **dict.fromkeys(
-        ("Sunflower", "er_bound", "find_sunflower", "find_sunflower_with_core"),
-        "sunflower"),
-}
 
 
 def __getattr__(name: str):

@@ -225,24 +225,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# the keyword parameters of ``verify``, each set by the flag of its name
+_VERIFY_PARAMS = ("n", "max_support", "ceiling", "count", "seed", "n_max", "r_values")
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify
 
-    kwargs: dict[str, Any] = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.max_support is not None:
-        kwargs["max_support"] = args.max_support
-    if args.ceiling is not None:
-        kwargs["ceiling"] = args.ceiling
-    if args.count is not None:
-        kwargs["count"] = args.count
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
-    if args.r_values is not None:
-        kwargs["r_values"] = tuple(int(tok) for tok in args.r_values.split(","))
+    kwargs = {k: getattr(args, k) for k in _VERIFY_PARAMS if getattr(args, k) is not None}
     try:
         rep = verify(args.statement, **kwargs)
     except TypeError as exc:
@@ -328,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--r-values", help="comma-separated, e.g. 3,4,5")
+    p.add_argument("--r-values", type=_int_tuple, help="comma-separated, e.g. 3,4,5")
     p.add_argument("--json-report", help="write the full report to this file")
     p.set_defaults(func=_cmd_verify)
 

@@ -12,10 +12,11 @@ members is the intersection of two of them, so candidate cores are the
 empty set plus either every nonempty set that at least k members
 contain (for families of small sets) or all distinct pairwise
 intersections; each candidate is settled by the exact packing engine
-on the residues.  Both phases work on per-vertex incidence rows, bit
-j of a row marking member j: the members containing T are the AND of
-its vertices' rows, and the engine reads a residue's clashes from the
-rows of its vertices outside T, so no residue is built.  The first
+on the residues.  Both phases work on the same per-vertex incidence
+rows, built once per call, bit j of a row marking member j: the members
+containing T are the AND of its vertices' rows, and the engine reads a
+residue's clashes from the rows of its vertices outside T, so no
+residue is built.  The first
 kind of core comes from ``_heavy_cores``, a depth-first walk over cores
 in increasing vertex order whose branch ends once fewer than k members
 remain, since every extension of T lies in a subset of them.  Only when
@@ -26,9 +27,10 @@ both residues, and the packing engine completes the collection with
 the least of them.  The first completion is the lexicographically least
 witness, which makes the output deterministic.
 
-``er_bound(k, i)`` returns k^i * i!, a family size at which i-uniform
-families are guaranteed to contain a k-sunflower.  It is used by the
-kernelization thresholds; no attempt is made at sharper constants.
+``er_bound(k, i)`` returns k^i * i!, the Erdos-Rado size at which
+i-uniform families are guaranteed to contain a k-sunflower.  It is a
+public reference value that no search here reads; no attempt is made
+at sharper constants.
 """
 
 from __future__ import annotations
@@ -154,17 +156,15 @@ def _through(rows: Sequence[int], core: int, carriers: int) -> int:
     return carriers
 
 
-def _sunflower_exists(masks: list[int], k: int) -> bool:
-    """Complete existence test over all candidate cores."""
-    if len(masks) < k:
-        return False
-    rows = _incidence_rows(masks)
-    everyone = (1 << len(masks)) - 1
-    sizes = [m.bit_count() for m in masks]
-    least = min(sizes)
+def _sunflower_exists(
+    masks: list[int], rows: list[int], everyone: int, k: int, least: int
+) -> bool:
+    """Complete existence test over all candidate cores of the at least k
+    members ``masks``: ``rows`` are their incidence rows, ``everyone``
+    has a bit for each, and ``least`` is the least member size."""
     if _pack_rows(masks, rows, everyone, k, 0, least) is not None:
         return True  # empty core
-    if max(sizes) <= _SUBSET_CAP:
+    if max(m.bit_count() for m in masks) <= _SUBSET_CAP:
         # a core can be a whole member: in mixed-size families it may be
         # contained in all the others
         cores = _heavy_cores(rows, everyone, lambda size: k)
@@ -190,11 +190,13 @@ def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
         raise ValueError("find_sunflower requires k >= 2")
     members = _tuple_sorted(_members(family))
     m = len(members)
-    if not _sunflower_exists(members, k):
+    if m < k:
         return None
     rows = _incidence_rows(members)
     everyone = (1 << m) - 1
     least = min(mb.bit_count() for mb in members)
+    if not _sunflower_exists(members, rows, everyone, k, least):
+        return None
     for i0 in range(m - k + 1):
         e0 = members[i0]
         for i1 in range(i0 + 1, m - k + 2):

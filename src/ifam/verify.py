@@ -72,7 +72,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -121,15 +122,7 @@ class VerificationReport:
             raise ValueError("a failing report must record a counterexample")
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "statement": self.statement,
-            "params": dict(self.params),
-            "passed": self.passed,
-            "checked": self.checked,
-            "witnesses": [dict(w) for w in self.witnesses],
-            "counterexamples": [dict(c) for c in self.counterexamples],
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         word = "PASS" if self.passed else "FAIL"
@@ -221,16 +214,6 @@ def _verify_folk(
 
 # -- TH4 family of checks ---------------------------------------------------
 
-_FIRST_FOUR = frozenset({0, 1, 2})
-
-
-def _verdict_in_first_four(v: Verdict) -> bool:
-    from .classifier import VerdictKind
-
-    if v.kind is VerdictKind.STAR:
-        return True
-    return v.kind is VerdictKind.H3 and v.i in _FIRST_FOUR
-
 
 def _require_n6(statement: str, n: int) -> None:
     # the seven templates, and the statements about them, need n >= 6
@@ -238,82 +221,67 @@ def _require_n6(statement: str, n: int) -> None:
         raise ValueError(f"{statement} is stated for n >= 6")
 
 
-def _tau2_classes(n: int, ceiling: int) -> list[tuple[Hypergraph, Verdict]]:
+def _th4_scope(
+    statement: str, n: int, ceiling: int | None, in_scope: Callable[[Hypergraph], bool]
+) -> tuple[dict[str, Any], list[Hypergraph], list[tuple[Hypergraph, Verdict]]]:
+    """The parameters, every tau <= 2 class on [n] with an edge, and the
+    classes in scope paired with their verdicts; only those are classified."""
     from .classifier import classify_3graph
     from .enumeration import EnumerationFilter, enumerate_intersecting
 
-    f = EnumerationFilter(tau_le=2, min_edges=1)
-    fams = enumerate_intersecting(n, 3, f, ceiling=ceiling)
-    return [(h, classify_3graph(h)) for h in fams]
+    ceiling = _resolve_ceiling(ceiling)
+    _require_n6(statement, n)
+    fams = enumerate_intersecting(n, 3, EnumerationFilter(tau_le=2, min_edges=1),
+                                  ceiling=ceiling)
+    scope = [(h, classify_3graph(h)) for h in fams if in_scope(h)]
+    return {"n": n, "ceiling": ceiling}, fams, scope
 
 
-def _verdict_histogram(pairs: list[tuple[Hypergraph, Verdict]]) -> list[dict[str, Any]]:
-    counts: dict[str, int] = {}
-    for _, v in pairs:
-        counts[v.describe()] = counts.get(v.describe(), 0) + 1
-    return [{"verdict": k, "classes": counts[k]} for k in sorted(counts)]
+def _refused(
+    scope: list[tuple[Hypergraph, Verdict]], h3_indices: range, reason: str
+) -> list[dict[str, Any]]:
+    """A counterexample for each class whose verdict is neither the star nor
+    H3(i) with i in ``h3_indices``."""
+    from .classifier import VerdictKind
+
+    return [
+        _family_record(h, verdict=v.describe(), reason=reason)
+        for h, v in scope
+        if v.kind is not VerdictKind.STAR
+        and not (v.kind is VerdictKind.H3 and v.i in h3_indices)
+    ]
 
 
 def _verify_th4_main(
     n: int = 6, ceiling: int | None = None
 ) -> _Outcome:
-    from .classifier import VerdictKind
-
-    ceiling = _resolve_ceiling(ceiling)
-    params = {"n": n, "ceiling": ceiling}
-    _require_n6("TH4_MAIN", n)
-    pairs = _tau2_classes(n, ceiling)
-    counterexamples = [
-        _family_record(h, verdict=v.describe(),
-                       reason="no containing template among the seven")
-        for h, v in pairs
-        if v.kind not in (VerdictKind.STAR, VerdictKind.H3)
-    ]
-    return params, len(pairs), _verdict_histogram(pairs), counterexamples
+    params, _, scope = _th4_scope("TH4_MAIN", n, ceiling, lambda h: True)
+    counts = Counter(v.describe() for _, v in scope)
+    histogram = [{"verdict": k, "classes": c} for k, c in sorted(counts.items())]
+    return params, len(scope), histogram, _refused(
+        scope, range(6), "no containing template among the seven")
 
 
 def _verify_th4_a(
     n: int = 7, ceiling: int | None = None
 ) -> _Outcome:
-    from .classifier import VerdictKind
-
-    ceiling = _resolve_ceiling(ceiling)
-    params = {"n": n, "ceiling": ceiling}
-    _require_n6("TH4_A", n)
-    pairs = _tau2_classes(n, ceiling)
-    scope = [(h, v) for h, v in pairs if len(h) >= 11]
-    counterexamples = [
-        _family_record(h, verdict=v.describe(),
-                       reason="at least eleven edges but not inside any of "
-                              "the seven templates")
-        for h, v in scope
-        if v.kind not in (VerdictKind.STAR, VerdictKind.H3)
-    ]
-    max_size = max((len(h) for h, _ in pairs), default=0)
+    params, fams, scope = _th4_scope("TH4_A", n, ceiling, lambda h: len(h) >= 11)
     witnesses = [{
         "families_in_scope": len(scope),
-        "largest_family": max_size,
+        "largest_family": max((len(h) for h in fams), default=0),
         "note": "scope is empty, statement vacuous at this n" if not scope else
                 "scope checked exhaustively",
     }]
-    return params, len(scope), witnesses, counterexamples
+    return params, len(scope), witnesses, _refused(
+        scope, range(6), "at least eleven edges but not inside any of the seven templates")
 
 
 def _verify_th4_b(
     n: int = 7, ceiling: int | None = None
 ) -> _Outcome:
-    ceiling = _resolve_ceiling(ceiling)
-    params = {"n": n, "ceiling": ceiling}
-    _require_n6("TH4_B", n)
-    pairs = _tau2_classes(n, ceiling)
-    scope = [(h, v) for h, v in pairs if len(h) > n + 4]
-    counterexamples = [
-        _family_record(h, verdict=v.describe(),
-                       reason="more than n + 4 edges but not inside the first "
-                              "four templates")
-        for h, v in scope
-        if not _verdict_in_first_four(v)
-    ]
+    params, _, scope = _th4_scope("TH4_B", n, ceiling, lambda h: len(h) > n + 4)
+    counterexamples = _refused(
+        scope, range(3), "more than n + 4 edges but not inside the first four templates")
     tail_sizes = {}
     for i in (3, 4, 5):
         built = build_construction(ConstructionId.H3FAM, ConstructionParams(n, 3, i=i))
@@ -362,7 +330,7 @@ def _verify_lemma_2edges(n: int = 7) -> _Outcome:
         for i in (0, 1, 2, 4)
     ]
     reps = _lemma_candidates(n)
-    hits: dict[str, int] = {}
+    hits: Counter[str] = Counter()
     counterexamples = []
     for h in reps:
         v = _first_fit(h, rungs)
@@ -372,8 +340,8 @@ def _verify_lemma_2edges(n: int = 7) -> _Outcome:
                 reason="a vertex deletion leaves at most two edges but no "
                        "template of the five contains the family"))
         else:
-            hits[v.describe()] = hits.get(v.describe(), 0) + 1
-    witnesses = [{"template": k, "classes": hits[k]} for k in sorted(hits)]
+            hits[v.describe()] += 1
+    witnesses = [{"template": k, "classes": c} for k, c in sorted(hits.items())]
     return params, len(reps), witnesses, counterexamples
 
 

@@ -196,6 +196,25 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "FOLK", "--count", "5")[0] == 2
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["FOLK", "--max-support", "5", "--ceiling", "5"], {"max_support": 5, "ceiling": 5}),
+    (["COUNTS", "--r-values", "3", "--n-max", "8"], {"r_values": [3], "n_max": 8}),
+    (["KERNEL_PROPS", "--count", "5", "--seed", "2"], {"count": 5, "seed": 2}),
+])
+def test_verify_flags_reach_the_report(capsys, tmp_path, argv, params):
+    target = str(tmp_path / "rep.json")
+    code, out, _ = run(capsys, "verify", *argv, "--json-report", target)
+    assert code == 0
+    assert f"{argv[0]}: PASS" in out
+    assert json.loads((tmp_path / "rep.json").read_text())["params"] == params
+
+
+def test_verify_refuses_a_flag_the_statement_does_not_take(capsys):
+    code, out, err = run(capsys, "verify", "LEMMA_2EDGES", "--ceiling", "9")
+    assert (code, out) == (2, "")
+    assert "parameter not accepted by LEMMA_2EDGES" in err
+
+
 @pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B", "LEMMA_2EDGES"])
 def test_verify_template_statements_refuse_n4(capsys, statement):
     code, _, err = run(capsys, "verify", statement, "--n", "4")

@@ -62,6 +62,15 @@ def oracle_b_star(h, scheme):
     return SetFamily.from_masks(h.n, cores)
 
 
+def sunflower_exists(masks, k):
+    """`_sunflower_exists` on the inputs `find_sunflower` builds for it."""
+    if len(masks) < k:
+        return False
+    everyone = (1 << len(masks)) - 1
+    least = min(m.bit_count() for m in masks)
+    return _sunflower_exists(masks, _incidence_rows(masks), everyone, k, least)
+
+
 def oracle_sunflower_exists(masks, k):
     if len(masks) < k:
         return False
@@ -98,7 +107,7 @@ def test_b_star_matches_oracle_on_kernel_props_families(gen, seed):
             assert b_star(h, scheme) == oracle_b_star(h, scheme), (h, scheme)
         masks = sorted(h.edges, key=vertices_of)
         for k in (2, 3, 5):
-            assert _sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
+            assert sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
 
 
 def dense_star(rng, r):
@@ -202,7 +211,7 @@ def test_mixed_size_families_with_empty_member_and_member_as_core():
         masks = sorted(fam.members, key=vertices_of)
         for k in (2, 3, 4):
             want = oracle_sunflower_exists(masks, k)
-            assert _sunflower_exists(masks, k) == want, (fam, k)
+            assert sunflower_exists(masks, k) == want, (fam, k)
             assert (find_sunflower(fam, k) is not None) == want
             hits += want
     assert hits > 0
@@ -215,7 +224,7 @@ def test_core_equal_to_a_member_is_found():
     fam = SetFamily.from_vertex_sets(6, [(1,), (1, 2), (1, 3), (1, 4)])
     masks = sorted(fam.members, key=vertices_of)
     assert not pack_exists(masks, 4)
-    assert _sunflower_exists(masks, 4)
+    assert sunflower_exists(masks, 4)
     assert oracle_sunflower_exists(masks, 4)
     assert find_sunflower(fam, 4).core == mask_of((1,))
 
@@ -230,10 +239,10 @@ def test_members_above_the_subset_cap_use_pairwise_intersections():
             members.add(mask_of((1, *rng.sample(range(2, n + 1), size - 1))))
         masks = sorted(members, key=vertices_of)
         for k in (2, 3):
-            assert _sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
+            assert sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
     big = [mask_of((1, *range(2 + 13 * i, 15 + 13 * i))) for i in range(3)]
     assert min(m.bit_count() for m in big) > _SUBSET_CAP
-    assert _sunflower_exists(big, 3) and oracle_sunflower_exists(big, 3)
+    assert sunflower_exists(big, 3) and oracle_sunflower_exists(big, 3)
 
 
 def test_heavy_cores_is_lazy_and_complete_for_constant_need():

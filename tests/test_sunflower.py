@@ -185,3 +185,15 @@ def test_er_guarantee_stress():
             continue
         f = SetFamily.from_vertex_sets(n, rng.sample(universe, bound))
         assert find_sunflower(f, k) is not None
+
+
+def test_find_sunflower_builds_its_incidence_rows_once(monkeypatch):
+    # the existence test and the witness scan share one set of rows
+    import ifam.sunflower as sunflower
+
+    calls = []
+    real = sunflower._incidence_rows
+    monkeypatch.setattr(sunflower, "_incidence_rows", lambda masks: calls.append(1) or real(masks))
+    fam = SetFamily.from_vertex_sets(7, [(1, 2), (1, 3), (1, 4), (2, 3), (5, 6)])
+    assert find_sunflower(fam, 3).core == mask_of((1,))
+    assert len(calls) == 1

@@ -1,8 +1,13 @@
 import hashlib
+import importlib
 
 import pytest
 
+from ifam import classifier, enumeration, kernel
+from ifam.classifier import Verdict, VerdictKind
+from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.enumeration import EnumerationFilter, canonical_form, enumerate_intersecting
+from ifam.hypergraph import Hypergraph
 from ifam.io import parse_hypergraph
 from ifam.verify import STATEMENTS, VerificationReport, _lemma_candidates, verify
 
@@ -81,6 +86,21 @@ def test_th4_b_default_scope_is_n7():
         "H3(4)": 11,
         "H3(5)": 11,
     }
+
+
+def test_th4_statements_classify_only_their_scope(monkeypatch):
+    # TH4_A and TH4_B sweep all 578 classes at n = 7 but classify only the
+    # 41 with at least 11 edges and the 16 with more than n + 4
+    calls = []
+    real = classifier.classify_3graph
+    monkeypatch.setattr(classifier, "classify_3graph",
+                        lambda h: calls.append(len(h)) or real(h))
+    counts = {}
+    for statement in ("TH4_MAIN", "TH4_A", "TH4_B"):
+        calls.clear()
+        assert verify(statement, n=7).passed
+        counts[statement] = len(calls)
+    assert counts == {"TH4_MAIN": 578, "TH4_A": 41, "TH4_B": 16}
 
 
 def test_th4_b_tail_sizes_at_n6():
@@ -212,3 +232,92 @@ def test_statement_list_is_exposed():
     assert STATEMENTS == (
         "FOLK", "TH4_MAIN", "TH4_A", "TH4_B", "LEMMA_2EDGES", "COUNTS", "KERNEL_PROPS"
     )
+
+
+# -- the failure paths ------------------------------------------------------
+#
+# Every statement passes on this code, so each test below breaks one engine
+# the statement relies on and checks that the report fails with replayable
+# counterexamples.
+
+VERIFY = importlib.import_module("ifam.verify")
+STAR7 = build_construction(ConstructionId.EM, ConstructionParams(7, 3, s=1))
+
+
+def refuse_the_star(real):
+    """``real`` with NONE for the class of the full star on [7] (15 edges)."""
+    key = canonical_form(STAR7)
+
+    def patched(h, *args):
+        if h.n == 7 and len(h) == len(STAR7) and canonical_form(h) == key:
+            return Verdict(VerdictKind.NONE)
+        return real(h, *args)
+
+    return patched
+
+
+def assert_replays_the_star(rep, *keys):
+    assert not rep.passed
+    assert len(rep.counterexamples) == 1
+    (record,) = rep.counterexamples
+    assert canonical_form(parse_hypergraph(record["hypergraph"])) == canonical_form(STAR7)
+    for key in ("reason", *keys):
+        assert record[key]
+    return record
+
+
+@pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B"])
+def test_th4_statements_report_a_refused_class(monkeypatch, statement):
+    monkeypatch.setattr(classifier, "classify_3graph",
+                        refuse_the_star(classifier.classify_3graph))
+    rep = verify(statement, n=7)
+    assert assert_replays_the_star(rep, "verdict")["verdict"] == "NONE"
+    if statement == "TH4_MAIN":
+        assert {w["verdict"]: w["classes"] for w in rep.witnesses}["NONE"] == 1
+
+
+def test_lemma_2edges_reports_a_refused_class(monkeypatch):
+    monkeypatch.setattr(classifier, "_first_fit", refuse_the_star(classifier._first_fit))
+    rep = verify("LEMMA_2EDGES", n=7)
+    assert assert_replays_the_star(rep, "tau")["tau"] == 1
+    assert sum(w["classes"] for w in rep.witnesses) == rep.checked - 1
+
+
+def test_folk_reports_an_oversized_family(monkeypatch):
+    real = enumeration.enumerate_intersecting
+    eleven = Hypergraph.from_masks(7, 3, STAR7.edges[:11])
+    monkeypatch.setattr(enumeration, "enumerate_intersecting",
+                        lambda *args, **kw: [*real(*args, **kw), eleven])
+    rep = verify("FOLK", max_support=7)
+    assert not rep.passed
+    reasons = [c["reason"] for c in rep.counterexamples]
+    assert reasons[0] == "more than ten edges with cover number >= 3"
+    assert "extremal size is 11" in reasons[1]
+    assert len(reasons) == 4
+    for record in rep.counterexamples:
+        assert len(parse_hypergraph(record["hypergraph"])) == record["edges"]
+
+
+def test_counts_reports_formula_and_spot_mismatches(monkeypatch):
+    real = VERIFY.size_formula
+    monkeypatch.setattr(VERIFY, "size_formula", lambda cid, p: real(cid, p) + 1)
+    monkeypatch.setattr(VERIFY, "_SPOT_VALUES", VERIFY._SPOT_VALUES[:1] + (
+        (ConstructionId.EM, ConstructionParams(10, 3, s=2), 65),))
+    rep = verify("COUNTS", r_values=(3,), n_max=6)
+    assert not rep.passed
+    assert len(rep.counterexamples) == rep.checked - 1  # the first spot value holds
+    assert rep.counterexamples[-1]["reason"] == "pinned size 65, built family has 64 edges"
+    for record in rep.counterexamples:
+        assert len(parse_hypergraph(record["hypergraph"])) == record["edges"]
+        assert record["template"] and record["params"]
+
+
+def test_kernel_props_reports_violations(monkeypatch):
+    monkeypatch.setattr(kernel, "kernel_invariant_violations", lambda h, d: ["planted"])
+    rep = verify("KERNEL_PROPS", count=3, seed=1)
+    assert not rep.passed
+    assert [c["case_index"] for c in rep.counterexamples] == [0, 1, 2]
+    for record in rep.counterexamples:
+        assert record["violations"] == ["planted"]
+        assert record["reason"] == "kernel invariants violated"
+        assert len(parse_hypergraph(record["hypergraph"])) == record["edges"]
