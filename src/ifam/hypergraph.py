@@ -21,10 +21,10 @@ The exact nu/tau routines are branch-and-bound searches.  They are built
 for the small, structured instances that arise here (covers of size at
 most ~6, matchings of size at most ~5) and are exact for any input.  tau
 and the minimum cover come from one cover search.  Every packing
-question, from ``pack_exists``, ``matching_number``, ``b_star`` and the
-sunflower searches, goes to one engine, ``_pack_rows``, on per-vertex
-incidence rows (bit j of a vertex's row marks member j as containing
-it) and a bitset of candidate members.  nu is the largest k that the
+question, from ``pack_exists``, ``matching_number``, the kernel's core
+tests and the sunflower searches, goes to one engine, ``_pack_rows``,
+on per-vertex incidence rows (bit j of a vertex's row marks member j
+as containing it) and a bitset of candidate members.  nu is the largest k that the
 engine reaches.
 """
 

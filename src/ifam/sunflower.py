@@ -16,15 +16,14 @@ on the residues.  Both phases work on the same per-vertex incidence
 rows, built once per call, bit j of a row marking member j: the members
 containing T are the AND of its vertices' rows, and the engine reads a
 residue's clashes from the rows of its vertices outside T, so no
-residue is built.  The first
-kind of core comes from ``_heavy_cores``, a depth-first walk over cores
-in increasing vertex order whose branch ends once fewer than k members
-remain, since every extension of T lies in a subset of them.  Only when
-a sunflower exists does the witness search run: members are scanned in
-lexicographic order of their sorted vertex tuples, each ordered pair
-fixes a core, the rows give the later members that contain it and miss
-both residues, and the packing engine completes the collection with
-the least of them.  The first completion is the lexicographically least
+residue is built.  The first kind of core comes from ``_heavy_cores``,
+a breadth-first walk over cores in increasing vertex order that extends
+no core with fewer than k members through it, since every extension of
+T lies in a subset of them.  Only when a sunflower exists does the
+witness search run: members are scanned in lexicographic order of their
+sorted vertex tuples, each ordered pair fixes a core, the rows give the
+later members that contain it and miss both residues, and the packing
+engine completes the collection with the least of them.  The first completion is the lexicographically least
 witness, which makes the output deterministic.
 
 ``er_bound(k, i)`` returns k^i * i!, the Erdos-Rado size at which
@@ -104,49 +103,57 @@ def _tuple_sorted(masks) -> list[int]:
 
 
 def _heavy_cores(
-    rows: Sequence[int], carriers: int, need: Callable[[int], int]
+    rows: Sequence[int],
+    carriers: int,
+    need: Callable[[int], int],
+    accepted: Sequence[int] = (),
 ) -> Iterator[tuple[int, int]]:
     """Every nonempty T that at least need(|T|) of the members in
     ``carriers`` contain, lazily, each with the bitset of those members.
 
     Bit j of rows[v] marks member j as containing vertex v + 1.  Cores
-    are walked depth-first in increasing vertex order; extending T by a
-    vertex ANDs that vertex's row into T's carrier bits, and a branch
-    stops as soon as fewer than need(|T|) carriers remain.  The walk is
-    complete when need is nondecreasing: the carriers of T are a subset
-    of those of its prefix P (T without its largest vertex), so
+    are walked breadth-first, so they arrive in nondecreasing size, and
+    in increasing vertex order within a size.  A core T of size i + 1 is
+    its prefix P (T without its largest vertex) from level i extended by
+    one larger vertex, and T's carriers are P's carriers ANDed with that
+    vertex's row; a core goes on to the next level only if it has at
+    least need(|T| + 1) carriers.  The walk is complete when need is
+    nondecreasing: the carriers of T are a subset of those of P, so
     |carriers(P)| >= |carriers(T)| >= need(|T|) >= need(|P|), and P was
-    visited and extended.  Each T is reached once, along its own
-    increasing vertex order.
+    yielded and extended.  Each T is reached once, through P.  A level
+    keeps its cores' masks, not their carrier bitsets, which are as wide
+    as the family is large: P's carriers are rebuilt from |P| rows when
+    P is extended, next to a scan over every larger vertex.
+
+    ``accepted`` is the caller's list of the cores it has kept so far,
+    read after every step: a core that contains one of them is neither
+    yielded nor extended, and a yielded core that the caller appends is
+    not extended.  With the empty default every heavy core is yielded.
     """
     verts = [(1 << v, row) for v, row in enumerate(rows) if row]
-    return _walk_cores(verts, need, 0, 0, carriers, 0)
-
-
-def _walk_cores(
-    verts: list[tuple[int, int]],
-    need: Callable[[int], int],
-    start: int,
-    core: int,
-    carriers: int,
-    size: int,
-) -> Iterator[tuple[int, int]]:
-    """The subtree of ``_heavy_cores`` below core, extended by verts[start:].
-
-    A module-level generator, not a closure: a closure that calls itself
-    is a reference cycle, which would keep the rows alive until the next
-    full garbage collection.
-    """
-    floor = need(size + 1)
-    if carriers.bit_count() < floor:
-        return
-    for i in range(start, len(verts)):
-        bit, row = verts[i]
-        sub = carriers & row
-        if sub.bit_count() >= floor:
-            t = core | bit
-            yield t, sub
-            yield from _walk_cores(verts, need, i + 1, t, sub, size + 1)
+    level = [(0, 0)]
+    size = 1
+    floor = need(size)
+    while level:
+        ahead = need(size + 1)
+        deeper = []
+        for core, start in level:
+            through = _through(rows, core, carriers)
+            for i in range(start, len(verts)):
+                bit, row = verts[i]
+                sub = through & row
+                count = sub.bit_count()
+                if count < floor:
+                    continue
+                t = core | bit
+                if accepted and any(a & t == a for a in accepted):
+                    continue
+                yield t, sub
+                if count >= ahead and t not in accepted:
+                    deeper.append((t, i + 1))
+        level = deeper
+        size += 1
+        floor = ahead
 
 
 def _through(rows: Sequence[int], core: int, carriers: int) -> int:

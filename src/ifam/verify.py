@@ -77,18 +77,11 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Callable
 
-from .constructions import (
-    ConstructionError,
-    ConstructionId,
-    ConstructionParams,
-    build_construction,
-    size_formula,
-    validate_construction_params,
-)
 from .hypergraph import Hypergraph, cover_number, mask_of
 
-# ``import ifam`` loads this module, so it imports at the top only what
-# its statement tables need; each check imports the engines it runs.
+# ``import ifam`` loads this module, so it imports nothing at the top
+# beyond the core types; each check imports the engines and the
+# constructions it runs.
 if TYPE_CHECKING:
     from .classifier import Verdict
     from .kernel import ThresholdScheme
@@ -162,6 +155,7 @@ def _k5_triples(n: int) -> Hypergraph:
 def _verify_folk(
     max_support: int = 9, ceiling: int | None = None
 ) -> _Outcome:
+    from .constructions import ConstructionId, ConstructionParams, build_construction
     from .enumeration import EnumerationFilter, canonical_form, enumerate_intersecting
 
     ceiling = _resolve_ceiling(ceiling)
@@ -279,6 +273,8 @@ def _verify_th4_a(
 def _verify_th4_b(
     n: int = 7, ceiling: int | None = None
 ) -> _Outcome:
+    from .constructions import ConstructionId, ConstructionParams, build_construction
+
     params, _, scope = _th4_scope("TH4_B", n, ceiling, lambda h: len(h) > n + 4)
     counterexamples = _refused(
         scope, range(3), "more than n + 4 edges but not inside the first four templates")
@@ -322,6 +318,7 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
 
 def _verify_lemma_2edges(n: int = 7) -> _Outcome:
     from .classifier import VerdictKind, _first_fit
+    from .constructions import ConstructionId, ConstructionParams
 
     params = {"n": n}
     _require_n6("LEMMA_2EDGES", n)
@@ -347,16 +344,20 @@ def _verify_lemma_2edges(n: int = 7) -> _Outcome:
 
 # -- COUNTS -----------------------------------------------------------------
 
-_SPOT_VALUES: tuple[tuple[ConstructionId, ConstructionParams, int], ...] = (
-    (ConstructionId.HM_T, ConstructionParams(6, 3, t=0), 10),
-    (ConstructionId.HM_T, ConstructionParams(9, 4, t=1), 53),
-    (ConstructionId.HM_T, ConstructionParams(10, 4, t=2), 70),
-    (ConstructionId.HM_DP, ConstructionParams(12, 5), 303),
-    (ConstructionId.EM, ConstructionParams(10, 3, s=2), 64),
+# (template, ConstructionParams fields, pinned size); plain data, so that
+# loading this module loads no construction code
+_SPOT_VALUES: tuple[tuple[str, dict[str, int], int], ...] = (
+    ("HM_T", {"n": 6, "r": 3, "t": 0}, 10),
+    ("HM_T", {"n": 9, "r": 4, "t": 1}, 53),
+    ("HM_T", {"n": 10, "r": 4, "t": 2}, 70),
+    ("HM_DP", {"n": 12, "r": 5}, 303),
+    ("EM", {"n": 10, "r": 3, "s": 2}, 64),
 )
 
 
 def _counts_grid(r_values: tuple[int, ...], n_max: int):
+    from .constructions import ConstructionId, ConstructionParams
+
     for r in r_values:
         for n in range(2 * r, n_max + 1):
             for s in (1, 2, 3):
@@ -374,6 +375,14 @@ def _counts_grid(r_values: tuple[int, ...], n_max: int):
 def _verify_counts(
     r_values: tuple[int, ...] = (3, 4, 5), n_max: int = 20
 ) -> _Outcome:
+    from .constructions import (
+        ConstructionError,
+        ConstructionId,
+        ConstructionParams,
+        build_construction,
+        size_formula,
+    )
+
     params = {"r_values": list(r_values), "n_max": n_max}
     checked = 0
     counterexamples = []
@@ -389,7 +398,8 @@ def _verify_counts(
                 built, template=cid.value, params=vars(p),
                 reason=f"formula gives {expected}, built family has {len(built)} edges"))
     spot_table = []
-    for cid, p, value in _SPOT_VALUES:
+    for name, fields, value in _SPOT_VALUES:
+        cid, p = ConstructionId(name), ConstructionParams(**fields)
         got = len(build_construction(cid, p))
         checked += 1
         spot_table.append({"template": cid.value, "params": vars(p),
@@ -425,6 +435,14 @@ def _random_star_noise(rng: random.Random, r: int) -> Hypergraph:
 
 
 def _random_structured(rng: random.Random, r: int) -> Hypergraph:
+    from .constructions import (
+        ConstructionError,
+        ConstructionId,
+        ConstructionParams,
+        build_construction,
+        validate_construction_params,
+    )
+
     n = rng.randint(2 * r + 1, 30)
     options: list[tuple[ConstructionId, ConstructionParams]] = [
         (ConstructionId.EM, ConstructionParams(n, r, s=rng.randint(1, 3))),

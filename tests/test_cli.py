@@ -250,13 +250,23 @@ def test_import_does_not_load_numpy():
 def test_check_loads_no_engine_module(tmp_path):
     path = write(tmp_path, "h.txt", serialize_hypergraph(
         Hypergraph.from_vertex_sets(5, 3, [(1, 2, 3), (1, 4, 5), (2, 3, 4)])))
-    loaded = fresh(
-        "import json, sys, ifam.cli\n"
-        f"assert ifam.cli.main(['check', '--file', {path!r}]) == 0\n"
-        "print(json.dumps(sorted(sys.modules)))"
-    )
+
+    def loaded_after(*argv):
+        return fresh(
+            "import json, sys, ifam.cli\n"
+            f"assert ifam.cli.main({[*argv, '--file', path]!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+
+    loaded = loaded_after("check")
     assert "ifam.io" in loaded
-    for module in ("classifier", "enumeration", "kernel", "sunflower"):
+    for module in ("classifier", "constructions", "enumeration", "kernel", "sunflower"):
+        assert f"ifam.{module}" not in loaded
+    # the kernel command needs the kernel and its sunflower walk, and no
+    # construction code
+    loaded = loaded_after("kernel")
+    assert "ifam.kernel" in loaded
+    for module in ("classifier", "constructions", "enumeration"):
         assert f"ifam.{module}" not in loaded
 
 

@@ -1,11 +1,12 @@
-"""The codegree walk behind `b_star` and the sunflower existence test,
-against the subset-enumeration code it replaced.
+"""The codegree walk behind `b_star`, `b_kernel` and the sunflower
+existence test, against the subset-enumeration code it replaced.
 
 The oracles score every proper nonempty subset of every member by
 codegree (`b_star`) or every nonempty subset (`_sunflower_exists`), and
 only then drop the light ones; the walk prunes by codegree as it grows
 each core.  Both must find the same cores and ask the packing engine
-the same questions.
+the same questions.  `b_kernel` collects B' on the same walk without
+building B*; its oracle builds all of B* and keeps the minimal members.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from ifam.hypergraph import (
     pack_exists,
     vertices_of,
 )
-from ifam.kernel import b_star, paper_r, paper_rs
+from ifam.constructions import ConstructionId, ConstructionParams, build_construction
+from ifam.kernel import b_kernel, b_star, paper_r, paper_rs
 from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _sunflower_exists, find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured, verify
 
@@ -60,6 +62,35 @@ def oracle_b_star(h, scheme):
         if pack_exists(petals, k) is not None
     ]
     return SetFamily.from_masks(h.n, cores)
+
+
+def minimal_members(masks):
+    masks = sorted(masks, key=lambda m: (m.bit_count(), m))
+    out = []
+    for m in masks:
+        if not any(p & m == p for p in out):
+            out.append(m)
+    return out
+
+
+def oracle_kernel(h, scheme):
+    """(B', B'', layers) from all of B*: its inclusion-minimal members,
+    the edges containing none of them, and the union split by size."""
+    bp = minimal_members(b_star(h, scheme).members)
+    bpp = [e for e in h.edges if not any(t & e == t for t in bp)]
+    by_size = {}
+    for m in sorted(set(bp) | set(bpp)):
+        by_size.setdefault(m.bit_count(), []).append(m)
+    return (
+        SetFamily.from_masks(h.n, bp),
+        SetFamily.from_masks(h.n, bpp),
+        {i: SetFamily.from_masks(h.n, ms) for i, ms in sorted(by_size.items())},
+    )
+
+
+def kernel_parts(h, scheme):
+    d = b_kernel(h, scheme)
+    return d.b_prime, d.b_dprime, d.by_size
 
 
 def sunflower_exists(masks, k):
@@ -168,6 +199,57 @@ def test_b_star_finds_planted_cores_of_every_size(r):
                 got = b_star(h, scheme)
                 assert got == oracle_b_star(h, scheme), (r, scheme, core_size)
                 assert (core in got.members) == (petals == k)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.__name__)
+def test_b_kernel_matches_the_minimal_members_of_b_star_on_kernel_props_families(gen, seed):
+    rng = random.Random(300 + seed)
+    for _ in range(25):
+        h = gen(rng, rng.choice((3, 4)))
+        for scheme in SCHEMES:
+            assert kernel_parts(h, scheme) == oracle_kernel(h, scheme), (h, scheme)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_b_kernel_matches_the_minimal_members_of_b_star_on_dense_stars(r):
+    rng = random.Random(100 + r)
+    for _ in range(25):
+        h = dense_star(rng, r)
+        for scheme in SCHEMES:
+            assert kernel_parts(h, scheme) == oracle_kernel(h, scheme), (h, scheme)
+
+
+@pytest.mark.parametrize("n", [20, 60, 130])
+def test_b_kernel_matches_the_minimal_members_of_b_star_on_lifts(n):
+    for i in range(6):
+        h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+        assert kernel_parts(h, paper_r()) == oracle_kernel(h, paper_r()), (n, i)
+
+
+def test_b_kernel_skips_the_packing_test_for_non_minimal_cores(monkeypatch):
+    # b_star packs 524 + 527 + 526 = 1,577 cores on these lifts; b_kernel
+    # tests only the cores that contain no accepted core
+    calls = []
+
+    def counting(*args):
+        calls.append(args[4])
+        return _pack_rows(*args)
+
+    monkeypatch.setattr(ifam.kernel, "_pack_rows", counting)
+    per_lift = []
+    for i in (3, 4, 5):
+        h = build_construction(ConstructionId.H3LIFT, ConstructionParams(130, 4, i=i))
+        calls.clear()
+        d = b_kernel(h, paper_r())
+        per_lift.append(len(calls))
+        # breadth-first: the tested cores come in nondecreasing size
+        sizes = [t.bit_count() for t in calls]
+        assert sizes == sorted(sizes)
+        assert not any(
+            a & t == a and a != t for a in d.b_prime.members for t in calls
+        )
+    assert per_lift == [396, 399, 398]
 
 
 def petals_of(masks, carriers, core):

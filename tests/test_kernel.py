@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import ifam.kernel
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import Hypergraph, cover_number, is_intersecting, mask_of
 from ifam.kernel import (
@@ -101,7 +102,7 @@ def test_full_star_larger_cores_appear_with_room():
 def test_single_edge_kernel():
     h = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3)])
     d = b_kernel(h, paper_r())
-    assert len(d.b_star) == 0
+    assert len(b_star(h, paper_r())) == 0
     assert d.b_dprime.members == h.edges
     assert kernel_bound(h, d) == 1
     assert kernel_invariant_violations(h, d) == []
@@ -120,7 +121,7 @@ def test_hm_kernel_below_threshold_scale():
     # family itself via the no-member edges
     h = hm_classic(51, 4)
     d = b_kernel(h, paper_r())
-    assert len(d.b_star) == 0
+    assert len(b_star(h, paper_r())) == 0
     assert len(d.b_dprime) == len(h)
     assert kernel_bound(h, d) == len(h)
     assert kernel_invariant_violations(h, d) == []
@@ -133,7 +134,7 @@ def test_hm_kernel_structure_at_scale():
     d = b_kernel(h, paper_r())
     expected_pairs = {(1, w) for w in (2, 3, 4, 5)}
     assert set(d.b_prime.vertex_sets()) == expected_pairs
-    assert set(d.b_star.vertex_sets()) == expected_pairs
+    assert set(b_star(h, paper_r()).vertex_sets()) == expected_pairs
     assert d.b_dprime.vertex_sets() == [(2, 3, 4, 5)]
     assert set(d.by_size) == {2, 4}
     assert kernel_bound(h, d) == 4 * comb(50, 2) + 1 == 4901
@@ -160,8 +161,28 @@ def test_kernel_rs_scheme_runs_same_pipeline():
     assert kernel_invariant_violations(h, d) == []
     d2 = b_kernel(h, paper_rs(2))
     # multiplicity 36 is out of reach, kernel falls back to the edges
-    assert len(d2.b_star) == 0
+    assert len(b_star(h, paper_rs(2))) == 0
     assert len(d2.b_dprime) == len(h)
+
+
+def test_b_kernel_skips_a_core_whose_prefix_is_no_core(monkeypatch):
+    # {1, 2} is a core (16 petals {x}) and so is {2} (petals {1, 3},
+    # {19, 20}, {21, 22}, {23, 24}); {1} is heavy but no core, since every
+    # edge through 1 contains 2.  The walk reaches {1, 2} through {1},
+    # after it has accepted {2}, and must skip it.
+    h = Hypergraph.from_vertex_sets(
+        24, 3, [(1, 2, x) for x in range(3, 19)] + [(2, 19, 20), (2, 21, 22), (2, 23, 24)]
+    )
+    assert b_star(h, paper_r()).vertex_sets() == [(2,), (1, 2)]
+    tested = []
+    real = ifam.kernel._pack_rows
+    monkeypatch.setattr(
+        ifam.kernel, "_pack_rows", lambda *args: tested.append(args[4]) or real(*args)
+    )
+    d = b_kernel(h, paper_r())
+    assert d.b_prime.vertex_sets() == [(2,)]
+    assert len(d.b_dprime) == 0
+    assert tested == [mask_of((1,)), mask_of((2,))]
 
 
 def test_b_dprime_uses_subset_not_equality():

@@ -3,7 +3,7 @@ import importlib
 
 import pytest
 
-from ifam import classifier, enumeration, kernel
+from ifam import classifier, constructions, enumeration, kernel
 from ifam.classifier import Verdict, VerdictKind
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.enumeration import EnumerationFilter, canonical_form, enumerate_intersecting
@@ -299,10 +299,10 @@ def test_folk_reports_an_oversized_family(monkeypatch):
 
 
 def test_counts_reports_formula_and_spot_mismatches(monkeypatch):
-    real = VERIFY.size_formula
-    monkeypatch.setattr(VERIFY, "size_formula", lambda cid, p: real(cid, p) + 1)
+    real = constructions.size_formula
+    monkeypatch.setattr(constructions, "size_formula", lambda cid, p: real(cid, p) + 1)
     monkeypatch.setattr(VERIFY, "_SPOT_VALUES", VERIFY._SPOT_VALUES[:1] + (
-        (ConstructionId.EM, ConstructionParams(10, 3, s=2), 65),))
+        ("EM", {"n": 10, "r": 3, "s": 2}, 65),))
     rep = verify("COUNTS", r_values=(3,), n_max=6)
     assert not rep.passed
     assert len(rep.counterexamples) == rep.checked - 1  # the first spot value holds
