@@ -1,12 +1,12 @@
 """Intersecting set-family toolkit.
 
 ``import ifam`` loads only ``hypergraph`` (bitmask families, covers,
-matchings) and ``verify`` (with ``constructions``, which its statement
-tables need), and binds the package names those two define.  Every
-other public name is listed once, in the table behind ``_LAZY``, under
-the submodule that defines it; the table also yields ``__all__``.  Such
-a name is resolved on first access, which imports its submodule and
-caches the value here, so a caller pays only for the modules it uses.
+matchings) and ``verify``, and binds the package names those two
+define.  Every other public name is listed once, in the table behind
+``_LAZY``, under the submodule that defines it; the table also yields
+``__all__``.  Such a name is resolved on first access, which imports
+its submodule and caches the value here, so a caller pays only for the
+modules it uses.
 ``from ifam import *`` loads them all.
 
 ``verify`` stays eager because the submodule ``ifam.verify`` shares the
@@ -51,8 +51,7 @@ _LAZY = {
         ("kernel", ("KernelDecomposition", "ThresholdScheme", "b_kernel", "b_star",
                     "kernel_bound", "kernel_invariant_violations", "paper_r", "paper_rs",
                     "reduce_to_3graph")),
-        ("sunflower", ("Sunflower", "er_bound", "find_sunflower",
-                       "find_sunflower_with_core")),
+        ("sunflower", ("Sunflower", "find_sunflower", "find_sunflower_with_core")),
     )
     for name in names
 }

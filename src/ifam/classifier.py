@@ -32,15 +32,18 @@ The searches are anchored:
   and then branch on the first edge not yet explained, which keeps the
   search tree small without giving up completeness.
 
-Classification is one ladder: ``_first_fit`` tries (kind, template,
-parameters) rungs in a fixed documented order and reports the first
-hit.  ``classify_3graph`` and ``classify_rgraph`` are the two ladders,
-and ``classify`` is the one entry point that picks between them for any
-family.  ``decompose_matching`` peels a small vertex set so that the
-rest of the family collapses onto a single classified structure, and
-``decompose_th4prime`` runs the kernel reduction to a 3-uniform shadow,
-classifies the shadow, and lifts the verdict back to the r-uniform
-family.
+Classification is one ladder.  ``_ladder`` lists the (kind, template,
+parameters) rungs in the paper's order, keeping those that can hold a
+family of a given cover number, and ``_first_fit`` reports the first
+rung whose instance contains the family.  ``classify`` is the one entry
+point and the one place the cover-number and intersecting guards are
+written; ``classify_3graph`` is ``classify`` restricted to r = 3, and
+``classify_rgraph`` climbs the ladder for r >= 4 families with cover
+number at least two.  ``decompose_matching`` peels a small vertex set
+so that the rest of the family collapses onto a single classified
+structure, and ``decompose_th4prime`` runs the kernel reduction to a
+3-uniform shadow, classifies the shadow, and lifts the verdict back to
+the r-uniform family.
 """
 
 from __future__ import annotations
@@ -164,10 +167,6 @@ def _lowest_free(n: int, excluded: int, count: int) -> list[int] | None:
             if len(out) == count:
                 return out
     return None
-
-
-def _family(n: int, masks) -> SetFamily:
-    return SetFamily.from_masks(n, masks)
 
 
 # -- template membership ----------------------------------------------------
@@ -379,7 +378,7 @@ def _embed_hm_t(h: Hypergraph, res: Resolved):
         else:
             xcands = []
             links = [e & ~xb for e in edges]
-            mc = min_cover(_family(n, links))
+            mc = min_cover(SetFamily.from_masks(n, links))
             if len(mc) <= r - 1:
                 pads = _lowest_free(n, xb | mask_of(mc), r - 1 - len(mc))
                 if pads is not None:
@@ -404,7 +403,7 @@ def _hm_t_star_residue(h: Hypergraph, t: int, r: int, xv: int, links: list[int])
             sets2 = [l & ~ymask for l in residue]
             if any(s == 0 for s in sets2):
                 continue
-            mc = min_cover(_family(n, sets2))
+            mc = min_cover(SetFamily.from_masks(n, sets2))
             if len(mc) > r - 1:
                 continue
             pads = _lowest_free(n, xb | ymask | mask_of(mc), r - 1 - len(mc))
@@ -616,80 +615,87 @@ def _first_fit(h: Hypergraph, rungs) -> Verdict:
     return Verdict(VerdictKind.NONE)
 
 
-def _star_rungs(h: Hypergraph) -> list:
-    return [(VerdictKind.STAR, ConstructionId.EM, ConstructionParams(h.n, h.r, s=1))]
+# one ladder per (n, r, tau): the classifiers run thousands of times on a
+# few shapes, and rebuilding the parameter records would cost every call
+@lru_cache(maxsize=256)
+def _ladder(n: int, r: int, tau: int | None) -> tuple:
+    """The (kind, template, parameters) rungs for r-uniform families on
+    [n], in the paper's order: the star, then for r = 3 the six tail
+    patterns by index, and for r >= 4 the tailed patterns with t
+    ascending through r - 1 and then the all-tails value n - r, the
+    triple pattern (r = 4 only) and the double-pair pattern.
+
+    A cover number keeps the rungs that can hold such a family: the star
+    when it is at most one, the rest otherwise (none for r < 3); None
+    keeps the whole ladder.
+    """
+    rungs = [(VerdictKind.STAR, ConstructionId.EM, ConstructionParams(n, r, s=1))]
+    if r == 3:
+        rungs += [
+            (VerdictKind.H3, ConstructionId.H3FAM, ConstructionParams(n, 3, i=i))
+            for i in range(6)
+        ]
+    elif r >= 4:
+        rungs += [
+            (VerdictKind.HM_T, ConstructionId.HM_T, ConstructionParams(n, r, t=t))
+            for t in dict.fromkeys([*range(1, r), n - r])
+        ]
+        if r == 4:
+            rungs.append((VerdictKind.HM0, ConstructionId.HM0, ConstructionParams(n, r)))
+        rungs.append((VerdictKind.HM_DP, ConstructionId.HM_DP, ConstructionParams(n, r)))
+    if tau is None:
+        return tuple(rungs)
+    return tuple(rungs[:1] if tau <= 1 else rungs[1:])
 
 
 def classify_3graph(h: Hypergraph) -> Verdict:
-    """First containing template among the star and the six 3-uniform
-    patterns.
+    """``classify`` for r = 3: the first containing template among the
+    star and the six 3-uniform patterns.
 
-    Order: star first, then the tail patterns by index.  Intersecting
-    families with cover number three or more are reported as such (they
-    have at most ten edges); non-intersecting ones get NONE.
+    Intersecting families with cover number three or more are reported
+    as such (they have at most ten edges); non-intersecting ones get NONE.
     """
     if h.r != 3:
         raise ValueError(f"classify_3graph needs r = 3, got r={h.r}")
-    tau = cover_number(h)
-    if tau <= 1:
-        return _first_fit(h, _star_rungs(h))
-    if tau == 2:
-        return _first_fit(h, [
-            (VerdictKind.H3, ConstructionId.H3FAM, ConstructionParams(h.n, 3, i=i))
-            for i in range(6)
-        ])
-    if not is_intersecting(h):
-        return Verdict(VerdictKind.NONE)
-    if len(h) > 10:
-        raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
-    return Verdict(VerdictKind.TAU_GE_3)
+    return classify(h)
 
 
 def classify_rgraph(h: Hypergraph) -> Verdict:
-    """First containing template for r >= 4 families with cover number two.
-
-    Order: tailed patterns with t ascending through r - 1 and then the
-    all-tails value n - r, the triple pattern (r = 4 only), and the
-    double-pair pattern.  NONE is an allowed outcome here.
+    """The first containing template for r >= 4 families with cover
+    number two or more, past the star on the ladder.  NONE is an allowed
+    outcome here.
     """
     if h.r < 4:
         raise ValueError(f"classify_rgraph needs r >= 4, got r={h.r}")
-    if cover_number(h) < 2:
+    tau = cover_number(h)
+    if tau < 2:
         raise ValueError("classify_rgraph needs cover number at least 2")
-    return _classify_rgraph(h)
-
-
-def _classify_rgraph(h: Hypergraph) -> Verdict:
-    """``classify_rgraph`` once r >= 4 and cover number >= 2 are known."""
-    n, r = h.n, h.r
-    rungs = [
-        (VerdictKind.HM_T, ConstructionId.HM_T, ConstructionParams(n, r, t=t))
-        for t in dict.fromkeys([*range(1, r), n - r])
-    ]
-    if r == 4:
-        rungs.append((VerdictKind.HM0, ConstructionId.HM0, ConstructionParams(n, r)))
-    rungs.append((VerdictKind.HM_DP, ConstructionId.HM_DP, ConstructionParams(n, r)))
-    return _first_fit(h, rungs)
+    return _first_fit(h, _ladder(h.n, h.r, tau))
 
 
 def classify(h: Hypergraph) -> Verdict:
     """The verdict for any family: the one classification entry point.
 
-    r = 3 goes to ``classify_3graph``.  Otherwise a family with cover
-    number at most one is a star (or NONE when no star template fits the
-    ground set), a family that is not intersecting is NONE, and r >= 4
-    goes to ``classify_rgraph``.  Raises ValueError for an intersecting
-    family with cover number two or more and r < 3.
+    A family is tried on the ladder rungs for its cover number: the star
+    when that is at most one (NONE when no star template fits the ground
+    set), the six 3-uniform patterns when r = 3 and it is two.  Past that
+    a family that is not intersecting is NONE, an intersecting 3-graph is
+    TAU_GE_3 (it has at most ten edges), and r >= 4 goes on to the
+    ladder.  Raises ValueError for an intersecting family with cover
+    number two or more and r < 3.
     """
-    if h.r == 3:
-        return classify_3graph(h)
-    if cover_number(h) <= 1:
-        return _first_fit(h, _star_rungs(h))
+    tau = cover_number(h)
+    if tau <= 1 or (h.r == 3 and tau == 2):
+        return _first_fit(h, _ladder(h.n, h.r, tau))
     if not is_intersecting(h):
         return Verdict(VerdictKind.NONE)
-    if h.r >= 4:
-        return _classify_rgraph(h)
-    raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
+    if h.r == 3:
+        if len(h) > 10:
+            raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
+        return Verdict(VerdictKind.TAU_GE_3)
+    if h.r < 3:
+        raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
+    return _first_fit(h, _ladder(h.n, h.r, tau))
 
 
 # -- decompositions ---------------------------------------------------------
@@ -716,7 +722,7 @@ def decompose_matching(
     if s == 1:
         return ((), classify(h))
     decomp = b_kernel(h, paper_rs(s))
-    b1 = {vertices_of(m)[0] for m in decomp.by_size.get(1, _family(h.n, ())).members}
+    b1 = {vertices_of(m)[0] for m in decomp.by_size.get(1, SetFamily.from_masks(h.n, ())).members}
     order = sorted(
         range(1, h.n + 1), key=lambda v: (v not in b1, -h.degree(v), v)
     )
@@ -744,7 +750,7 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     if tau >= 3:
         raise ValueError("decompose_th4prime needs cover number at most 2")
     if tau <= 1:
-        star = _first_fit(h, _star_rungs(h))
+        star = _first_fit(h, _ladder(h.n, h.r, tau))
         if star.kind is VerdictKind.NONE:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)

@@ -7,9 +7,9 @@ no witness, no containing template), and 2 reports a usage error such
 as unparsable input or parameters outside a contract.
 
 Each call is a fresh process, so this module imports only the standard
-library and ``hypergraph`` at the top (``import ifam`` adds ``verify``
-and ``constructions``); each subcommand handler imports the modules it
-runs.  ``check`` loads ``io`` only; ``enumerate``, ``classify``,
+library and ``hypergraph`` at the top (``import ifam`` adds
+``verify``); each subcommand handler imports the modules it runs.
+``check`` loads ``io`` only; ``enumerate``, ``classify``,
 ``kernel`` and ``sunflower`` load their engines when they start.
 """
 

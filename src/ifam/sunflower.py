@@ -1,4 +1,4 @@
-"""Exact sunflower detection and the classical size guarantee.
+"""Exact sunflower detection.
 
 A sunflower with k petals is a collection of k distinct sets whose
 pairwise intersections all equal one common core; the residues (petals)
@@ -25,25 +25,18 @@ sorted vertex tuples, each ordered pair fixes a core, the rows give the
 later members that contain it and miss both residues, and the packing
 engine completes the collection with the least of them.  The first completion is the lexicographically least
 witness, which makes the output deterministic.
-
-``er_bound(k, i)`` returns k^i * i!, the Erdos-Rado size at which
-i-uniform families are guaranteed to contain a k-sunflower.  It is a
-public reference value that no search here reads; no attempt is made
-at sharper constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .hypergraph import Hypergraph, SetFamily, _bits, _incidence_rows, _members, _pack_rows, vertices_of
 
 __all__ = [
     "Sunflower",
-    "er_bound",
     "find_sunflower",
     "find_sunflower_with_core",
 ]
@@ -89,13 +82,6 @@ class Sunflower:
                         f"members {vertices_of(a)} and {vertices_of(b)} "
                         f"do not intersect exactly in the core {vertices_of(self.core)}"
                     )
-
-
-def er_bound(k: int, i: int) -> int:
-    """k^i * i!; i-uniform families at least this large contain a k-sunflower."""
-    if k < 1 or i < 1:
-        raise ValueError("er_bound requires k >= 1 and i >= 1")
-    return k**i * factorial(i)
 
 
 def _tuple_sorted(masks) -> list[int]:

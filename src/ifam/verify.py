@@ -55,7 +55,8 @@ LEMMA_2EDGES
     vertex 1 together with at most two edges avoiding 1.  No bound on
     the cover number is assumed, so a hypothetical candidate needing
     three cover vertices would surface here and fail the membership
-    test.  The default is n = 7 (539 classes); n = 6 has 160.
+    test.  The default is n = 7 (539 classes); n = 6 has 160, and n
+    above the enumeration ceiling is refused.
 
 COUNTS
     The size formulas agree with the built edge counts for EM, HM_T,
@@ -209,10 +210,16 @@ def _verify_folk(
 # -- TH4 family of checks ---------------------------------------------------
 
 
-def _require_n6(statement: str, n: int) -> None:
-    # the seven templates, and the statements about them, need n >= 6
+def _require_n_range(statement: str, n: int, ceiling: int | None = None) -> int:
+    """The enumeration ceiling, once 6 <= n <= ceiling: the seven
+    templates, and the statements about them, need n >= 6, and no sweep
+    runs past the ceiling."""
+    ceiling = _resolve_ceiling(ceiling)
     if n < 6:
         raise ValueError(f"{statement} is stated for n >= 6")
+    if n > ceiling:
+        raise ValueError(f"n={n} exceeds the enumeration ceiling {ceiling}")
+    return ceiling
 
 
 def _th4_scope(
@@ -223,8 +230,7 @@ def _th4_scope(
     from .classifier import classify_3graph
     from .enumeration import EnumerationFilter, enumerate_intersecting
 
-    ceiling = _resolve_ceiling(ceiling)
-    _require_n6(statement, n)
+    ceiling = _require_n_range(statement, n, ceiling)
     fams = enumerate_intersecting(n, 3, EnumerationFilter(tau_le=2, min_edges=1),
                                   ceiling=ceiling)
     scope = [(h, classify_3graph(h)) for h in fams if in_scope(h)]
@@ -317,15 +323,13 @@ def _lemma_candidates(n: int) -> list[Hypergraph]:
 
 
 def _verify_lemma_2edges(n: int = 7) -> _Outcome:
-    from .classifier import VerdictKind, _first_fit
-    from .constructions import ConstructionId, ConstructionParams
+    from .classifier import VerdictKind, _first_fit, _ladder
 
     params = {"n": n}
-    _require_n6("LEMMA_2EDGES", n)
-    rungs = [(VerdictKind.STAR, ConstructionId.EM, ConstructionParams(n, 3, s=1))] + [
-        (VerdictKind.H3, ConstructionId.H3FAM, ConstructionParams(n, 3, i=i))
-        for i in (0, 1, 2, 4)
-    ]
+    _require_n_range("LEMMA_2EDGES", n)
+    # the lemma's five templates, the star and H3(0, 1, 2, 4), in ladder
+    # order; H3(3) stays off, or it would mask H3(4)
+    rungs = [rung for rung in _ladder(n, 3, None) if rung[2].i in (None, 0, 1, 2, 4)]
     reps = _lemma_candidates(n)
     hits: Counter[str] = Counter()
     counterexamples = []

@@ -25,6 +25,7 @@ from ifam.classifier import (
     Embedding,
     Verdict,
     VerdictKind,
+    _ladder,
     classify,
     classify_3graph,
     classify_rgraph,
@@ -582,6 +583,54 @@ def test_classify_searches_for_tau_once(monkeypatch):
         calls.clear()
         assert classify(h).kind is kind
         assert len(calls) == 1, kind
+
+
+def test_each_classifier_checks_its_guards_once(monkeypatch):
+    calls = {"cover_number": 0, "is_intersecting": 0}
+    for name, fn in (("cover_number", cover_number), ("is_intersecting", is_intersecting)):
+        def counting(h, name=name, fn=fn):
+            calls[name] += 1
+            return fn(h)
+
+        monkeypatch.setattr(ifam.classifier, name, counting)
+    h3, hm = built(C.H3FAM, 8, 3, i=4), built(C.HM_T, 12, 4, t=2)
+    for classify_fn, h, want in (
+        (classify_3graph, h3, {"cover_number": 1, "is_intersecting": 0}),
+        (classify_rgraph, hm, {"cover_number": 1, "is_intersecting": 0}),
+        (classify, hm, {"cover_number": 1, "is_intersecting": 1}),
+    ):
+        calls.update(cover_number=0, is_intersecting=0)
+        assert classify_fn(h).describe() in ("H3(4)", "HM_T(t=2)")
+        assert calls == want, classify_fn.__name__
+
+
+def rung_names(rungs, n, r):
+    names = []
+    for kind, cid, p in rungs:
+        assert (p.n, p.r) == (n, r)
+        extra = [f"{k}={v}" for k, v in (("s", p.s), ("t", p.t), ("i", p.i)) if v is not None]
+        names.append(" ".join([kind.value, cid.value, *extra]))
+    return names
+
+
+def test_ladder_lists_the_rungs_in_paper_order():
+    ladders = {
+        3: ["STAR EM s=1", *(f"H3 H3FAM i={i}" for i in range(6))],
+        4: ["STAR EM s=1", "HM_T HM_T t=1", "HM_T HM_T t=2", "HM_T HM_T t=3",
+            "HM_T HM_T t=8", "HM0 HM0", "HM_DP HM_DP"],
+        5: ["STAR EM s=1", "HM_T HM_T t=1", "HM_T HM_T t=2", "HM_T HM_T t=3",
+            "HM_T HM_T t=4", "HM_T HM_T t=7", "HM_DP HM_DP"],
+    }
+    for r, want in ladders.items():
+        assert rung_names(_ladder(12, r, None), 12, r) == want
+        # a cover number keeps the star alone, or everything past it
+        assert rung_names(_ladder(12, r, 1), 12, r) == want[:1]
+        assert rung_names(_ladder(12, r, 2), 12, r) == want[1:]
+        assert _ladder(12, r, 3) == _ladder(12, r, 2)
+    # t = n - r is listed once when it is already below r
+    assert rung_names(_ladder(7, 4, 2), 7, 4) == [
+        "HM_T HM_T t=1", "HM_T HM_T t=2", "HM_T HM_T t=3", "HM0 HM0", "HM_DP HM_DP"]
+    assert _ladder(6, 2, 2) == ()
 
 
 # -- matching decomposition -------------------------------------------------

@@ -222,6 +222,12 @@ def test_verify_template_statements_refuse_n4(capsys, statement):
     assert f"{statement} is stated for n >= 6" in err
 
 
+def test_verify_lemma_refuses_n_above_the_ceiling(capsys):
+    code, out, err = run(capsys, "verify", "LEMMA_2EDGES", "--n", "10")
+    assert (code, out) == (2, "")
+    assert "n=10 exceeds the enumeration ceiling 9" in err
+
+
 def test_verify_kernel_props_small(capsys):
     code, out, _ = run(capsys, "verify", "KERNEL_PROPS", "--count", "40",
                        "--seed", "3")
@@ -243,8 +249,11 @@ def fresh(code):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_import_does_not_load_numpy():
-    assert fresh("import ifam, sys; print(int('numpy' in sys.modules))") == 0
+def test_import_loads_only_hypergraph_and_verify():
+    loaded = fresh("import ifam, json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert [m for m in loaded if m.split(".")[0] == "ifam"] == [
+        "ifam", "ifam.hypergraph", "ifam.verify"]
+    assert "numpy" not in loaded
 
 
 def test_check_loads_no_engine_module(tmp_path):

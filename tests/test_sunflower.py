@@ -9,7 +9,15 @@ from math import factorial
 import pytest
 
 from ifam.hypergraph import Hypergraph, SetFamily, mask_of
-from ifam.sunflower import Sunflower, er_bound, find_sunflower, find_sunflower_with_core
+from ifam.sunflower import Sunflower, find_sunflower, find_sunflower_with_core
+
+
+def er_bound(k, i):
+    """k^i * i!, the Erdos-Rado size at which i-uniform families are
+    guaranteed to contain a k-sunflower."""
+    if k < 1 or i < 1:
+        raise ValueError("er_bound requires k >= 1 and i >= 1")
+    return k**i * factorial(i)
 
 
 def is_sunflower(masks):

@@ -136,6 +136,15 @@ def test_lemma_rejects_small_n():
         verify("LEMMA_2EDGES", n=5)
 
 
+def test_lemma_refuses_n_above_the_ceiling_before_sweeping(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the orderly sweep started")
+
+    monkeypatch.setattr(enumeration, "_orderly", no_sweep)
+    with pytest.raises(ValueError, match="n=10 exceeds the enumeration ceiling 9"):
+        verify("LEMMA_2EDGES", n=10)
+
+
 @pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B"])
 def test_th4_statements_refuse_n4(statement):
     # at n = 4 TH4_MAIN used to FAIL on K4^(3), TH4_A to pass vacuously
