@@ -237,10 +237,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify
 
     kwargs = {k: getattr(args, k) for k in _VERIFY_PARAMS if getattr(args, k) is not None}
-    try:
-        rep = verify(args.statement, **kwargs)
-    except TypeError as exc:
-        raise ValueError(f"parameter not accepted by {args.statement}: {exc}") from exc
+    rep = verify(args.statement, **kwargs)
     _emit(rep.summary())
     if args.json_report:
         with open(args.json_report, "w", encoding="utf-8") as fh:

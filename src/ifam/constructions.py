@@ -64,7 +64,6 @@ __all__ = [
     "size_formula",
     "special_vertices",
     "layout_table",
-    "choose",
 ]
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "is_intersecting",
     "matching_number",
     "cover_number",
+    "min_cover",
     "delete_vertices",
 ]
 
@@ -85,13 +86,29 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _check_ground(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"ground set size must be nonnegative, got {n}")
-
-
 def _full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+def _check_family(n: int, masks: tuple[int, ...], kind: str, r: int | None = None) -> None:
+    """Refuse a family that breaks the storage contract: n >= 0, masks
+    strictly increasing inside [n], and, given an edge size r >= 0,
+    every mask of r vertices.  ``kind`` ("edge" or "member") names a
+    mask in the messages."""
+    if n < 0:
+        raise ValueError(f"ground set size must be nonnegative, got {n}")
+    if r is not None and r < 0:
+        raise ValueError(f"edge size must be nonnegative, got {r}")
+    outside = ~_full_mask(n)
+    prev = -1
+    for m in masks:
+        if m <= prev:
+            raise ValueError(f"{kind}s must be strictly increasing masks (sorted, distinct)")
+        if m & outside:
+            raise ValueError(f"{kind} {vertices_of(m)} leaves the ground set [{n}]")
+        if r is not None and m.bit_count() != r:
+            raise ValueError(f"{kind} {vertices_of(m)} has size {m.bit_count()}, expected {r}")
+        prev = m
 
 
 @dataclass(frozen=True)
@@ -103,21 +120,7 @@ class Hypergraph:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_ground(self.n)
-        if self.r < 0:
-            raise ValueError(f"edge size must be nonnegative, got {self.r}")
-        full = _full_mask(self.n)
-        prev = -1
-        for e in self.edges:
-            if e <= prev:
-                raise ValueError("edges must be strictly increasing masks (sorted, distinct)")
-            if e & ~full:
-                raise ValueError(f"edge {vertices_of(e)} leaves the ground set [{self.n}]")
-            if e.bit_count() != self.r:
-                raise ValueError(
-                    f"edge {vertices_of(e)} has size {e.bit_count()}, expected {self.r}"
-                )
-            prev = e
+        _check_family(self.n, self.edges, "edge", self.r)
 
     @classmethod
     def from_masks(cls, n: int, r: int, masks: Iterable[int]) -> "Hypergraph":
@@ -159,15 +162,7 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_ground(self.n)
-        full = _full_mask(self.n)
-        prev = -1
-        for m in self.members:
-            if m <= prev:
-                raise ValueError("members must be strictly increasing masks (sorted, distinct)")
-            if m & ~full:
-                raise ValueError(f"member {vertices_of(m)} leaves the ground set [{self.n}]")
-            prev = m
+        _check_family(self.n, self.members, "member")
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":

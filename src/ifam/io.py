@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .hypergraph import Hypergraph, SetFamily, mask_of
+from .hypergraph import Hypergraph, SetFamily
 
 __all__ = [
     "ParseError",
@@ -64,76 +64,73 @@ def _parse_ints(lineno: int, line: str) -> list[int]:
         raise ParseError(lineno, f"expected integers, got {line!r}") from None
 
 
-def _parse_member_line(lineno: int, line: str, n: int) -> int:
-    vs = _parse_ints(lineno, line)
-    if not vs:
-        raise ParseError(lineno, "empty member line")
-    prev = 0
-    for v in vs:
-        if not 1 <= v <= n:
-            raise ParseError(lineno, f"vertex {v} out of range [1, {n}]")
-        if v <= prev:
-            raise ParseError(lineno, "vertices must be strictly increasing")
-        prev = v
-    return mask_of(vs)
+def _read_family(text: str, fields: str) -> tuple[list[int], set[int]]:
+    """The header values and the member masks of a text family whose
+    header line holds ``fields``: "n r" for a hypergraph, whose members
+    then have r vertices each, or "n" for a set family."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError(1, f"missing header line {fields!r}")
+    lineno, header = lines[0]
+    hdr = _parse_ints(lineno, header)
+    names = fields.split()
+    if len(hdr) != len(names):
+        raise ParseError(lineno, f"header must be {fields!r}, got {header!r}")
+    if min(hdr) < 0:
+        got = " ".join(f"{k}={v}" for k, v in zip(names, hdr))
+        raise ParseError(lineno, f"header values must be nonnegative, got {got}")
+    n, r = hdr[0], hdr[1] if len(hdr) > 1 else None
+    masks: set[int] = set()
+    for lineno, line in lines[1:]:
+        # _content_lines keeps only lines with a token, so vs is nonempty
+        vs = _parse_ints(lineno, line)
+        m = prev = 0
+        for v in vs:
+            if not 1 <= v <= n:
+                raise ParseError(lineno, f"vertex {v} out of range [1, {n}]")
+            if v <= prev:
+                raise ParseError(lineno, "vertices must be strictly increasing")
+            m |= 1 << (v - 1)
+            prev = v
+        if r is not None and len(vs) != r:
+            raise ParseError(lineno, f"edge has {len(vs)} vertices, expected {r}")
+        if m in masks:
+            raise ParseError(lineno, "duplicate member" if r is None else "duplicate edge")
+        masks.add(m)
+    return hdr, masks
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "missing header line 'n r'")
-    lineno, header = lines[0]
-    hdr = _parse_ints(lineno, header)
-    if len(hdr) != 2:
-        raise ParseError(lineno, f"header must be 'n r', got {header!r}")
-    n, r = hdr
-    if n < 0 or r < 0:
-        raise ParseError(lineno, f"header values must be nonnegative, got n={n} r={r}")
-    masks = []
-    seen = set()
-    for lineno, line in lines[1:]:
-        m = _parse_member_line(lineno, line, n)
-        if m.bit_count() != r:
-            raise ParseError(lineno, f"edge has {m.bit_count()} vertices, expected {r}")
-        if m in seen:
-            raise ParseError(lineno, "duplicate edge")
-        seen.add(m)
-        masks.append(m)
+    (n, r), masks = _read_family(text, "n r")
     return Hypergraph.from_masks(n, r, masks)
 
 
 def parse_set_family(text: str) -> SetFamily:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "missing header line 'n'")
-    lineno, header = lines[0]
-    hdr = _parse_ints(lineno, header)
-    if len(hdr) != 1:
-        raise ParseError(lineno, f"header must be a single integer 'n', got {header!r}")
-    n = hdr[0]
-    if n < 0:
-        raise ParseError(lineno, f"ground set size must be nonnegative, got {n}")
-    masks = []
-    seen = set()
-    for lineno, line in lines[1:]:
-        m = _parse_member_line(lineno, line, n)
-        if m in seen:
-            raise ParseError(lineno, "duplicate member")
-        seen.add(m)
-        masks.append(m)
+    (n,), masks = _read_family(text, "n")
     return SetFamily.from_masks(n, masks)
 
 
-def serialize_hypergraph(h: Hypergraph) -> str:
-    lines = [f"{h.n} {h.r}"]
-    lines.extend(" ".join(map(str, vs)) for vs in h.vertex_sets())
+def _write_family(header: str, sets: list[tuple[int, ...]]) -> str:
+    lines = [header]
+    lines.extend(" ".join(map(str, vs)) for vs in sets)
     return "\n".join(lines) + "\n"
+
+
+def serialize_hypergraph(h: Hypergraph) -> str:
+    return _write_family(f"{h.n} {h.r}", h.vertex_sets())
 
 
 def serialize_set_family(f: SetFamily) -> str:
-    lines = [str(f.n)]
-    lines.extend(" ".join(map(str, vs)) for vs in f.vertex_sets())
-    return "\n".join(lines) + "\n"
+    return _write_family(str(f.n), f.vertex_sets())
+
+
+def _json_object(data: Any, keys: tuple[str, ...]) -> dict[str, Any]:
+    """data, or the JSON text data decoded, once it is an object holding keys."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict) or not set(keys) <= set(data):
+        raise ValueError("expected an object with keys " + ", ".join(map(repr, keys)))
+    return data
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict[str, Any]:
@@ -141,10 +138,7 @@ def hypergraph_to_json(h: Hypergraph) -> dict[str, Any]:
 
 
 def hypergraph_from_json(data: Any) -> Hypergraph:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict) or not {"n", "r", "edges"} <= set(data):
-        raise ValueError("expected an object with keys 'n', 'r', 'edges'")
+    data = _json_object(data, ("n", "r", "edges"))
     return Hypergraph.from_vertex_sets(int(data["n"]), int(data["r"]), data["edges"])
 
 
@@ -153,8 +147,5 @@ def set_family_to_json(f: SetFamily) -> dict[str, Any]:
 
 
 def set_family_from_json(data: Any) -> SetFamily:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict) or not {"n", "members"} <= set(data):
-        raise ValueError("expected an object with keys 'n', 'members'")
+    data = _json_object(data, ("n", "members"))
     return SetFamily.from_vertex_sets(int(data["n"]), data["members"])

@@ -71,6 +71,7 @@ KERNEL_PROPS
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from collections import Counter
@@ -532,16 +533,21 @@ STATEMENTS = tuple(_HANDLERS)
 def verify(statement: str, **params: Any) -> VerificationReport:
     """Run one statement check and return its report.
 
-    Raises ValueError for an unknown statement or out-of-range
-    parameters, and propagates the enumeration ceiling error when a
-    requested ground set exceeds the configured ceiling.
+    Raises ValueError for an unknown statement, a parameter the
+    statement does not take or an out-of-range one, and propagates the
+    enumeration ceiling error when a requested ground set exceeds the
+    configured ceiling.
     """
     name = str(statement).upper()
     if name not in _HANDLERS:
         known = ", ".join(STATEMENTS)
         raise ValueError(f"unknown statement {statement!r}; expected one of {known}")
+    handler = _HANDLERS[name]
+    unknown = sorted(set(params).difference(inspect.signature(handler).parameters))
+    if unknown:
+        raise ValueError(f"parameter not accepted by {name}: {', '.join(unknown)}")
     start = time.perf_counter()
-    used, checked, witnesses, counterexamples = _HANDLERS[name](**params)
+    used, checked, witnesses, counterexamples = handler(**params)
     return VerificationReport(
         statement=name,
         params=used,

@@ -312,6 +312,41 @@ def test_tailed_and_double_pair_embed_agree_with_brute_force():
     assert hits == misses == set(grid)
 
 
+# Every edge holds vertex 1 and vertex 2; the other pairs are disjoint.
+PAIR_SPINE = Hypergraph.from_vertex_sets(8, 4, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8)])
+
+
+@pytest.mark.parametrize("cid, p", [(C.HM_T, P(8, 4, t=t)) for t in (1, 2, 3)]
+                         + [(C.HM_DP, P(8, 4))])
+def test_star_families_embed_as_brute_force_says(cid, p):
+    # a family whose edges all pass through one vertex leaves no edge off
+    # that apex, so the searches take their star branches there: the
+    # tail-guessing residue search for HM_T when the links need more than
+    # r - 1 cover vertices, and _dp_star for HM_DP
+    rng = random.Random(SEED)
+    star = [mask_of((1, *c)) for c in combinations(range(2, 9), 3)]
+    part = [e for e in build_construction(cid, p).edges if e & 1]
+    outside = sorted(set(star) - set(part))
+    fams = [
+        Hypergraph.from_masks(8, 4, part),
+        relabeled(Hypergraph.from_masks(8, 4, part[1:] + [rng.choice(outside)]), rng),
+        Hypergraph.from_masks(8, 4, star),
+        relabeled(Hypergraph.from_masks(8, 4, rng.sample(star, 6)), rng),
+        PAIR_SPINE,
+    ]
+    hits, misses = set(), set()
+    for h in fams:
+        check_against_brute_force(h, cid, p, hits, misses)
+    assert hits == misses == {p}
+
+
+def test_double_pair_star_with_an_empty_residue():
+    # apex 1 and base vertex 2 meet every edge, so _dp_star has nothing
+    # left for the pairs and pads the base and both pairs with free labels
+    emb = embed(PAIR_SPINE, C.HM_DP, P(8, 4))
+    assert emb.mapping == {"x": 1, "x1": 2, "x2": 3, "y1": 4, "y1p": 5, "y2": 6, "y2p": 7}
+
+
 # -- containment facts ------------------------------------------------------
 
 SELF_GRID = (

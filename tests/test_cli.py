@@ -215,6 +215,18 @@ def test_verify_refuses_a_flag_the_statement_does_not_take(capsys):
     assert "parameter not accepted by LEMMA_2EDGES" in err
 
 
+def test_verify_flags_are_the_parameters_the_statements_take():
+    import inspect
+
+    from ifam import cli
+    from ifam.verify import _HANDLERS
+
+    taken = {name for handler in _HANDLERS.values()
+             for name in inspect.signature(handler).parameters}
+    assert len(set(cli._VERIFY_PARAMS)) == len(cli._VERIFY_PARAMS)
+    assert set(cli._VERIFY_PARAMS) == taken
+
+
 @pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B", "LEMMA_2EDGES"])
 def test_verify_template_statements_refuse_n4(capsys, statement):
     code, _, err = run(capsys, "verify", statement, "--n", "4")
@@ -311,6 +323,26 @@ def test_every_public_name_resolves_lazily():
     assert got["kernel"] == "ifam.kernel"
     with pytest.raises(AttributeError):
         ifam.no_such_name  # noqa: B018
+
+
+def test_each_submodule_all_lists_what_the_package_binds_from_it():
+    import ast
+    import importlib
+    from pathlib import Path
+
+    tree = ast.parse(Path(ifam.__file__).read_text(encoding="utf-8"))
+    bound: dict[str, set[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            bound.setdefault(node.module, set()).update(a.name for a in node.names)
+    for name, module in ifam._LAZY.items():
+        bound.setdefault(module, set()).add(name)
+    # verify declares no __all__: the package binds its three public names eagerly
+    eager_verify = bound.pop("verify")
+    assert eager_verify == {"STATEMENTS", "VerificationReport", "verify"}
+    for module, names in bound.items():
+        assert set(importlib.import_module(f"ifam.{module}").__all__) == names, module
+    assert set(ifam.__all__) == eager_verify.union(*bound.values())
 
 
 def test_verify_help_lists_every_statement(capsys):

@@ -105,6 +105,39 @@ def test_validation():
     assert len(h) == 2  # constructor dedupes
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # a negative n is reported before a negative r
+        (lambda: Hypergraph(-1, -1, ()), "ground set size must be nonnegative, got -1"),
+        (lambda: Hypergraph(3, -1, ()), "edge size must be nonnegative, got -1"),
+        (lambda: Hypergraph(3, 2, (5, 3)),
+         "edges must be strictly increasing masks (sorted, distinct)"),
+        (lambda: Hypergraph(3, 2, (3, 3)),
+         "edges must be strictly increasing masks (sorted, distinct)"),
+        # leaving [n] is reported before a wrong size
+        (lambda: Hypergraph(3, 2, (3, 8)), "edge (4,) leaves the ground set [3]"),
+        (lambda: Hypergraph(3, 2, (3, 7)), "edge (1, 2, 3) has size 3, expected 2"),
+        (lambda: SetFamily(-2, ()), "ground set size must be nonnegative, got -2"),
+        (lambda: SetFamily(3, (1, 0)),
+         "members must be strictly increasing masks (sorted, distinct)"),
+        (lambda: SetFamily(3, (1, 1)),
+         "members must be strictly increasing masks (sorted, distinct)"),
+        (lambda: SetFamily(3, (1, 12)), "member (3, 4) leaves the ground set [3]"),
+    ],
+)
+def test_family_contract_refusals(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_family_contract_accepts_mixed_sizes_and_the_empty_member():
+    assert SetFamily(3, (0, 1, 6, 7)).sizes() == [0, 1, 2, 3]
+    assert Hypergraph(0, 0, (0,)).edges == (0,)
+    assert len(Hypergraph(4, 3, ())) == 0
+
+
 def test_empty_conventions():
     h = Hypergraph(5, 3, ())
     assert is_intersecting(h)

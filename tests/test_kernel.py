@@ -10,8 +10,9 @@ import pytest
 
 import ifam.kernel
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
-from ifam.hypergraph import Hypergraph, cover_number, is_intersecting, mask_of
+from ifam.hypergraph import Hypergraph, SetFamily, cover_number, is_intersecting, mask_of
 from ifam.kernel import (
+    KernelDecomposition,
     ThresholdScheme,
     b_kernel,
     b_star,
@@ -151,6 +152,41 @@ def test_kernel_invariants_random_families():
         d = b_kernel(h, paper_r())
         assert kernel_invariant_violations(h, d) == []
         assert kernel_bound(h, d) >= len(h)
+
+
+def fam(n, *sets):
+    return SetFamily.from_vertex_sets(n, sets)
+
+
+# One hand-built decomposition per invariant; each breaks that one alone.
+# FAN is the intersecting pair 123, 145, with cover number 1; TRIANGLE is
+# 123, 145, 246, with cover number 2.
+FAN = Hypergraph.from_vertex_sets(5, 3, [(1, 2, 3), (1, 4, 5)])
+TRIANGLE = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6)])
+STAR6 = Hypergraph.from_vertex_sets(6, 3, [(1, v, 6) for v in range(2, 6)])
+KERNEL_FAULTS = [
+    # B = {123} leaves 145 bare; layer 1 = {1} keeps the counting bound up
+    (FAN, KernelDecomposition(fam(5), fam(5, (1, 2, 3)), {1: fam(5, (1,))}),
+     "edge (1, 4, 5) contains no kernel member"),
+    (FAN, KernelDecomposition(fam(5, (1,), (1, 2)), fam(5), {1: fam(5, (1,)), 2: fam(5, (1, 2))}),
+     "kernel members (1,) and (1, 2) are nested"),
+    (FAN, KernelDecomposition(fam(5, (2,), (4,)), fam(5), {1: fam(5, (2,), (4,))}),
+     "kernel of an intersecting family is not intersecting"),
+    (TRIANGLE, KernelDecomposition(fam(6), fam(6, (1, 2, 3), (1, 4, 5), (2, 4, 6)),
+                                   {1: fam(6, (1,)), 3: fam(6, (1, 2, 3), (1, 4, 5), (2, 4, 6))}),
+     "layer 1 nonempty for an intersecting family with cover number >= 2"),
+    # under the paper scheme layer 2 of a 3-graph may not hold a 4-sunflower
+    (STAR6, KernelDecomposition(fam(6, *[(1, v) for v in range(2, 6)]), fam(6),
+                                {2: fam(6, *[(1, v) for v in range(2, 6)])}),
+     "layer 2 contains a 4-sunflower"),
+    (FAN, KernelDecomposition(fam(5, (1,)), fam(5), {}),
+     "counting bound below the family size"),
+]
+
+
+@pytest.mark.parametrize("h, d, message", KERNEL_FAULTS)
+def test_kernel_checker_reports_each_fault(h, d, message):
+    assert kernel_invariant_violations(h, d) == [message]
 
 
 def test_kernel_rs_scheme_runs_same_pipeline():

@@ -122,6 +122,15 @@ def test_core_member_itself_can_participate():
     assert s2 is not None and s2.core == mask_of([1, 2])
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_searches_refuse_fewer_than_two_petals(k):
+    f = SetFamily.from_vertex_sets(5, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(ValueError, match=r"^find_sunflower requires k >= 2$"):
+        find_sunflower(f, k)
+    with pytest.raises(ValueError, match=r"^find_sunflower_with_core requires k >= 2$"):
+        find_sunflower_with_core(f, mask_of([1]), k)
+
+
 def test_searches_accept_a_hypergraph():
     h = Hypergraph.from_vertex_sets(
         7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (3, 5, 7)]

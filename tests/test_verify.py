@@ -28,6 +28,15 @@ def test_unknown_statement():
         verify("NOPE")
 
 
+def test_verify_refuses_a_parameter_before_running(monkeypatch):
+    # the check reads the handler's signature; the handler itself never runs
+    monkeypatch.setitem(VERIFY._HANDLERS, "FOLK",
+                        lambda max_support=9, ceiling=None: pytest.fail("handler ran"))
+    with pytest.raises(ValueError) as exc:
+        verify("folk", n=7, ceiling=9, seed=1)
+    assert str(exc.value) == "parameter not accepted by FOLK: n, seed"
+
+
 def test_statement_name_case_insensitive():
     rep = verify("counts")
     assert rep.statement == "COUNTS"
@@ -112,6 +121,24 @@ def test_th4_b_tail_sizes_at_n6():
         "H3(4)": 10,
         "H3(5)": 10,
     }
+
+
+def test_th4_b_reports_a_tail_template_of_the_wrong_size(monkeypatch):
+    real = constructions.build_construction
+
+    def short_of_one(cid, p):
+        h = real(cid, p)
+        if cid is ConstructionId.H3FAM and p.i == 4:
+            return Hypergraph(h.n, h.r, h.edges[1:])
+        return h
+
+    monkeypatch.setattr(constructions, "build_construction", short_of_one)
+    rep = verify("TH4_B", n=6)
+    assert not rep.passed
+    (record,) = rep.counterexamples
+    assert record["reason"] == "template index 4 has 9 edges, expected n + 4 = 10"
+    assert len(parse_hypergraph(record["hypergraph"])) == record["edges"] == 9
+    assert rep.witnesses[0]["tail_template_sizes"]["H3(4)"] == 9
 
 
 def test_lemma_2edges_n6():
