@@ -20,6 +20,10 @@ role assignment when one exists.  It splits that work in two:
   first accepted candidate is the witness, and ``embedding_is_valid``
   runs the same check on a given role map.
 
+A search never runs short of free labels to pad a candidate with:
+``_resolve`` has checked the template's size rule before any search
+runs, and ``fits`` refuses a short tuple on its length.
+
 The searches are anchored:
 
 * the apex candidate fixes the set of edges that avoid it, and those
@@ -51,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 from .constructions import (
     ConstructionError,
@@ -156,17 +160,9 @@ def _and_all(masks, full: int) -> int:
     return out
 
 
-def _lowest_free(n: int, excluded: int, count: int) -> list[int] | None:
-    """The `count` smallest labels outside `excluded`, or None if too few."""
-    if count <= 0:
-        return []
-    out: list[int] = []
-    for v in range(1, n + 1):
-        if not excluded & _bit(v):
-            out.append(v)
-            if len(out) == count:
-                return out
-    return None
+def _lowest_free(n: int, excluded: int, count: int) -> list[int]:
+    """The `count` smallest labels outside `excluded`, fewer if [n] runs out."""
+    return list(islice((v for v in range(1, n + 1) if not excluded & _bit(v)), count))
 
 
 # -- template membership ----------------------------------------------------
@@ -247,9 +243,7 @@ def _two_cover_cands(masks, forbidden: int, n: int):
     """
     full = (1 << n) - 1
     if not masks:
-        free = _lowest_free(n, forbidden, 2)
-        if free:
-            yield _bit(free[0]) | _bit(free[1])
+        yield mask_of(_lowest_free(n, forbidden, 2))
         return
     seen = set()
     for u in vertices_of(masks[0] & ~forbidden):
@@ -258,8 +252,7 @@ def _two_cover_cands(masks, forbidden: int, n: int):
         if miss:
             cands = vertices_of(_and_all(miss, full) & ~(forbidden | ub))
         else:
-            free = _lowest_free(n, forbidden | ub, 1)
-            cands = tuple(free) if free else ()
+            cands = _lowest_free(n, forbidden | ub, 1)
         for v in cands:
             pair = ub | _bit(v)
             if pair not in seen:
@@ -281,8 +274,6 @@ def _pair_anchor_cands(h: Hypergraph):
         else:
             qcands = tuple(v for v in range(1, h.n + 1) if v != p)
         for q in qcands:
-            if q == p:
-                continue
             for pair in ((p, q), (q, p)):
                 if pair not in seen:
                     seen.add(pair)
@@ -304,9 +295,7 @@ def _embed_em(h: Hypergraph, res: Resolved):
     s = res.k
     mc = min_cover(h)
     if len(mc) <= s:
-        pads = _lowest_free(h.n, mask_of(mc), s - len(mc))
-        if pads is not None:
-            yield tuple(sorted(list(mc) + pads))
+        yield tuple(sorted(list(mc) + _lowest_free(h.n, mask_of(mc), s - len(mc))))
 
 
 def _embed_hm0(h: Hypergraph, res: Resolved):
@@ -325,8 +314,7 @@ def _embed_hm0(h: Hypergraph, res: Resolved):
         if singles:
             ccands = vertices_of(_and_all(singles, full) & ~pair)
         else:
-            free = _lowest_free(h.n, pair, 1)
-            ccands = tuple(free) if free else ()
+            ccands = _lowest_free(h.n, pair, 1)
         for cv in ccands:
             yield tuple(sorted((pv, qv, cv)))
 
@@ -337,11 +325,7 @@ def _hm_t_finish(h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[in
     xb = _bit(xv)
     demand = 0
     for e in e0:
-        if xmask & ~e:
-            return
         demand |= e & ~xmask
-    if demand.bit_count() > t:
-        return
     bad = [e for e in h.edges if e & xb and not e & xmask]
     full = (1 << h.n) - 1
     if bad:
@@ -352,9 +336,9 @@ def _hm_t_finish(h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[in
             return
     else:
         pool = full & ~(xb | xmask)
+    # a pool short of tails yields a short tuple, which fits refuses
     fills = _lowest_free(h.n, full & ~(pool & ~demand), t - demand.bit_count())
-    if fills is not None:
-        yield (xv, *vertices_of(xmask), *vertices_of(demand | mask_of(fills)))
+    yield (xv, *vertices_of(xmask), *vertices_of(demand | mask_of(fills)))
 
 
 def _embed_hm_t(h: Hypergraph, res: Resolved):
@@ -376,19 +360,16 @@ def _embed_hm_t(h: Hypergraph, res: Resolved):
         elif len(e0) == 1:
             xcands = [e0[0] & ~_bit(v) for v in vertices_of(e0[0])]
         else:
-            xcands = []
             links = [e & ~xb for e in edges]
-            mc = min_cover(SetFamily.from_masks(n, links))
-            if len(mc) <= r - 1:
-                pads = _lowest_free(n, xb | mask_of(mc), r - 1 - len(mc))
-                if pads is not None:
-                    xcands = [mask_of(mc) | mask_of(pads)]
-            if not xcands and t <= r - 1:
+            mc = mask_of(min_cover(SetFamily.from_masks(n, links)))
+            if mc.bit_count() > r - 1:
                 # No small cover exists: some edges must carry the whole
                 # tail, and the tail lies inside each of them.  Guess the
                 # first such edge and the tail, then cover the rest.
-                yield from _hm_t_star_residue(h, t, r, xv, links)
+                if t <= r - 1:
+                    yield from _hm_t_star_residue(h, t, r, xv, links)
                 continue
+            xcands = [mc | mask_of(_lowest_free(n, xb | mc, r - 1 - mc.bit_count()))]
         for xmask in xcands:
             yield from _hm_t_finish(h, t, r, xv, xmask, e0)
 
@@ -401,15 +382,11 @@ def _hm_t_star_residue(h: Hypergraph, t: int, r: int, xv: int, links: list[int])
             ymask = mask_of(yverts)
             residue = [l for l in links if ymask & ~(l | xb)]
             sets2 = [l & ~ymask for l in residue]
-            if any(s == 0 for s in sets2):
+            mc = mask_of(min_cover(SetFamily.from_masks(n, sets2)))
+            if mc.bit_count() > r - 1:
                 continue
-            mc = min_cover(SetFamily.from_masks(n, sets2))
-            if len(mc) > r - 1:
-                continue
-            pads = _lowest_free(n, xb | ymask | mask_of(mc), r - 1 - len(mc))
-            if pads is None:
-                continue
-            yield (xv, *vertices_of(mask_of(mc) | mask_of(pads)), *yverts)
+            pads = _lowest_free(n, xb | ymask | mc, r - 1 - mc.bit_count())
+            yield (xv, *vertices_of(mc | mask_of(pads)), *yverts)
 
 
 def _embed_hm_dp(h: Hypergraph, res: Resolved):
@@ -453,21 +430,14 @@ def _dp_star(h: Hypergraph, xv: int):
             xh = mask_of(xhit)
             residue = [l for l in links if not l & xh]
             if not residue:
-                pads = _lowest_free(n, xb | xh, r - 2 - k)
-                if pads is None:
-                    continue
-                xmask = xh | mask_of(pads)
-                frees = _lowest_free(n, xb | xmask, 4)
-                if frees is not None:
-                    yield _dp_roles(
-                        xv, xmask, _bit(frees[0]) | _bit(frees[1]), _bit(frees[2]) | _bit(frees[3])
-                    )
+                xmask = xh | mask_of(_lowest_free(n, xb | xh, r - 2 - k))
+                a, b, c, d = _lowest_free(n, xb | xmask, 4)
+                yield _dp_roles(xv, xmask, _bit(a) | _bit(b), _bit(c) | _bit(d))
                 continue
             for p1 in _two_cover_cands(residue, xb | xh, n):
                 for p2 in _two_cover_cands(residue, xb | xh | p1, n):
                     pads = _lowest_free(n, xb | xh | p1 | p2, r - 2 - k)
-                    if pads is not None:
-                        yield _dp_roles(xv, xh | mask_of(pads), p1, p2)
+                    yield _dp_roles(xv, xh | mask_of(pads), p1, p2)
 
 
 def _dp_roles(xv: int, xmask: int, p1: int, p2: int) -> tuple[int, ...]:
@@ -521,9 +491,7 @@ def _schema_rec(edges, n: int, width: int, schemas, memo: set, asg: dict[int, in
     used = set(asg.values())
     if pend is None:
         fill = (v for v in range(1, n + 1) if v not in used)
-        out = [asg[j] if j in asg else next(fill, None) for j in range(width)]
-        if None not in out:
-            yield tuple(out)
+        yield tuple([asg[j] if j in asg else next(fill) for j in range(width)])
         return
     everts = [v for v in vertices_of(pend) if v not in used]
     for schema in schemas:

@@ -121,6 +121,12 @@ def serialize_hypergraph(h: Hypergraph) -> str:
 
 
 def serialize_set_family(f: SetFamily) -> str:
+    """The text form of f.  Raises ValueError when f holds the empty
+    member, whose blank line the reader would skip."""
+    if 0 in f.members:
+        raise ValueError(
+            "the text format cannot hold the empty member; use set_family_to_json"
+        )
     return _write_family(str(f.n), f.vertex_sets())
 
 

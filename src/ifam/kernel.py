@@ -109,12 +109,8 @@ class ThresholdScheme:
         if not 1 <= core_size <= r - 1:
             raise ValueError(f"core size {core_size} outside 1..{r - 1}")
         if self.kind == "r":
-            k = (r + 1) ** core_size
-        else:
-            k = (r * self.s) ** (core_size + 1)
-        if k < 2:
-            raise ValueError(f"scheme degenerates to multiplicity {k} < 2")
-        return k
+            return (r + 1) ** core_size
+        return (r * self.s) ** (core_size + 1)
 
     def claim_threshold(self, r: int, i: int) -> int:
         """Size of sunflower that layer B_i provably cannot contain."""

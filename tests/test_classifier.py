@@ -347,6 +347,55 @@ def test_double_pair_star_with_an_empty_residue():
     assert emb.mapping == {"x": 1, "x1": 2, "x2": 3, "y1": 4, "y1p": 5, "y2": 6, "y2p": 7}
 
 
+def test_double_pair_pads_the_second_pair_when_no_edge_pins_it():
+    # apex 1 misses only {2, 3, 4, 5}; with the first pair {2, 3} and base
+    # {4, 5}, no edge is left for the second pair, which takes free labels
+    h = Hypergraph.from_vertex_sets(8, 4, [(2, 3, 4, 5), (1, 4, 5, 7)])
+    hits, misses = set(), set()
+    check_against_brute_force(h, C.HM_DP, P(8, 4), hits, misses)
+    emb = embed(h, C.HM_DP, P(8, 4))
+    assert emb.mapping == {"x": 1, "x1": 4, "x2": 5, "y1": 2, "y1p": 3, "y2": 6, "y2p": 7}
+
+
+# Not intersecting: {1, 3, 4, 6} and {2, 5, 7, 8} are disjoint.  On the
+# way to refusing it, the HM_T search meets a demanded tail outside the
+# pool that every edge off the base allows, and the HM_DP search a first
+# pair that misses an edge the base misses.
+DISJOINT_PAIR = Hypergraph.from_vertex_sets(
+    8, 4, [(1, 3, 4, 6), (1, 3, 5, 7), (1, 5, 6, 8), (2, 5, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("cid, p", [(C.HM_T, P(8, 4, t=1)), (C.HM_DP, P(8, 4))])
+def test_searches_refuse_a_non_intersecting_family_as_brute_force_does(cid, p):
+    hits, misses = set(), set()
+    check_against_brute_force(DISJOINT_PAIR, cid, p, hits, misses)
+    assert misses == {p}
+
+
+TIGHT = [(C.EM, P(r + s, r, s=s)) for r in (3, 4) for s in (1, 2, 3)] + [
+    (C.HM0, P(r + 1, r)) for r in (3, 4)
+]
+
+
+@pytest.mark.parametrize("cid, p", TIGHT)
+def test_embed_agrees_with_brute_force_on_the_least_ground_set(cid, p):
+    # n is the least that the size rule allows, so padding a candidate
+    # may need every label that the rule leaves free
+    rng = random.Random(SEED)
+    pool = [mask_of(c) for c in combinations(range(1, p.n + 1), p.r)]
+    fams = [build_construction(cid, p), Hypergraph.from_masks(p.n, p.r, pool)]
+    fams += [relabeled(Hypergraph.from_masks(p.n, p.r, rng.sample(pool, k)), rng)
+             for k in range(1, len(pool))]
+    hits, misses = set(), set()
+    for h in fams:
+        check_against_brute_force(h, cid, p, hits, misses)
+    # every r-set of [r + s] is needed to push the cover number past s;
+    # on [r + 1] an r-set holds two of any three vertices, so HM0 holds all
+    assert hits == {p}
+    assert misses == ({p} if cid is C.EM else set())
+
+
 # -- containment facts ------------------------------------------------------
 
 SELF_GRID = (

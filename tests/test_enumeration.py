@@ -648,6 +648,12 @@ def test_tau_ge_filter():
     assert all(cover_number(h) >= 3 for h in out)
 
 
+def test_the_default_filter_refuses_a_non_intersecting_family():
+    disjoint = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (4, 5, 6)])
+    assert not EnumerationFilter().admits(disjoint)
+    assert EnumerationFilter(intersecting=False).admits(disjoint)
+
+
 def test_filter_validation():
     with pytest.raises(ValueError):
         enumerate_intersecting(5, 3, EnumerationFilter(tau_le=1, tau_ge=2))

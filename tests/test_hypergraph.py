@@ -266,6 +266,12 @@ def test_delete_vertices_can_empty():
     assert g.n == 3 and len(g) == 0
 
 
+def test_delete_vertices_refuses_a_vertex_outside_the_ground_set():
+    h = Hypergraph.from_vertex_sets(4, 2, [(1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="deleted vertices leave the ground set"):
+        delete_vertices(h, [2, 5])
+
+
 def link_graph(h, v):
     """The (r-1)-sets e - v over edges e containing v, on the same ground set."""
     if not 1 <= v <= h.n:

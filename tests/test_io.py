@@ -113,6 +113,13 @@ def test_writers_emit_the_header_then_one_line_per_member_in_mask_order():
     assert serialize_set_family(SetFamily(0, ())) == "0\n"
 
 
+def test_set_family_writer_refuses_the_empty_member_that_only_json_keeps():
+    f = SetFamily(3, (0, 1))
+    with pytest.raises(ValueError, match="use set_family_to_json"):
+        serialize_set_family(f)
+    assert set_family_from_json(set_family_to_json(f)) == f
+
+
 @pytest.mark.parametrize("data", ["[]", "3", [1, 2], None, {"n": 3, "r": 2}, '{"n": 3}'])
 def test_json_readers_refuse_anything_but_an_object_with_their_keys(data):
     with pytest.raises(ValueError) as exc:

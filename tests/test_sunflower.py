@@ -64,6 +64,8 @@ def test_sunflower_type_invariants():
         Sunflower(6, 0, (mask_of([1, 2]), mask_of([1, 3])))  # wrong core
     with pytest.raises(ValueError):
         Sunflower(6, mask_of([1]), (mask_of([1, 2]), mask_of([1, 2, 3]), mask_of([1, 3])))
+    with pytest.raises(ValueError, match="members must be distinct"):
+        Sunflower(6, mask_of([1]), (mask_of([1, 2]), mask_of([1, 3]), mask_of([1, 2])))
 
 
 def test_star_family_has_core_one():
