@@ -26,6 +26,13 @@ tests and the sunflower searches, goes to one engine, ``_pack_rows``,
 on per-vertex incidence rows (bit j of a vertex's row marks member j
 as containing it) and a bitset of candidate members.  nu is the largest k that the
 engine reaches.
+
+Before it searches, the engine applies one bound that needs no labels
+(the transversal fact of Frankl's Delta-system method): if some member
+e misses the core and meets every candidate, then each candidate's
+petal meets e, so at most |e| petals are pairwise disjoint.  In an
+intersecting family every member meets every candidate, so asking for
+more than |e| petals around a core that e misses is refuted at once.
 """
 
 from __future__ import annotations
@@ -257,11 +264,28 @@ def _pack_rows(
     fewer vertices than it needs; neither drops a packing, and the
     branch extends with the least available index, so the witness is
     the lexicographically least one.
+
+    At the root, the least member e that misses core settles the
+    question when |e| < k and every member of cand meets e: each petal
+    then meets e outside core, so no k petals are pairwise disjoint.
+    The bound only refutes, so it holds for any input and leaves the
+    witness as it is.
     """
     if k <= 0:
         return []
     if cand.bit_count() < k:
         return None
+    hit = 0
+    for v in _bits(core):
+        if v < len(rows):
+            hit |= rows[v]
+    j = (~hit & hit + 1).bit_length() - 1  # the least member that misses core
+    if j < len(masks) and masks[j].bit_count() < k:
+        meets = 0
+        for v in _bits(masks[j]):
+            meets |= rows[v]
+        if not cand & ~meets:
+            return None
     outside = ~core
     live = [x for v, row in enumerate(rows) if (x := row & cand) and not core >> v & 1]
     if least <= 0:

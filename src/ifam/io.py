@@ -110,24 +110,23 @@ def parse_set_family(text: str) -> SetFamily:
     return SetFamily.from_masks(n, masks)
 
 
-def _write_family(header: str, sets: list[tuple[int, ...]]) -> str:
+def _write_family(header: str, sets: list[tuple[int, ...]], kind: str, to_json: str) -> str:
+    """The header line, then one line per member.  Raises ValueError on
+    the empty member, whose blank line the reader would skip; ``kind``
+    ("edge" or "member") and the JSON writer ``to_json`` name it."""
+    if () in sets:
+        raise ValueError(f"the text format cannot hold the empty {kind}; use {to_json}")
     lines = [header]
     lines.extend(" ".join(map(str, vs)) for vs in sets)
     return "\n".join(lines) + "\n"
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
-    return _write_family(f"{h.n} {h.r}", h.vertex_sets())
+    return _write_family(f"{h.n} {h.r}", h.vertex_sets(), "edge", "hypergraph_to_json")
 
 
 def serialize_set_family(f: SetFamily) -> str:
-    """The text form of f.  Raises ValueError when f holds the empty
-    member, whose blank line the reader would skip."""
-    if 0 in f.members:
-        raise ValueError(
-            "the text format cannot hold the empty member; use set_family_to_json"
-        )
-    return _write_family(str(f.n), f.vertex_sets())
+    return _write_family(str(f.n), f.vertex_sets(), "member", "set_family_to_json")
 
 
 def _json_object(data: Any, keys: tuple[str, ...]) -> dict[str, Any]:

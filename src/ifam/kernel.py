@@ -29,6 +29,18 @@ goes straight to the exact packing engine (``hypergraph._pack_rows``)
 on the walk's own rows, with T as the core its petals leave out; no
 petal list is built.
 
+Most candidate cores are refuted by Frankl's transversal fact (Frankl,
+Bull. Austral. Math. Soc. 17, 1977): in an intersecting r-uniform
+family the core of a sunflower with more than r petals meets every
+edge, since an edge that misses the core meets every petal, and an
+r-set cannot meet r + 1 pairwise disjoint sets.  Both schemes ask for
+more than r petals at every core size, as (r+1)^i >= r + 1 and
+(rs)^(i+1) >= r^2 > r for r >= 2, so in an intersecting family a core
+that some edge misses is no kernel core.  The packing engine checks
+this at its root, before any search: it refutes a core when the least
+edge that misses it meets every carrier, as holds in any intersecting
+family.
+
 The walk hands over the cores level by level, all cores of one size
 before any larger one.  ``b_star`` tests every core.  ``b_kernel``
 needs only B' (the layers are built from B' and B''), so it lets the
@@ -57,6 +69,7 @@ from math import comb
 from .hypergraph import (
     Hypergraph,
     SetFamily,
+    _bits,
     _incidence_rows,
     _pack_rows,
     cover_number,
@@ -235,11 +248,13 @@ def _reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph
     kept = [e for e in h.edges if any(t & e == t for t in carriers)]
     triples = set(b3)
     for t in b2:
+        # the triples through t inside a kept edge are t plus one vertex
+        # of the union of the kept edges through t
+        rest = 0
         for e in kept:
             if e & t == t:
-                rest = e & ~t
-                for v in vertices_of(rest):
-                    triples.add(t | (1 << (v - 1)))
+                rest |= e
+        triples.update(t | 1 << v for v in _bits(rest & ~t))
     hprime = Hypergraph.from_masks(h.n, h.r, kept)
     h3 = Hypergraph.from_masks(h.n, 3, sorted(triples))
     return hprime, h3

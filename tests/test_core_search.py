@@ -18,6 +18,7 @@ from itertools import combinations
 
 import pytest
 
+import ifam.hypergraph
 import ifam.kernel
 from ifam.hypergraph import (
     Hypergraph,
@@ -250,6 +251,28 @@ def test_b_kernel_skips_the_packing_test_for_non_minimal_cores(monkeypatch):
             a & t == a and a != t for a in d.b_prime.members for t in calls
         )
     assert per_lift == [396, 399, 398]
+
+
+def test_only_the_accepted_cores_reach_the_packing_search_on_lifts(monkeypatch):
+    # Every core that b_kernel tests on these lifts but does not accept
+    # is missed by some edge, which meets all of its more than r petals:
+    # the transversal bound refutes it before the search starts.
+    roots = []
+    extend = ifam.hypergraph._extend
+
+    def counting(*args):
+        roots.append(args[6] == args[3])  # need == k only at the root
+        return extend(*args)
+
+    monkeypatch.setattr(ifam.hypergraph, "_extend", counting)
+    per_lift = []
+    for i in (3, 4, 5):
+        h = build_construction(ConstructionId.H3LIFT, ConstructionParams(130, 4, i=i))
+        roots.clear()
+        d = b_kernel(h, paper_r())
+        per_lift.append(sum(roots))
+        assert sum(roots) == len(d.b_prime)
+    assert per_lift == [7, 7, 7]
 
 
 def petals_of(masks, carriers, core):

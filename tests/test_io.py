@@ -115,9 +115,26 @@ def test_writers_emit_the_header_then_one_line_per_member_in_mask_order():
 
 def test_set_family_writer_refuses_the_empty_member_that_only_json_keeps():
     f = SetFamily(3, (0, 1))
-    with pytest.raises(ValueError, match="use set_family_to_json"):
+    with pytest.raises(ValueError) as exc:
         serialize_set_family(f)
+    assert str(exc.value) == (
+        "the text format cannot hold the empty member; use set_family_to_json"
+    )
     assert set_family_from_json(set_family_to_json(f)) == f
+
+
+def test_hypergraph_writer_refuses_the_empty_edge_that_only_json_keeps():
+    # a 0-uniform hypergraph's one edge is empty: its text line would be
+    # blank, and the reader would drop it
+    h = Hypergraph(3, 0, (0,))
+    with pytest.raises(ValueError) as exc:
+        serialize_hypergraph(h)
+    assert str(exc.value) == (
+        "the text format cannot hold the empty edge; use hypergraph_to_json"
+    )
+    assert hypergraph_to_json(h) == {"n": 3, "r": 0, "edges": [[]]}
+    assert hypergraph_from_json(hypergraph_to_json(h)) == h
+    assert serialize_hypergraph(Hypergraph(3, 0, ())) == "3 0\n"
 
 
 @pytest.mark.parametrize("data", ["[]", "3", [1, 2], None, {"n": 3, "r": 2}, '{"n": 3}'])

@@ -3,7 +3,9 @@
 `oracle_pack_exists` is the earlier `pack_exists`: it builds the list of
 available members at every node and bounds it by vertex supply and by a
 greedy max-degree cover.  The engine must return the identical witness,
-the lexicographically least packing in index order, on every input.
+the lexicographically least packing in index order, on every input,
+including the intersecting inputs on which its transversal bound (a
+member that misses the core meets every petal) refutes at the root.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import random
 
 import pytest
 
+import ifam.hypergraph
+from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import (
     SetFamily,
     _bits,
@@ -21,6 +25,7 @@ from ifam.hypergraph import (
     matching_number,
     pack_exists,
 )
+from ifam.verify import _random_star_noise, _random_structured
 
 
 def oracle_support_cap(masks):
@@ -154,3 +159,53 @@ def test_matching_number_is_the_largest_oracle_packing(seed):
         nu = matching_number(SetFamily(12, tuple(masks)))
         assert oracle_pack_exists(masks, nu) is not None
         assert oracle_pack_exists(masks, nu + 1) is None
+
+
+def intersecting_families(rng):
+    """Star subfamilies with noise, template subfamilies and the lifts
+    H3LIFT(n, 4, i) at n = 20 and 60: the intersecting inputs that the
+    kernel hands the engine."""
+    for _ in range(60):
+        yield _random_star_noise(rng, rng.choice((3, 4)))
+        yield _random_structured(rng, rng.choice((3, 4)))
+    for n in (20, 60):
+        for i in range(6):
+            yield build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+
+
+def test_pack_rows_matches_the_oracle_where_the_transversal_bound_fires(monkeypatch):
+    # On an intersecting family every member meets the least member e
+    # that misses the core, so more than |e| petals refute at the root.
+    entered = []
+
+    def recording(*args):
+        entered.append(True)
+        return extend(*args)
+
+    extend = ifam.hypergraph._extend
+    monkeypatch.setattr(ifam.hypergraph, "_extend", recording)
+    rng = random.Random(1977)
+    bound = hits = 0
+    for h in intersecting_families(rng):
+        masks = h.edges
+        rows = _incidence_rows(masks)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                # a proper part of a member, as the kernel's cores are
+                vs = _bits(rng.choice(masks))
+                core = sum(1 << v for v in rng.sample(vs, rng.randint(0, h.r - 1)))
+            else:
+                core = sum(1 << v for v in range(h.n) if rng.random() < 0.1)
+            picked = sorted(rng.sample(range(len(masks)), min(len(masks), rng.randint(1, 60))))
+            cand = sum(1 << j for j in picked)
+            petals = [masks[j] & ~core for j in picked]
+            least = min(p.bit_count() for p in petals) - rng.randint(0, 1)
+            k = rng.randint(0, h.r + 3)
+            want = oracle_pack_exists(petals, k)
+            entered.clear()
+            got = _pack_rows(masks, rows, cand, k, core, least)
+            assert got == (None if want is None else [picked[i] for i in want]), (h, core, k)
+            hits += want is not None
+            bound += got is None and len(picked) >= k and not entered
+    assert 1000 < hits < 5000
+    assert bound > 1000

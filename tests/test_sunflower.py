@@ -1,4 +1,5 @@
-"""Sunflower search against naive enumeration of all k-subsets."""
+"""Sunflower search against the existence oracle of test_core_search
+and, for a given core, against naive enumeration of all k-subsets."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from ifam.hypergraph import Hypergraph, SetFamily, mask_of
 from ifam.sunflower import Sunflower, find_sunflower, find_sunflower_with_core
+from test_core_search import oracle_sunflower_exists
 
 
 def er_bound(k, i):
@@ -26,10 +28,6 @@ def is_sunflower(masks):
         return False
     core = masks[0] & masks[1]
     return all(a & b == core for a, b in combinations(masks, 2))
-
-
-def naive_has_sunflower(family, k):
-    return any(is_sunflower(sub) for sub in combinations(family.members, k))
 
 
 def naive_has_core_sunflower(family, core, k):
@@ -155,7 +153,7 @@ def test_lexicographic_tie_break():
     assert s.member_sets() == [(1, 2), (1, 3), (1, 4)]
 
 
-def test_matches_naive_oracle_random():
+def test_matches_the_existence_oracle_random():
     rng = random.Random(20260822)
     for _ in range(500):
         n = rng.randint(4, 10)
@@ -165,7 +163,7 @@ def test_matches_naive_oracle_random():
         f = SetFamily.from_vertex_sets(n, rng.sample(universe, m))
         k = rng.randint(2, 4)
         got = find_sunflower(f, k)
-        assert (got is not None) == naive_has_sunflower(f, k)
+        assert (got is not None) == oracle_sunflower_exists(list(f.members), k)
         if got is not None:
             got.validate()
             assert all(mb in f.members for mb in got.members)
