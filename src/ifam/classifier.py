@@ -594,8 +594,9 @@ def _ladder(n: int, r: int, tau: int | None) -> tuple:
     triple pattern (r = 4 only) and the double-pair pattern.
 
     A cover number keeps the rungs that can hold such a family: the star
-    when it is at most one, the rest otherwise (none for r < 3); None
-    keeps the whole ladder.
+    when it is at most one, the rest when it is two (none for r < 3), and
+    none from three on, as every template past the star has a two-vertex
+    cover; None keeps the whole ladder.
     """
     rungs = [(VerdictKind.STAR, ConstructionId.EM, ConstructionParams(n, r, s=1))]
     if r == 3:
@@ -613,7 +614,7 @@ def _ladder(n: int, r: int, tau: int | None) -> tuple:
         rungs.append((VerdictKind.HM_DP, ConstructionId.HM_DP, ConstructionParams(n, r)))
     if tau is None:
         return tuple(rungs)
-    return tuple(rungs[:1] if tau <= 1 else rungs[1:])
+    return tuple(rungs[:1] if tau <= 1 else rungs[1:] if tau == 2 else ())
 
 
 def classify_3graph(h: Hypergraph) -> Verdict:

@@ -147,6 +147,8 @@ class Hypergraph:
         return vertices_of(m)
 
     def degree(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} is outside the ground set [{self.n}]")
         bit = 1 << (v - 1)
         return sum(1 for e in self.edges if e & bit)
 

@@ -64,6 +64,7 @@ multiplicity (r+1)^|T|, and a coarser one with multiplicity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, groupby
 from math import comb
 
 from .hypergraph import (
@@ -148,15 +149,27 @@ def paper_rs(s: int) -> ThresholdScheme:
 
 @dataclass(frozen=True)
 class KernelDecomposition:
+    """B' and B'' on one ground set; ``by_size`` is their union split
+    into layers B_i by size, ascending, derived on construction."""
+
     b_prime: SetFamily
     b_dprime: SetFamily
-    by_size: dict[int, SetFamily] = field(compare=False)
     scheme: ThresholdScheme = field(default_factory=paper_r)
+    by_size: dict[int, SetFamily] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.b_prime.n
+        if self.b_dprime.n != n:
+            raise ValueError(f"B' and B'' lie on ground sets [{n}] and [{self.b_dprime.n}]")
+        union = sorted(
+            set(self.b_prime.members) | set(self.b_dprime.members),
+            key=lambda m: (m.bit_count(), m),
+        )
+        layers = {i: SetFamily(n, tuple(g)) for i, g in groupby(union, int.bit_count)}
+        object.__setattr__(self, "by_size", layers)
 
     def b(self) -> SetFamily:
-        return SetFamily.from_masks(
-            self.b_prime.n, self.b_prime.members + self.b_dprime.members
-        )
+        return SetFamily.from_masks(self.b_prime.n, self.b_prime.members + self.b_dprime.members)
 
 
 def _sunflower_cores(h: Hypergraph, scheme: ThresholdScheme, minimal: bool) -> list[int]:
@@ -206,18 +219,7 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     """
     bp = _sunflower_cores(h, scheme, minimal=True)
     bpp = [e for e in h.edges if not any(t & e == t for t in bp)]
-    union = sorted(set(bp) | set(bpp))
-    by_size: dict[int, SetFamily] = {}
-    for size in sorted({m.bit_count() for m in union}):
-        by_size[size] = SetFamily.from_masks(
-            h.n, [m for m in union if m.bit_count() == size]
-        )
-    return KernelDecomposition(
-        b_prime=SetFamily.from_masks(h.n, bp),
-        b_dprime=SetFamily.from_masks(h.n, bpp),
-        by_size=by_size,
-        scheme=scheme,
-    )
+    return KernelDecomposition(SetFamily.from_masks(h.n, bp), SetFamily(h.n, tuple(bpp)), scheme)
 
 
 def kernel_bound(h: Hypergraph, d: KernelDecomposition) -> int:
@@ -268,52 +270,35 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     family is intersecting with cover number >= 2 under the single-family
     scheme, no layer holds a sunflower of its forbidden size, and the
     counting bound dominates |H|.
+
+    As the layers are B' and B'' split by size, two checks never fail
+    alone.  Coverage implies the counting bound, and a singleton {v} in
+    an intersecting B covering a family of cover number >= 2 would have
+    to meet the member inside an edge that misses v.  Both stay: each is
+    a conclusion of the kernel lemma, and the report names it.
     """
     out: list[str] = []
-    b = d.b()
-    bm = b.members
+    layers = d.by_size
     # coverage: a kernel member inside an edge either has fewer than r
-    # vertices (so it sits in b_prime) or is the edge itself
-    small = [t for t in bm if t.bit_count() < h.r]
-    bset = set(bm)
-    for e in h.edges:
-        if e not in bset and not any(t & e == t for t in small):
-            out.append(f"edge {vertices_of(e)} contains no kernel member")
-            break
+    # vertices or is the edge itself
+    small = [t for i, layer in layers.items() if i < h.r for t in layer.members]
+    top = set(layers[h.r].members) if h.r in layers else set()
+    bare = next((e for e in h.edges if e not in top and not any(t & e == t for t in small)), None)
+    if bare is not None:
+        out.append(f"edge {vertices_of(bare)} contains no kernel member")
     # antichain: distinct same-size sets never nest, so only compare
-    # across size buckets
-    buckets: dict[int, list[int]] = {}
-    for t in bm:
-        buckets.setdefault(t.bit_count(), []).append(t)
-    sizes = sorted(buckets)
-    done = False
-    for ia, sa in enumerate(sizes):
-        if done:
-            break
-        for sb in sizes[ia + 1 :]:
-            pairs = (
-                (a, c) for a in buckets[sa] for c in buckets[sb] if a & c == a
-            )
-            hit = next(pairs, None)
-            if hit is not None:
-                out.append(
-                    f"kernel members {vertices_of(hit[0])} and "
-                    f"{vertices_of(hit[1])} are nested"
-                )
-                done = True
-                break
+    # across layers, the smaller layer first
+    nested = next(((a, c) for i, j in combinations(layers, 2) for a in layers[i].members
+                   for c in layers[j].members if a & c == a), None)
+    if nested is not None:
+        out.append("kernel members {} and {} are nested".format(*map(vertices_of, nested)))
     intersecting = is_intersecting(h)
-    if intersecting and not is_intersecting(b):
+    if intersecting and not is_intersecting(d.b()):
         out.append("kernel of an intersecting family is not intersecting")
-    if (
-        d.scheme.kind == "r"
-        and intersecting
-        and cover_number(h) >= 2
-        and 1 in d.by_size
-    ):
+    if d.scheme.kind == "r" and intersecting and 1 in layers and cover_number(h) >= 2:
         out.append("layer 1 nonempty for an intersecting family with cover number >= 2")
     if intersecting:
-        for i, layer in d.by_size.items():
+        for i, layer in layers.items():
             thr = d.scheme.claim_threshold(h.r, i)
             if d.scheme.claim_applies(h.r, i) and len(layer) >= thr:
                 if find_sunflower(layer, thr) is not None:

@@ -20,11 +20,13 @@ residue is built.  The first kind of core comes from ``_heavy_cores``,
 a breadth-first walk over cores in increasing vertex order that extends
 no core with fewer than k members through it, since every extension of
 T lies in a subset of them.  Only when a sunflower exists does the
-witness search run: members are scanned in lexicographic order of their
-sorted vertex tuples, each ordered pair fixes a core, the rows give the
-later members that contain it and miss both residues, and the packing
-engine completes the collection with the least of them.  The first completion is the lexicographically least
-witness, which makes the output deterministic.
+witness search run: members are scanned in storage order (ascending
+mask), as every packing engine reads them, each ordered pair fixes a
+core, the rows give the later members that contain it and miss both
+residues, and the packing engine completes the collection with the
+least of them.  The first completion is the witness whose tuple of
+member indices is lexicographically least, which makes the output
+deterministic.
 """
 
 from __future__ import annotations
@@ -82,10 +84,6 @@ class Sunflower:
                         f"members {vertices_of(a)} and {vertices_of(b)} "
                         f"do not intersect exactly in the core {vertices_of(self.core)}"
                     )
-
-
-def _tuple_sorted(masks) -> list[int]:
-    return sorted(masks, key=vertices_of)
 
 
 def _heavy_cores(
@@ -173,15 +171,16 @@ def _sunflower_exists(
 
 
 def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
-    """Lexicographically least k-sunflower inside the family, if any.
+    """The k-sunflower inside the family whose member indices in storage
+    order are lexicographically least, if any.
 
     Absence is decided by the complete feasibility test; when a sunflower
-    exists, every ordered member pair in tuple order fixes a candidate
+    exists, every ordered member pair in storage order fixes a candidate
     core and the least packing of compatible residues completes it.
     """
     if k < 2:
         raise ValueError("find_sunflower requires k >= 2")
-    members = _tuple_sorted(_members(family))
+    members = _members(family)
     m = len(members)
     if m < k:
         return None
@@ -208,7 +207,8 @@ def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
 def find_sunflower_with_core(
     family: SetFamily | Hypergraph, core: int, k: int
 ) -> Sunflower | None:
-    """Least k-sunflower whose pairwise intersections equal `core` exactly.
+    """Least k-sunflower, in storage order, whose pairwise intersections
+    equal `core` exactly; a core outside [n] is refused.
 
     Members not containing the core cannot participate; among the rest a
     sunflower with this exact core is precisely a set of k members whose
@@ -216,7 +216,11 @@ def find_sunflower_with_core(
     """
     if k < 2:
         raise ValueError("find_sunflower_with_core requires k >= 2")
-    carriers = _tuple_sorted(mb for mb in _members(family) if mb & core == core)
+    if core < 0:
+        raise ValueError(f"a core mask is nonnegative, got {core}")
+    if core >> family.n:
+        raise ValueError(f"core {vertices_of(core)} leaves the ground set [{family.n}]")
+    carriers = [mb for mb in _members(family) if mb & core == core]
     if len(carriers) < k:
         return None
     least = min(mb.bit_count() for mb in carriers) - core.bit_count()

@@ -615,14 +615,18 @@ def test_classify_rgraph_survives_relabeling():
     assert v.kind is VerdictKind.HM_DP
 
 
-def test_classify_rgraph_none_and_errors():
+def test_classify_rgraph_none_and_errors(monkeypatch):
     # every 4-subset of a 7 point ground set: intersecting with cover number 4,
-    # so no two-cover template can host it
+    # so no two-cover template can host it, and none is tried
     t7 = Hypergraph.from_masks(
         7, 4, {mask_of(c) for c in combinations(range(1, 8), 4)}
     )
     assert cover_number(t7) == 4
+    embeds = []
+    monkeypatch.setattr(ifam.classifier, "embed", lambda *args: embeds.append(args))
     assert classify_rgraph(t7).kind is VerdictKind.NONE
+    assert classify(t7).kind is VerdictKind.NONE
+    assert embeds == []
     with pytest.raises(ValueError):
         classify_rgraph(built(C.HM0, 9, 3))
     with pytest.raises(ValueError):
@@ -710,7 +714,8 @@ def test_ladder_lists_the_rungs_in_paper_order():
         # a cover number keeps the star alone, or everything past it
         assert rung_names(_ladder(12, r, 1), 12, r) == want[:1]
         assert rung_names(_ladder(12, r, 2), 12, r) == want[1:]
-        assert _ladder(12, r, 3) == _ladder(12, r, 2)
+        # every rung past the star has a two-vertex cover
+        assert _ladder(12, r, 3) == ()
     # t = n - r is listed once when it is already below r
     assert rung_names(_ladder(7, 4, 2), 7, 4) == [
         "HM_T HM_T t=1", "HM_T HM_T t=2", "HM_T HM_T t=3", "HM0 HM0", "HM_DP HM_DP"]

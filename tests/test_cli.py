@@ -95,6 +95,13 @@ def test_sunflower_none_and_core(capsys, tmp_path):
     assert json.loads(out)["core"] == [1]
 
 
+def test_sunflower_refuses_a_core_outside_the_ground_set(capsys, tmp_path):
+    path = write(tmp_path, "f.txt", "5\n1 2\n1 3\n1 4\n")
+    code, out, err = run(capsys, "sunflower", "--file", path, "--k", "2", "--core", "9")
+    assert (code, out) == (2, "")
+    assert err == "ifam: error: core (9,) leaves the ground set [5]\n"
+
+
 def test_kernel_json_and_schemes(capsys, tmp_path):
     star = Hypergraph.from_masks(
         8, 3, [mask_of((1, a, b)) for a, b in combinations(range(2, 8), 2)])

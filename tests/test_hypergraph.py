@@ -6,8 +6,6 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import (
@@ -234,20 +232,26 @@ def test_set_family_nu_tau_min_cover_against_oracles():
         assert cov.bit_count() == tau, f
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_nu_tau_inequalities(data):
-    n = data.draw(st.integers(2, 9))
-    r = data.draw(st.integers(1, min(4, n)))
-    universe = [mask_of(c) for c in combinations(range(1, n + 1), r)]
-    masks = data.draw(
-        st.lists(st.sampled_from(universe), max_size=12, unique=True)
-    )
-    h = Hypergraph.from_masks(n, r, masks)
-    nu = matching_number(h)
-    tau = cover_number(h)
-    assert nu <= tau <= r * nu or not h.edges
-    assert is_intersecting(h) == (nu <= 1)
+def test_nu_tau_inequalities():
+    rng = random.Random(20260822)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        r = rng.randint(1, min(4, n))
+        universe = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+        masks = rng.sample(universe, rng.randint(0, min(12, len(universe))))
+        h = Hypergraph.from_masks(n, r, masks)
+        nu = matching_number(h)
+        tau = cover_number(h)
+        assert nu <= tau <= r * nu or not h.edges
+        assert is_intersecting(h) == (nu <= 1)
+
+
+@pytest.mark.parametrize("v", [0, -1, 7])
+def test_degree_refuses_a_vertex_outside_the_ground_set(v):
+    h = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (1, 4, 5)])
+    assert [h.degree(u) for u in range(1, 7)] == [2, 1, 1, 1, 1, 0]
+    with pytest.raises(ValueError, match=rf"^vertex {v} is outside the ground set \[6\]$"):
+        h.degree(v)
 
 
 def test_delete_vertices_relabels_order_preserving():

@@ -158,35 +158,56 @@ def fam(n, *sets):
     return SetFamily.from_vertex_sets(n, sets)
 
 
-# One hand-built decomposition per invariant; each breaks that one alone.
+# One hand-built decomposition per invariant.  The layers are derived from
+# B' and B'', so two faults cannot come alone: a bare edge is what breaks
+# the counting bound, and a singleton in B with cover number 2 must miss
+# the member that covers some edge (here B is not intersecting).
 # FAN is the intersecting pair 123, 145, with cover number 1; TRIANGLE is
 # 123, 145, 246, with cover number 2.
 FAN = Hypergraph.from_vertex_sets(5, 3, [(1, 2, 3), (1, 4, 5)])
 TRIANGLE = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6)])
 STAR6 = Hypergraph.from_vertex_sets(6, 3, [(1, v, 6) for v in range(2, 6)])
 KERNEL_FAULTS = [
-    # B = {123} leaves 145 bare; layer 1 = {1} keeps the counting bound up
-    (FAN, KernelDecomposition(fam(5), fam(5, (1, 2, 3)), {1: fam(5, (1,))}),
-     "edge (1, 4, 5) contains no kernel member"),
-    (FAN, KernelDecomposition(fam(5, (1,), (1, 2)), fam(5), {1: fam(5, (1,)), 2: fam(5, (1, 2))}),
-     "kernel members (1,) and (1, 2) are nested"),
-    (FAN, KernelDecomposition(fam(5, (2,), (4,)), fam(5), {1: fam(5, (2,), (4,))}),
-     "kernel of an intersecting family is not intersecting"),
-    (TRIANGLE, KernelDecomposition(fam(6), fam(6, (1, 2, 3), (1, 4, 5), (2, 4, 6)),
-                                   {1: fam(6, (1,)), 3: fam(6, (1, 2, 3), (1, 4, 5), (2, 4, 6))}),
-     "layer 1 nonempty for an intersecting family with cover number >= 2"),
+    # B = {23} leaves 145 bare; its layer keeps the counting bound at 3
+    (FAN, KernelDecomposition(fam(5, (2, 3)), fam(5)),
+     ["edge (1, 4, 5) contains no kernel member"]),
+    (FAN, KernelDecomposition(fam(5, (1,), (1, 2)), fam(5)),
+     ["kernel members (1,) and (1, 2) are nested"]),
+    (FAN, KernelDecomposition(fam(5, (2,), (4,)), fam(5)),
+     ["kernel of an intersecting family is not intersecting"]),
+    (TRIANGLE, KernelDecomposition(fam(6, (1,)), fam(6, (2, 4, 6))),
+     ["kernel of an intersecting family is not intersecting",
+      "layer 1 nonempty for an intersecting family with cover number >= 2"]),
     # under the paper scheme layer 2 of a 3-graph may not hold a 4-sunflower
-    (STAR6, KernelDecomposition(fam(6, *[(1, v) for v in range(2, 6)]), fam(6),
-                                {2: fam(6, *[(1, v) for v in range(2, 6)])}),
-     "layer 2 contains a 4-sunflower"),
-    (FAN, KernelDecomposition(fam(5, (1,)), fam(5), {}),
-     "counting bound below the family size"),
+    (STAR6, KernelDecomposition(fam(6, *[(1, v) for v in range(2, 6)]), fam(6)),
+     ["layer 2 contains a 4-sunflower"]),
+    (FAN, KernelDecomposition(fam(5), fam(5, (1, 2, 3))),
+     ["edge (1, 4, 5) contains no kernel member", "counting bound below the family size"]),
 ]
 
 
-@pytest.mark.parametrize("h, d, message", KERNEL_FAULTS)
-def test_kernel_checker_reports_each_fault(h, d, message):
-    assert kernel_invariant_violations(h, d) == [message]
+@pytest.mark.parametrize("h, d, messages", KERNEL_FAULTS, ids=[m[-1] for *_, m in KERNEL_FAULTS])
+def test_kernel_checker_reports_each_fault(h, d, messages):
+    assert kernel_invariant_violations(h, d) == messages
+
+
+def test_kernel_checker_reports_the_nested_pair_of_the_smallest_layers():
+    # (4,) < (4, 5) across layers 1 and 2 is reported; (3,) < (1, 2, 3)
+    # (layers 1 and 3) and (1, 2) < (1, 2, 3) (layers 2 and 3) hold too
+    d = KernelDecomposition(fam(5, (3,), (4,), (1, 2), (4, 5)), fam(5, (1, 2, 3)))
+    assert kernel_invariant_violations(FAN, d) == [
+        "kernel members (4,) and (4, 5) are nested",
+        "kernel of an intersecting family is not intersecting",
+    ]
+
+
+def test_kernel_layers_are_derived_from_both_parts():
+    d = KernelDecomposition(fam(5, (4,), (1, 2)), fam(5, (1, 2, 3), (2, 3, 5)))
+    assert d.by_size == {1: fam(5, (4,)), 2: fam(5, (1, 2)), 3: fam(5, (1, 2, 3), (2, 3, 5))}
+    assert list(d.by_size) == [1, 2, 3]
+    assert KernelDecomposition(fam(5), fam(5)).by_size == {}
+    with pytest.raises(ValueError, match=r"^B' and B'' lie on ground sets \[5\] and \[6\]$"):
+        KernelDecomposition(fam(5, (1,)), fam(6))
 
 
 def test_kernel_rs_scheme_runs_same_pipeline():

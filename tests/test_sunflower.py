@@ -153,6 +153,26 @@ def test_lexicographic_tie_break():
     assert s.member_sets() == [(1, 2), (1, 3), (1, 4)]
 
 
+def test_witness_is_least_in_storage_order():
+    # storage order starts 23, 24, so their core {2} wins; in the order
+    # of sorted vertex tuples 15, 16, 17 would come first, with core {1}
+    f = fam((2, 3), (2, 4), (1, 5), (1, 6), (1, 7), (2, 8))
+    s = find_sunflower(f, 3)
+    assert s.core_vertices() == (2,)
+    assert s.member_sets() == [(2, 3), (2, 4), (2, 8)]
+
+
+@pytest.mark.parametrize("core, message", [
+    (-1, r"^a core mask is nonnegative, got -1$"),
+    (mask_of([2, 9]), r"^core \(2, 9\) leaves the ground set \[5\]$"),
+])
+def test_with_core_refuses_a_core_outside_the_ground_set(core, message):
+    f = SetFamily.from_vertex_sets(5, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(ValueError, match=message):
+        find_sunflower_with_core(f, core, 2)
+    assert find_sunflower_with_core(f, mask_of([1]), 3).core == mask_of([1])
+
+
 def test_matches_the_existence_oracle_random():
     rng = random.Random(20260822)
     for _ in range(500):
