@@ -377,16 +377,16 @@ def _embed_hm_t(h: Hypergraph, res: Resolved):
 def _hm_t_star_residue(h: Hypergraph, t: int, r: int, xv: int, links: list[int]):
     n = h.n
     xb = _bit(xv)
-    for c0 in h.edges:
-        for yverts in combinations(vertices_of(c0 & ~xb), t):
-            ymask = mask_of(yverts)
-            residue = [l for l in links if ymask & ~(l | xb)]
-            sets2 = [l & ~ymask for l in residue]
-            mc = mask_of(min_cover(SetFamily.from_masks(n, sets2)))
-            if mc.bit_count() > r - 1:
-                continue
-            pads = _lowest_free(n, xb | ymask | mc, r - 1 - mc.bit_count())
-            yield (xv, *vertices_of(mc | mask_of(pads)), *yverts)
+    # each tail set once, in order of first meeting: a repeat proposes the same roles
+    tails = dict.fromkeys(mask_of(y) for l in links for y in combinations(vertices_of(l), t))
+    for ymask in tails:
+        residue = [l for l in links if ymask & ~(l | xb)]
+        sets2 = [l & ~ymask for l in residue]
+        mc = mask_of(min_cover(SetFamily.from_masks(n, sets2)))
+        if mc.bit_count() > r - 1:
+            continue
+        pads = _lowest_free(n, xb | ymask | mc, r - 1 - mc.bit_count())
+        yield (xv, *vertices_of(mc | mask_of(pads)), *vertices_of(ymask))
 
 
 def _embed_hm_dp(h: Hypergraph, res: Resolved):

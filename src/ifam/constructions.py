@@ -41,8 +41,8 @@ names, and its closed-form size where one exists.  The records are the
 single source for building (every r-set containing a generator),
 membership checking (``classifier``), roles (``special_vertices``) and
 validation.  ``size_formula`` returns the closed-form count where one
-exists and is enumeration-backed (the size of the built edge set) for FP
-and for H3LIFT.
+exists and is enumeration-backed (the size of the built edge set) for
+H3LIFT.
 """
 
 from __future__ import annotations
@@ -132,6 +132,13 @@ def hm_dp_size(n: int, r: int) -> int:
         + choose(n - r - 3, r - 5)
         + 2
     )
+
+
+def fp_size(n: int, r: int) -> int:
+    # the edges through x that meet both Y and Z, those holding {x, y1, y2}
+    # and missing Z, and Y, Z + y1 and Z + y2
+    return (choose(n - 1, r - 1) - choose(n - r - 1, r - 1) - choose(n - r, r - 1)
+            + choose(n - 2 * r, r - 1) + choose(n - r - 2, r - 3) + 3)
 
 
 # -- the template records ---------------------------------------------------
@@ -268,6 +275,7 @@ _TEMPLATES: dict[ConstructionId, Template] = {
         ),
         roles=lambda r, _: ("x", *_names("y", r), *_names("z", r - 1)),
         generators=_fp_gens,
+        size=lambda n, r, _: fp_size(n, r),
     ),
     ConstructionId.H3FAM: Template(
         "H3FAM", "i",

@@ -17,17 +17,12 @@ sum over i of |B_i| * C(n-i, r-i).
 Core search is complete: a core of any sunflower with at least two
 members is the intersection of two of them, hence a proper nonempty
 subset of an edge, and a core of a k-sunflower lies in at least k
-edges.  Candidate cores come from one breadth-first walk over
-per-vertex incidence rows (``sunflower._heavy_cores``): T grows one
-vertex at a time in increasing order, its codegree is the popcount of
-the AND of its vertices' rows, and T is not extended once the codegree
-falls below the multiplicity its next size needs.  Both schemes'
-multiplicities grow with the core size, and removing a vertex from T
-can only raise its codegree, so every prefix of a surviving core
-survives too and the walk misses none.  Each survivor's carrier bitset
-goes straight to the exact packing engine (``hypergraph._pack_rows``)
-on the walk's own rows, with T as the core its petals leave out; no
-petal list is built.
+edges.  Candidate cores come from the codegree walk
+``sunflower._heavy_cores``, which extends no core whose codegree falls
+below the multiplicity its next size needs.  Both schemes'
+multiplicities grow with the core size, so the walk misses none.  It
+feeds ``sunflower._packed_cores``, the stream ``find_sunflower`` reads
+too, which hands each core's carriers to the exact packing engine.
 
 Most candidate cores are refuted by Frankl's transversal fact (Frankl,
 Bull. Austral. Math. Soc. 17, 1977): in an intersecting r-uniform
@@ -72,12 +67,11 @@ from .hypergraph import (
     SetFamily,
     _bits,
     _incidence_rows,
-    _pack_rows,
     cover_number,
     is_intersecting,
     vertices_of,
 )
-from .sunflower import _heavy_cores, find_sunflower
+from .sunflower import _heavy_cores, _packed_cores, find_sunflower
 
 __all__ = [
     "ThresholdScheme",
@@ -179,18 +173,16 @@ def _sunflower_cores(h: Hypergraph, scheme: ThresholdScheme, minimal: bool) -> l
     if h.r < 2 or not h.edges:
         return out
     thresholds = scheme.table(h.r)
+
     # an r-set lies in at most one edge, so holding the last threshold
     # past r - 1 keeps the need nondecreasing and ends the walk there
+    def need(size: int) -> int:
+        return thresholds[min(size, h.r - 1)]
+
     rows = _incidence_rows(h.edges)
-    for t, carriers in _heavy_cores(
-        rows,
-        (1 << len(h.edges)) - 1,
-        lambda size: thresholds[min(size, h.r - 1)],
-        out if minimal else (),
-    ):
-        size = t.bit_count()
-        if _pack_rows(h.edges, rows, carriers, thresholds[size], t, h.r - size) is not None:
-            out.append(t)
+    cores = _heavy_cores(rows, (1 << len(h.edges)) - 1, need, out if minimal else ())
+    for t, _ in _packed_cores(h.edges, rows, cores, need, h.r):
+        out.append(t)
     return out
 
 

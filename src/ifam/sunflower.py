@@ -1,39 +1,28 @@
 """Exact sunflower detection.
 
-A sunflower with k petals is a collection of k distinct sets whose
-pairwise intersections all equal one common core; the residues (petals)
-are then pairwise disjoint.  Families of pairwise disjoint sets are
-sunflowers with an empty core, and any k sets through a common element
-whose residues are disjoint form a sunflower with that element as core.
+A sunflower with k petals is k distinct sets whose pairwise
+intersections all equal one core; their residues (petals) are then
+pairwise disjoint.
 
-Detection is exact and runs in two phases.  A complete feasibility test
-first decides existence: the core of any sunflower with at least two
-members is the intersection of two of them, so candidate cores are the
-empty set plus either every nonempty set that at least k members
-contain (for families of small sets) or all distinct pairwise
-intersections; each candidate is settled by the exact packing engine
-on the residues.  Both phases work on the same per-vertex incidence
-rows, built once per call, bit j of a row marking member j: the members
-containing T are the AND of its vertices' rows, and the engine reads a
-residue's clashes from the rows of its vertices outside T, so no
-residue is built.  The first kind of core comes from ``_heavy_cores``,
-a breadth-first walk over cores in increasing vertex order that extends
-no core with fewer than k members through it, since every extension of
-T lies in a subset of them.  Only when a sunflower exists does the
-witness search run: members are scanned in storage order (ascending
-mask), as every packing engine reads them, each ordered pair fixes a
-core, the rows give the later members that contain it and miss both
-residues, and the packing engine completes the collection with the
-least of them.  The first completion is the witness whose tuple of
-member indices is lexicographically least, which makes the output
-deterministic.
+The core of any sunflower with at least two members is the intersection
+of two of them, so the candidate cores are the empty set, then either
+every nonempty set that at least k members contain (for families of
+small sets) or all distinct pairwise intersections.  ``_packed_cores``
+hands each candidate to the exact packing engine, and the first that
+packs is the witness; the kernel reads the same stream with its own
+multiplicities.  All of it works on per-vertex incidence rows, built
+once per call, bit j of a row marking member j: the members containing
+T are the AND of its vertices' rows, so no residue is built.
+``_heavy_cores`` walks the small cores breadth-first in increasing
+vertex order and extends no core with fewer than k members through it,
+since every extension of T lies in a subset of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from itertools import chain, combinations, takewhile
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .hypergraph import Hypergraph, SetFamily, _bits, _incidence_rows, _members, _pack_rows, vertices_of
 
@@ -147,61 +136,73 @@ def _through(rows: Sequence[int], core: int, carriers: int) -> int:
     return carriers
 
 
-def _sunflower_exists(
-    masks: list[int], rows: list[int], everyone: int, k: int, least: int
-) -> bool:
-    """Complete existence test over all candidate cores of the at least k
-    members ``masks``: ``rows`` are their incidence rows, ``everyone``
-    has a bit for each, and ``least`` is the least member size."""
-    if _pack_rows(masks, rows, everyone, k, 0, least) is not None:
-        return True  # empty core
-    if max(m.bit_count() for m in masks) <= _SUBSET_CAP:
-        # a core can be a whole member: in mixed-size families it may be
-        # contained in all the others
-        cores = _heavy_cores(rows, everyone, lambda size: k)
-    else:
-        cores = (
-            (t, _through(rows, t, everyone))
-            for t in {a & b for a, b in combinations(masks, 2) if a & b}
-        )
-    return any(
-        _pack_rows(masks, rows, carriers, k, t, least - t.bit_count()) is not None
-        for t, carriers in cores
-    )
+def _pairwise_cores(
+    masks: Sequence[int], rows: Sequence[int], everyone: int
+) -> Iterator[tuple[int, int]]:
+    """The distinct nonempty pairwise intersections of masks in
+    nondecreasing size, each with its carriers, built when first asked."""
+    for t in sorted({a & b for a, b in combinations(masks, 2) if a & b}, key=int.bit_count):
+        yield t, _through(rows, t, everyone)
+
+
+def _packed_cores(
+    masks: Sequence[int],
+    rows: Sequence[int],
+    cores: Iterable[tuple[int, int]],
+    need: Callable[[int], int],
+    least: int,
+) -> Iterator[tuple[int, list[int]]]:
+    """Each (core, carriers) of ``cores`` whose carriers hold need(|core|)
+    members with pairwise disjoint petals, as (core, least such index
+    list), lazily: the one place where a candidate core meets the
+    packing engine.  ``rows`` are the incidence rows of masks, and no
+    mask has fewer than ``least`` vertices.
+    """
+    for core, carriers in cores:
+        size = core.bit_count()
+        got = _pack_rows(masks, rows, carriers, need(size), core, least - size)
+        if got is not None:
+            yield core, got
 
 
 def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
-    """The k-sunflower inside the family whose member indices in storage
-    order are lexicographically least, if any.
+    """The k-sunflower inside the family with the least core, if any.
 
-    Absence is decided by the complete feasibility test; when a sunflower
-    exists, every ordered member pair in storage order fixes a candidate
-    core and the least packing of compatible residues completes it.
+    Cores are tried empty first, then by fewest vertices, then by least
+    vertex tuple, and the first that packs is the witness.  Around it the
+    members are the least indices in storage order, as in
+    ``find_sunflower_with_core``.
     """
     if k < 2:
         raise ValueError("find_sunflower requires k >= 2")
     members = _members(family)
-    m = len(members)
-    if m < k:
+    if len(members) < k:
         return None
     rows = _incidence_rows(members)
-    everyone = (1 << m) - 1
+    everyone = (1 << len(members)) - 1
     least = min(mb.bit_count() for mb in members)
-    if not _sunflower_exists(members, rows, everyone, k, least):
+    pending = None
+    if max(mb.bit_count() for mb in members) <= _SUBSET_CAP:
+        # a core can be a whole member: in mixed-size families it may be
+        # contained in all the others
+        cores = _heavy_cores(rows, everyone, lambda size: k)
+    else:
+        cores = pending = _pairwise_cores(members, rows, everyone)
+    hits = _packed_cores(members, rows, chain([(0, everyone)], cores), lambda size: k, least)
+    hit = next(hits, None)
+    if hit is None:
         return None
-    for i0 in range(m - k + 1):
-        e0 = members[i0]
-        for i1 in range(i0 + 1, m - k + 2):
-            e1 = members[i1]
-            core = e0 & e1
-            cands = _through(rows, core, everyone >> (i1 + 1) << (i1 + 1))
-            for v in _bits((e0 | e1) & ~core):
-                cands &= ~rows[v]
-            got = _pack_rows(members, rows, cands, k - 2, core, least - core.bit_count())
-            if got is not None:
-                chosen = [e0, e1] + [members[j] for j in got]
-                return Sunflower(family.n, core, tuple(chosen))
-    raise AssertionError("feasibility and witness search disagree")
+    if hit[0] and pending is not None:
+        # pairwise cores of one size come in no vertex order: try the rest
+        # of the hit's size that precede it (of two same-size sets, the one
+        # with the least vertex they differ in), in vertex order
+        best = hit[0]
+        same = takewhile(lambda tc: tc[0].bit_count() == best.bit_count(), pending)
+        lesser = [tc for tc in same if (d := tc[0] ^ best) & -d & tc[0]]
+        lesser.sort(key=lambda tc: vertices_of(tc[0]))
+        hit = next(_packed_cores(members, rows, lesser, lambda size: k, least), hit)
+    core, picked = hit
+    return Sunflower(family.n, core, tuple(members[j] for j in picked))
 
 
 def find_sunflower_with_core(
@@ -220,13 +221,11 @@ def find_sunflower_with_core(
         raise ValueError(f"a core mask is nonnegative, got {core}")
     if core >> family.n:
         raise ValueError(f"core {vertices_of(core)} leaves the ground set [{family.n}]")
-    carriers = [mb for mb in _members(family) if mb & core == core]
-    if len(carriers) < k:
+    members = _members(family)
+    carriers = sum(1 << j for j, mb in enumerate(members) if mb & core == core)
+    if carriers.bit_count() < k:
         return None
-    least = min(mb.bit_count() for mb in carriers) - core.bit_count()
-    picked = _pack_rows(
-        carriers, _incidence_rows(carriers), (1 << len(carriers)) - 1, k, core, least
-    )
-    if picked is None:
-        return None
-    return Sunflower(family.n, core, tuple(carriers[i] for i in picked))
+    least = min(mb.bit_count() for mb in members)
+    rows = _incidence_rows(members)
+    hit = next(_packed_cores(members, rows, [(core, carriers)], lambda size: k, least), None)
+    return None if hit is None else Sunflower(family.n, core, tuple(members[j] for j in hit[1]))

@@ -340,6 +340,20 @@ def test_star_families_embed_as_brute_force_says(cid, p):
     assert hits == misses == {p}
 
 
+def test_star_residue_search_tries_each_tail_set_once(monkeypatch):
+    # on the full star every edge through the apex holds three of the
+    # eleven other vertices, so the 165 edges offer each one-vertex tail
+    # 45 times: one cover for the links and one per distinct tail
+    import ifam.classifier
+
+    calls = []
+    real = ifam.classifier.min_cover
+    monkeypatch.setattr(ifam.classifier, "min_cover", lambda f: calls.append(1) or real(f))
+    star = Hypergraph.from_masks(12, 4, [mask_of((1, *c)) for c in combinations(range(2, 13), 3)])
+    assert embed(star, C.HM_T, P(12, 4, t=1)) is None
+    assert len(calls) == 12
+
+
 def test_double_pair_star_with_an_empty_residue():
     # apex 1 and base vertex 2 meet every edge, so _dp_star has nothing
     # left for the pairs and pads the base and both pairs with free labels

@@ -20,6 +20,7 @@ from ifam.constructions import (
     _resolve,
     build_construction,
     em_size,
+    fp_size,
     hm0_size,
     hm_dp_size,
     hm_t_size,
@@ -129,6 +130,23 @@ def test_fp_edge_count_r3():
     assert len(h) == 10
     h6 = build(ConstructionId.FP, 6, 3)
     assert len(h6) == 10
+
+
+def test_fp_size_formula():
+    for r in range(3, 7):
+        for n in range(2 * r, 21):
+            assert fp_size(n, r) == len(build(ConstructionId.FP, n, r)), (n, r)
+
+
+def test_size_formula_builds_no_fp(monkeypatch):
+    import ifam.constructions
+
+    def refuse(*args):
+        raise AssertionError("size_formula built the family")
+
+    monkeypatch.setattr(ifam.constructions, "_build", refuse)
+    assert size_formula(ConstructionId.FP, ConstructionParams(n=12, r=3)) == 10
+    assert size_formula(ConstructionId.FP, ConstructionParams(n=20, r=6)) == fp_size(20, 6)
 
 
 def test_h3fam_sizes():

@@ -1,8 +1,8 @@
-"""The codegree walk behind `b_star`, `b_kernel` and the sunflower
-existence test, against the subset-enumeration code it replaced.
+"""The codegree walk behind `b_star`, `b_kernel` and `find_sunflower`,
+against the subset-enumeration code it replaced.
 
 The oracles score every proper nonempty subset of every member by
-codegree (`b_star`) or every nonempty subset (`_sunflower_exists`), and
+codegree (`b_star`) or every nonempty subset (`find_sunflower`), and
 only then drop the light ones; the walk prunes by codegree as it grows
 each core.  Both must find the same cores and ask the packing engine
 the same questions.  `b_kernel` collects B' on the same walk without
@@ -33,7 +33,8 @@ from ifam.hypergraph import (
 )
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.kernel import b_kernel, b_star, paper_r, paper_rs
-from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _sunflower_exists, find_sunflower
+import ifam.sunflower
+from ifam.sunflower import _SUBSET_CAP, _heavy_cores, find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured, verify
 
 
@@ -95,12 +96,8 @@ def kernel_parts(h, scheme):
 
 
 def sunflower_exists(masks, k):
-    """`_sunflower_exists` on the inputs `find_sunflower` builds for it."""
-    if len(masks) < k:
-        return False
-    everyone = (1 << len(masks)) - 1
-    least = min(m.bit_count() for m in masks)
-    return _sunflower_exists(masks, _incidence_rows(masks), everyone, k, least)
+    """Whether `find_sunflower` finds a k-sunflower among masks."""
+    return find_sunflower(SetFamily.from_masks(max(masks, default=1).bit_length(), masks), k) is not None
 
 
 def oracle_sunflower_exists(masks, k):
@@ -237,7 +234,7 @@ def test_b_kernel_skips_the_packing_test_for_non_minimal_cores(monkeypatch):
         calls.append(args[4])
         return _pack_rows(*args)
 
-    monkeypatch.setattr(ifam.kernel, "_pack_rows", counting)
+    monkeypatch.setattr(ifam.sunflower, "_pack_rows", counting)
     per_lift = []
     for i in (3, 4, 5):
         h = build_construction(ConstructionId.H3LIFT, ConstructionParams(130, 4, i=i))
@@ -294,17 +291,17 @@ def test_b_star_asks_the_packing_engine_the_same_questions(r, monkeypatch):
                 asked.append((tuple(petals_of(masks, carriers, core)), k))
                 return _pack_rows(masks, rows, carriers, k, core, least)
 
-            monkeypatch.setattr(ifam.kernel, "_pack_rows", recording)
+            monkeypatch.setattr(ifam.sunflower, "_pack_rows", recording)
             b_star(h, scheme)
             want = [(tuple(p), k) for _, p, k in oracle_candidates(h, scheme)]
             assert sorted(asked) == sorted(want)
 
 
-def test_mixed_size_families_with_empty_member_and_member_as_core():
+def mixed_size_families(count=300, n=8):
+    """Families of 0- to 5-sets on [n], all with the empty member, half
+    with {1}, a third with {1, 2} inside three larger members."""
     rng = random.Random(7)
-    n = 8
-    hits = 0
-    for trial in range(300):
+    for trial in range(count):
         members = {0, mask_of((1,))} if trial % 2 else {0}
         for _ in range(rng.randint(1, 14)):
             size = rng.randint(0, 5)
@@ -312,7 +309,12 @@ def test_mixed_size_families_with_empty_member_and_member_as_core():
         if trial % 3 == 0:
             # a member equal to a core: {1, 2} inside several members
             members.update(mask_of(s) for s in ((1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5, 6)))
-        fam = SetFamily.from_masks(n, members)
+        yield SetFamily.from_masks(n, members)
+
+
+def test_mixed_size_families_with_empty_member_and_member_as_core():
+    hits = 0
+    for fam in mixed_size_families():
         masks = sorted(fam.members, key=vertices_of)
         for k in (2, 3, 4):
             want = oracle_sunflower_exists(masks, k)

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import ifam.kernel
+import ifam.sunflower
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import Hypergraph, SetFamily, cover_number, is_intersecting, mask_of
 from ifam.kernel import (
@@ -232,9 +233,9 @@ def test_b_kernel_skips_a_core_whose_prefix_is_no_core(monkeypatch):
     )
     assert b_star(h, paper_r()).vertex_sets() == [(2,), (1, 2)]
     tested = []
-    real = ifam.kernel._pack_rows
+    real = ifam.sunflower._pack_rows
     monkeypatch.setattr(
-        ifam.kernel, "_pack_rows", lambda *args: tested.append(args[4]) or real(*args)
+        ifam.sunflower, "_pack_rows", lambda *args: tested.append(args[4]) or real(*args)
     )
     d = b_kernel(h, paper_r())
     assert d.b_prime.vertex_sets() == [(2,)]

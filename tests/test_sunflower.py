@@ -4,14 +4,15 @@ and, for a given core, against naive enumeration of all k-subsets."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from ifam.hypergraph import Hypergraph, SetFamily, mask_of
+from ifam.hypergraph import Hypergraph, SetFamily, mask_of, vertices_of
 from ifam.sunflower import Sunflower, find_sunflower, find_sunflower_with_core
-from test_core_search import oracle_sunflower_exists
+from test_core_search import GENERATORS, mixed_size_families, oracle_sunflower_exists
 
 
 def er_bound(k, i):
@@ -153,13 +154,76 @@ def test_lexicographic_tie_break():
     assert s.member_sets() == [(1, 2), (1, 3), (1, 4)]
 
 
-def test_witness_is_least_in_storage_order():
-    # storage order starts 23, 24, so their core {2} wins; in the order
-    # of sorted vertex tuples 15, 16, 17 would come first, with core {1}
+def test_witness_has_the_least_core():
+    # the cores {1} and {2} both carry a 3-sunflower and {1} is the lesser,
+    # although storage order starts 23, 24 with core {2}; around {1} the
+    # members are the least in storage order
     f = fam((2, 3), (2, 4), (1, 5), (1, 6), (1, 7), (2, 8))
     s = find_sunflower(f, 3)
-    assert s.core_vertices() == (2,)
-    assert s.member_sets() == [(2, 3), (2, 4), (2, 8)]
+    assert s.core_vertices() == (1,)
+    assert s.member_sets() == [(1, 5), (1, 6), (1, 7)]
+
+
+def test_a_matching_is_the_witness_before_any_core():
+    # the star 12, 13, 14 holds the least member indices, but a 3-matching
+    # has the empty core, which comes first
+    f = fam((1, 2), (1, 3), (1, 4), (5, 6), (7, 8))
+    s = find_sunflower(f, 3)
+    assert s.core == 0
+    assert s.member_sets() == [(1, 2), (5, 6), (7, 8)]
+    assert find_sunflower_with_core(f, mask_of([1]), 3) is not None
+
+
+def least_core_sunflower(f, k):
+    """The witness rule by brute force: the first candidate core, empty
+    first, then by size and vertex tuple, that carries a k-sunflower."""
+    cores = {0} | {a & b for a, b in combinations(f.members, 2)}
+    for core in sorted(cores, key=lambda t: (t.bit_count(), vertices_of(t))):
+        s = find_sunflower_with_core(f, core, k)
+        if s is not None:
+            return s
+    return None
+
+
+def witness_families():
+    """The KERNEL_PROPS generators, the mixed-size families of
+    test_core_search, and families of 11- to 15-sets through vertex 1,
+    which reach the pairwise-intersection cores."""
+    rng = random.Random(23)
+    for gen in GENERATORS:
+        for _ in range(15):
+            h = gen(rng, rng.choice((3, 4)))
+            yield SetFamily(h.n, h.edges)
+    yield from mixed_size_families()
+    for _ in range(30):
+        members = {
+            mask_of((1, *rng.sample(range(2, 31), rng.randint(10, 14))))
+            for _ in range(rng.randint(3, 9))
+        }
+        members.add(mask_of(range(16, 31)))
+        yield SetFamily.from_masks(30, members)
+
+
+def test_witness_is_the_sunflower_with_the_least_core():
+    cores = Counter()
+    for f in witness_families():
+        for k in (2, 3, 4):
+            s = find_sunflower(f, k)
+            assert s == least_core_sunflower(f, k), (f, k)
+            if s is not None:
+                assert find_sunflower_with_core(f, s.core, k) == s
+                cores[s.core.bit_count()] += 1
+    assert cores[0] and len(cores) >= 4, cores
+
+
+def test_the_pairwise_cores_give_the_walks_witness(monkeypatch):
+    import ifam.sunflower as sunflower
+
+    families = [f for f in witness_families() if max(f.members).bit_count() <= sunflower._SUBSET_CAP]
+    walked = [find_sunflower(f, k) for f in families for k in (2, 3, 4)]
+    assert sum(s is not None and s.core != 0 for s in walked) > 100
+    monkeypatch.setattr(sunflower, "_SUBSET_CAP", 0)
+    assert [find_sunflower(f, k) for f in families for k in (2, 3, 4)] == walked
 
 
 @pytest.mark.parametrize("core, message", [
@@ -225,12 +289,14 @@ def test_er_guarantee_stress():
 
 
 def test_find_sunflower_builds_its_incidence_rows_once(monkeypatch):
-    # the existence test and the witness scan share one set of rows
+    # the empty core and every later core share one set of rows
     import ifam.sunflower as sunflower
 
     calls = []
     real = sunflower._incidence_rows
     monkeypatch.setattr(sunflower, "_incidence_rows", lambda masks: calls.append(1) or real(masks))
     fam = SetFamily.from_vertex_sets(7, [(1, 2), (1, 3), (1, 4), (2, 3), (5, 6)])
-    assert find_sunflower(fam, 3).core == mask_of((1,))
+    s = find_sunflower(fam, 3)
+    assert s.core == 0
+    assert s.member_sets() == [(2, 3), (1, 4), (5, 6)]
     assert len(calls) == 1
