@@ -219,7 +219,10 @@ def test_witness_is_the_sunflower_with_the_least_core():
 def test_the_pairwise_cores_give_the_walks_witness(monkeypatch):
     import ifam.sunflower as sunflower
 
-    families = [f for f in witness_families() if max(f.members).bit_count() <= sunflower._SUBSET_CAP]
+    families = [
+        f for f in witness_families()
+        if max(m.bit_count() for m in f.members) <= sunflower._SUBSET_CAP
+    ]
     walked = [find_sunflower(f, k) for f in families for k in (2, 3, 4)]
     assert sum(s is not None and s.core != 0 for s in walked) > 100
     monkeypatch.setattr(sunflower, "_SUBSET_CAP", 0)
