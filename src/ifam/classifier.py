@@ -168,15 +168,6 @@ def _lowest_free(n: int, excluded: int, count: int) -> list[int]:
 # -- template membership ----------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _slots(res: Resolved) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-    """The role names in layout order, and each generator as the positions
-    of its roles in that order."""
-    names = res.roles
-    place = {role: j for j, role in enumerate(names)}
-    return names, tuple(tuple(place[role] for role in gen) for gen in res.generators)
-
-
 def _witness_check(h: Hypergraph, res: Resolved):
     """``fits(vertices)``: the role map that puts the vertices on the
     template's roles in layout order, if they are distinct labels of [n]
@@ -185,11 +176,12 @@ def _witness_check(h: Hypergraph, res: Resolved):
     This is the one certificate for a witness: ``embed`` keeps the first
     search candidate it accepts and ``embedding_is_valid`` runs it on a
     given role map.  An edge of size r is a member exactly when it equals
-    a generator of size r or contains a smaller one.  The generators are
-    read once; each call only puts vertices on their roles.
+    a generator of size r or contains a smaller one.  The role table
+    comes with the resolved instance, each generator as the positions of
+    its roles in layout order; each call only puts vertices on them.
     """
     edges, n = h.edges, h.n
-    names, gens = _slots(res)
+    names, gens = res.names, res.gens
     size = len(names)
 
     def fits(vertices) -> dict[str, int] | None:
@@ -224,11 +216,10 @@ def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
         res = _resolve(emb.template, p)
     except ConstructionError:
         return False
-    names = _slots(res)[0]
     roles = emb.mapping
-    if set(roles) != set(names):
+    if set(roles) != set(res.names):
         return False
-    return _witness_check(h, res)([roles[name] for name in names]) is not None
+    return _witness_check(h, res)([roles[name] for name in res.names]) is not None
 
 
 # -- covering-pair candidates -----------------------------------------------
@@ -449,18 +440,18 @@ def _dp_roles(xv: int, xmask: int, p1: int, p2: int) -> tuple[int, ...]:
 # -- schema-driven backtracking (FP and the covering-pair patterns) ---------
 
 
-def _schema_dfs(h: Hypergraph, res: Resolved, assigned: dict[int, int]):
+def _schema_dfs(h: Hypergraph, res: Resolved, assigned=()):
     """Branch on the first edge that no fully-assigned generator explains,
     and yield each complete assignment (free labels fill the roles no
-    generator needed) as a vertex tuple in layout order.  `assigned` maps
-    role positions to vertices.
+    generator needed) as a vertex tuple in layout order.  The generators
+    are ``res.gens``, role positions in ``res.names``; `assigned` holds
+    (position, vertex) pairs fixed in advance, none for FP.
 
     Complete: a valid total assignment extending `assigned` explains that
     edge through some generator, whose unassigned roles then take values
     inside the edge; that extension is among the branches.
     """
-    names, schemas = _slots(res)
-    return _schema_rec(h.edges, h.n, len(names), schemas, set(), dict(assigned))
+    return _schema_rec(h.edges, h.n, len(res.names), res.gens, set(), dict(assigned))
 
 
 def _schema_satisfied(schemas, e: int, asg: dict[int, int]) -> bool:
@@ -512,21 +503,17 @@ def _schema_rec(edges, n: int, width: int, schemas, memo: set, asg: dict[int, in
             yield from _schema_rec(edges, n, width, schemas, memo, nxt)
 
 
-def _embed_fp(h: Hypergraph, res: Resolved):
-    return _schema_dfs(h, res, {})
-
-
 def _embed_pair(h: Hypergraph, res: Resolved):
     # The first two roles meet every generator (v1, v2 of the pair
     # patterns; apex and first base vertex of HM_T(3, t)), so they cover
     # H: anchor them on each covering pair, then branch.
     for pv, qv in _pair_anchor_cands(h):
-        yield from _schema_dfs(h, res, {0: pv, 1: qv})
+        yield from _schema_dfs(h, res, ((0, pv), (1, qv)))
 
 
 # -- public embedding dispatcher --------------------------------------------
 
-# Resolved template name and whether H is a lift of it (its generators are
+# Resolved template name and whether it is lifted (its generators are
 # 3-uniform while H is not) -> the anchored search for that template.
 _SEARCHES = {
     ("EM", False): _embed_em,
@@ -535,7 +522,7 @@ _SEARCHES = {
     ("HM_T", False): _embed_hm_t,
     ("HM_T", True): _embed_pair,
     ("HM_DP", False): _embed_hm_dp,
-    ("FP", False): _embed_fp,
+    ("FP", False): _schema_dfs,
     ("H3", False): _embed_pair,
     ("H3", True): _embed_pair,
 }
@@ -558,9 +545,9 @@ def embed(
         )
     res = _resolve(cid, params)
     if h.edges:
-        candidates = _SEARCHES[res.template.name, res.r != h.r](h, res)
+        candidates = _SEARCHES[res.template.name, res.lifted](h, res)
     else:
-        candidates = [tuple(range(1, len(_slots(res)[0]) + 1))]
+        candidates = [tuple(range(1, len(res.names) + 1))]
     for roles in filter(None, map(_witness_check(h, res), candidates)):
         return Embedding(template=cid, params=params, roles=tuple(sorted(roles.items())))
     return None

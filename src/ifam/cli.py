@@ -225,12 +225,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-# the keyword parameters of ``verify``, each set by the flag of its name
-_VERIFY_PARAMS = ("n", "max_support", "ceiling", "count", "seed", "n_max", "r_values")
-
-
 def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
+
+
+# the keyword parameters of ``verify``, each set by the flag of its name:
+# name -> (argument type, help text)
+_VERIFY_PARAMS = {
+    **dict.fromkeys(("n", "max_support", "ceiling", "count", "seed", "n_max"), (int, None)),
+    "r_values": (_int_tuple, "comma-separated, e.g. 3,4,5"),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -313,13 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one statement check")
     p.add_argument("statement", help="one of " + ", ".join(STATEMENTS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-support", type=int)
-    p.add_argument("--ceiling", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--r-values", type=_int_tuple, help="comma-separated, e.g. 3,4,5")
+    for name, (kind, text) in _VERIFY_PARAMS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
     p.add_argument("--json-report", help="write the full report to this file")
     p.set_defaults(func=_cmd_verify)
 

@@ -37,23 +37,24 @@ H3LIFT   every r-set containing an edge of H3FAM(n, i).
 
 Each template is one ``Template`` record in ``_TEMPLATES``: its parameter
 constraints, its roles in layout order, its generators as tuples of role
-names, and its closed-form size where one exists.  The records are the
-single source for building (every r-set containing a generator),
-membership checking (``classifier``), roles (``special_vertices``) and
-validation.  ``size_formula`` returns the closed-form count where one
-exists and is enumeration-backed (the size of the built edge set) for
-H3LIFT.
+names, and its closed-form size where one exists.  ``_resolve`` validates
+an instance and returns it with its record's role table (the role names
+in layout order, each generator as the positions of its roles), which
+the builder, ``special_vertices`` and ``classifier`` all read.
+``size_formula`` returns the closed-form count where one exists and is
+enumeration-backed (the size of the built edge set) for H3LIFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Any, Callable, NamedTuple
 
-from .hypergraph import Hypergraph, mask_of
+from .hypergraph import Hypergraph
 
 __all__ = [
     "ConstructionId",
@@ -97,11 +98,6 @@ class ConstructionError(ValueError):
     pass
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConstructionError(message)
-
-
 # -- closed-form sizes -------------------------------------------------------
 
 
@@ -114,8 +110,6 @@ def hm0_size(n: int, r: int) -> int:
 
 
 def hm_t_size(n: int, r: int, t: int) -> int:
-    if t == 0:
-        return hm0_size(n, r)
     base = choose(n - 1, r - 1) - choose(n - r, r - 1)
     extra = t
     if t <= r - 1:
@@ -152,7 +146,7 @@ class Template:
 
     ``rules(n, r, k)`` lists (holds, message) pairs, where k is the value
     of the extra parameter named ``param``; ``roles(r, k)`` lists the role
-    names in canonical-label order (role j sits on label j);
+    names in canonical-label order (the jth role sits on label j);
     ``generators(r, k)`` lists the generator sets as tuples of role names;
     ``size(n, r, k)`` is the closed-form edge count where one exists.  The
     H3FAM and H3LIFT records carry rules only: their index names another
@@ -298,28 +292,25 @@ _TEMPLATES: dict[ConstructionId, Template] = {
 
 
 class Resolved(NamedTuple):
-    """A construction instance after alias resolution.
-
-    ``r`` is the uniformity of the record's generators: 3 for the H3
-    patterns and their lifts, ``p.r`` otherwise.
-    """
+    """A construction instance after alias resolution.  ``lifted``: its
+    edges are larger than its record's 3-uniform generators (H3LIFT).
+    The role table: ``names`` lists the roles in layout order, role j on
+    label j + 1, and ``gens`` each generator as its roles' positions."""
 
     template: Template
-    r: int
     k: Any
+    lifted: bool
+    names: Roles
+    gens: tuple[tuple[int, ...], ...]
 
-    @property
-    def roles(self) -> Roles:
-        return self.template.roles(self.r, self.k)
 
-    @property
-    def generators(self) -> list[Roles]:
-        return self.template.generators(self.r, self.k)
-
-    @property
-    def layout(self) -> dict[str, int]:
-        """Role -> vertex label: role j sits on label j."""
-        return {role: j for j, role in enumerate(self.roles, start=1)}
+@lru_cache(maxsize=256)
+def _role_table(rec: Template, r: int, k: Any) -> tuple[Roles, tuple[tuple[int, ...], ...]]:
+    """``Resolved.names`` and ``.gens`` for generator uniformity r: keyed
+    by shape, not by n, so thousands of instances share a few tables."""
+    names = rec.roles(r, k)
+    place = {role: j for j, role in enumerate(names)}
+    return names, tuple(tuple(place[role] for role in gen) for gen in rec.generators(r, k))
 
 
 def _resolve(cid: ConstructionId, p: ConstructionParams) -> Resolved:
@@ -335,22 +326,22 @@ def _resolve(cid: ConstructionId, p: ConstructionParams) -> Resolved:
     if rec.param and k is None:
         raise ConstructionError(f"{rec.name} needs parameter {rec.param}")
     for holds, message in rec.rules(p.n, p.r, k):
-        _require(holds, message)
+        if not holds:
+            raise ConstructionError(message)
     r = p.r
     if rec.generators is None:
         rec, r = (_HM0 if k == 0 else _HM_T if k in (1, 2) else _H3_PAIR), 3
-    if rec is _HM_T and k == 0:
+    elif rec is _HM_T and k == 0:
         rec = _HM0
-    return Resolved(rec, r, k)
+    return Resolved(rec, k, r != p.r, *_role_table(rec, r, k))
 
 
 def _build(res: Resolved, p: ConstructionParams) -> Hypergraph:
-    label = res.layout
     edges = set()
-    for gen in res.generators:
-        g = mask_of(label[role] for role in gen)
-        # single-bit masks of the free vertices: the sum of distinct bits
-        # is their union, so each r-set costs one sum
+    for gen in res.gens:
+        # role j sits on label j + 1, bit j; the sum of distinct bits is
+        # their union, so each r-set costs one sum
+        g = sum(1 << j for j in gen)
         rest = [1 << v for v in range(p.n) if not g >> v & 1]
         for c in combinations(rest, p.r - len(gen)):
             edges.add(g | sum(c))
@@ -376,14 +367,15 @@ def build_construction(cid: ConstructionId, p: ConstructionParams) -> Hypergraph
 
 def size_formula(cid: ConstructionId, p: ConstructionParams) -> int:
     res = _resolve(cid, p)
-    if res.template.size is None or res.r != p.r:
+    if res.lifted:
         return len(_build(res, p))
     return res.template.size(p.n, p.r, res.k)
 
 
 def special_vertices(cid: ConstructionId, p: ConstructionParams) -> dict[str, int]:
     """Role -> vertex label map for the canonical layout."""
-    return _resolve(cid, p).layout
+    names = _resolve(cid, p).names
+    return dict(zip(names, range(1, len(names) + 1)))
 
 
 def layout_table() -> str:

@@ -129,13 +129,23 @@ def serialize_set_family(f: SetFamily) -> str:
     return _write_family(str(f.n), f.vertex_sets(), "member", "set_family_to_json")
 
 
-def _json_object(data: Any, keys: tuple[str, ...]) -> dict[str, Any]:
-    """data, or the JSON text data decoded, once it is an object holding keys."""
+def _integer(value: Any, field: str) -> int:
+    """value, once it is an int and not a bool; else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_family(data: Any, header: tuple[str, ...], key: str) -> tuple[list[int], list[list[int]]]:
+    """The integer header values and vertex lists of a JSON family (data,
+    or the JSON text data decoded); the family contract checks the rest."""
     if isinstance(data, str):
         data = json.loads(data)
+    keys = (*header, key)
     if not isinstance(data, dict) or not set(keys) <= set(data):
         raise ValueError("expected an object with keys " + ", ".join(map(repr, keys)))
-    return data
+    sets = [[_integer(v, f"a vertex of {key!r}") for v in vs] for vs in data[key]]
+    return [_integer(data[f], repr(f)) for f in header], sets
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict[str, Any]:
@@ -143,8 +153,8 @@ def hypergraph_to_json(h: Hypergraph) -> dict[str, Any]:
 
 
 def hypergraph_from_json(data: Any) -> Hypergraph:
-    data = _json_object(data, ("n", "r", "edges"))
-    return Hypergraph.from_vertex_sets(int(data["n"]), int(data["r"]), data["edges"])
+    (n, r), edges = _json_family(data, ("n", "r"), "edges")
+    return Hypergraph.from_vertex_sets(n, r, edges)
 
 
 def set_family_to_json(f: SetFamily) -> dict[str, Any]:
@@ -152,5 +162,5 @@ def set_family_to_json(f: SetFamily) -> dict[str, Any]:
 
 
 def set_family_from_json(data: Any) -> SetFamily:
-    data = _json_object(data, ("n", "members"))
-    return SetFamily.from_vertex_sets(int(data["n"]), data["members"])
+    (n,), members = _json_family(data, ("n",), "members")
+    return SetFamily.from_vertex_sets(n, members)

@@ -387,6 +387,25 @@ def test_searches_refuse_a_non_intersecting_family_as_brute_force_does(cid, p):
     assert misses == {p}
 
 
+def test_all_tails_search_refuses_a_base_that_an_apex_edge_misses():
+    # with t = n - r > r - 1 every edge through the apex meets the base.
+    # Apex 1 misses only {2, 3, 4, 5}: dropping 2 leaves the base
+    # {3, 4, 5}, which {1, 2, 6, 7} misses, so that base proposes nothing;
+    # dropping 3 leaves {2, 4, 5}, and its candidate is the first proposed
+    from ifam.classifier import _embed_hm_t
+    from ifam.constructions import _resolve
+
+    h = Hypergraph.from_vertex_sets(9, 4, [(2, 3, 4, 5), (1, 5, 6, 7), (1, 2, 6, 7)])
+    p = P(9, 4, t=5)
+    hits, misses = set(), set()
+    check_against_brute_force(h, C.HM_T, p, hits, misses)
+    assert hits == {p}
+    assert next(_embed_hm_t(h, _resolve(C.HM_T, p))) == (1, 2, 4, 5, 3, 6, 7, 8, 9)
+    assert embed(h, C.HM_T, p).mapping == {
+        "x": 1, "x1": 2, "x2": 4, "x3": 5, "y1": 3, "y2": 6, "y3": 7, "y4": 8, "y5": 9,
+    }
+
+
 TIGHT = [(C.EM, P(r + s, r, s=s)) for r in (3, 4) for s in (1, 2, 3)] + [
     (C.HM0, P(r + 1, r)) for r in (3, 4)
 ]
@@ -523,7 +542,7 @@ def test_every_resolvable_template_has_a_search():
                         res = _resolve(cid, p)
                     except ConstructionError:
                         continue
-                    keys.add((res.template.name, res.r != p.r))
+                    keys.add((res.template.name, res.lifted))
     assert keys == set(_SEARCHES)
 
 

@@ -570,10 +570,9 @@ def test_build_matches_golden_edge_set(key):
 def _build_with_mask_of(res, p):
     """The builder as it was before the single-bit sums: one mask_of call
     per r-set."""
-    label = res.layout
     edges = set()
-    for gen in res.generators:
-        g = mask_of(label[role] for role in gen)
+    for gen in res.gens:
+        g = mask_of(j + 1 for j in gen)
         rest = [v for v in range(1, p.n + 1) if not g & (1 << (v - 1))]
         for c in combinations(rest, p.r - len(gen)):
             edges.add(g | mask_of(c))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from ifam.hypergraph import Hypergraph, SetFamily
@@ -155,6 +157,33 @@ def test_json_readers_hand_the_family_to_its_contract():
         hypergraph_from_json({"n": 4, "r": 2, "edges": [[1]]})
     with pytest.raises(ValueError, match="leaves the ground set"):
         set_family_from_json({"n": 2, "members": [[3]]})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 5.7, "'n' must be an integer, got 5.7"),
+    ("n", True, "'n' must be an integer, got True"),
+    ("n", "6", "'n' must be an integer, got '6'"),
+    ("r", 3.0, "'r' must be an integer, got 3.0"),
+    ("r", False, "'r' must be an integer, got False"),
+    ("vertex", 1.0, "a vertex of {key!r} must be an integer, got 1.0"),
+    ("vertex", "1", "a vertex of {key!r} must be an integer, got '1'"),
+    ("vertex", True, "a vertex of {key!r} must be an integer, got True"),
+])
+def test_json_readers_refuse_a_non_integer_field(field, value, message):
+    readers = [(hypergraph_from_json, {"n": 5, "r": 3}, "edges"),
+               (set_family_from_json, {"n": 5}, "members")]
+    for reader, header, key in readers:
+        if field not in (*header, "vertex"):
+            continue
+        doc = {**header, key: [[1, 2, 3], [2, 3, 4]]}
+        if field == "vertex":
+            doc[key][1][0] = value
+        else:
+            doc[field] = value
+        for data in (doc, json.dumps(doc)):
+            with pytest.raises(ValueError) as exc:
+                reader(data)
+            assert str(exc.value) == message.format(key=key)
 
 
 def test_json_roundtrips():
