@@ -6,16 +6,18 @@ i = 0, B* has 565 cores and B' has 3.
 `decompose_th4prime` must keep every edge and answer H3(i), and
 `b_kernel`'s B', B'' and layers must equal the minimal members of
 `b_star` and the edges containing none of them (the oracle in
-tests/test_core_search.py).  At N = 260 (98,945 edges) only the
-reduction is checked: the oracle's B* there has 775 cores and takes
-about 5 s, more than the reduction itself.
+tests/test_core_search.py).  At N = 260 (98,945 edges) the reduction
+is checked, but not against the oracle: its B* there has 775 cores and
+takes about 5 s, more than the reduction itself.  On every lift,
+`kernel_invariant_violations` must find nothing in `b_kernel`'s
+decomposition.
 
 This directory is outside the default test paths, so the tier-1 suite
 neither collects nor skips it.  Run it from the repository root with
 
     python3 -m pytest -q slow_tests
 
-This file takes about 7 s on a 2-vCPU machine, 3 to 4 s of it at N = 260.
+This file takes about 10 s on a 2-vCPU machine, 5 s of it at N = 260.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import pytest
 
 from ifam.classifier import decompose_th4prime
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
-from ifam.kernel import b_kernel, paper_r
+from ifam.kernel import b_kernel, kernel_invariant_violations, paper_r
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_core_search import oracle_kernel  # noqa: E402
@@ -42,6 +44,7 @@ def test_lift_at_190_points_keeps_every_edge_and_its_kernel(i):
     assert verdict.describe() == f"H3({i})"
     d = b_kernel(h, paper_r())
     assert (d.b_prime, d.b_dprime, d.by_size) == oracle_kernel(h, paper_r())
+    assert kernel_invariant_violations(h, d) == []
 
 
 def test_lift_at_260_points_keeps_every_edge():
@@ -50,3 +53,4 @@ def test_lift_at_260_points_keeps_every_edge():
     assert removed == 0
     assert hp == h
     assert verdict.describe() == "H3(0)"
+    assert kernel_invariant_violations(h, b_kernel(h, paper_r())) == []

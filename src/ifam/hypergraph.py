@@ -9,7 +9,8 @@ Conventions used throughout the package:
   value (ascending).  ``SetFamily`` holds distinct members of arbitrary
   sizes, same storage order.
 * The empty hypergraph is intersecting, has matching number 0 and cover
-  number 0.
+  number 0.  ``is_intersecting`` accepts a family whose members share a
+  vertex (their AND is nonzero) before it builds any incidence row.
 * ``matching_number`` (nu) is the maximum number of pairwise disjoint
   edges; ``cover_number`` (tau) is the minimum size of a vertex set
   meeting every edge.  For every H: nu(H) <= tau(H) <= r * nu(H), and H
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -201,11 +204,16 @@ def _members(h: Hypergraph | SetFamily) -> tuple[int, ...]:
 def is_intersecting(h: Hypergraph | SetFamily) -> bool:
     """True iff every two members share a vertex.  Empty families qualify.
 
-    Bit i of ``rows[v]`` marks member i as containing vertex v + 1, so member
-    j meets all earlier ones iff its rows OR to the j low bits: O(m * r) ORs.
+    Members that all share a vertex meet pairwise, so a nonzero AND of
+    all of them (one C-level reduce) accepts at once.  Otherwise bit i of
+    ``rows[v]`` marks member i as containing vertex v + 1, so member j
+    meets all earlier ones iff its rows OR to the j low bits: O(m * r) ORs.
     """
+    members = _members(h)
+    if members and reduce(and_, members):
+        return True
     rows = [0] * h.n
-    for j, e in enumerate(_members(h)):
+    for j, e in enumerate(members):
         bit = 1 << j
         seen = 0
         while e:

@@ -136,6 +136,13 @@ def _integer(value: Any, field: str) -> int:
     return value
 
 
+def _list(value: Any, field: str) -> list[Any]:
+    """value, once it is a list; else a ValueError naming the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def _json_family(data: Any, header: tuple[str, ...], key: str) -> tuple[list[int], list[list[int]]]:
     """The integer header values and vertex lists of a JSON family (data,
     or the JSON text data decoded); the family contract checks the rest."""
@@ -144,7 +151,8 @@ def _json_family(data: Any, header: tuple[str, ...], key: str) -> tuple[list[int
     keys = (*header, key)
     if not isinstance(data, dict) or not set(keys) <= set(data):
         raise ValueError("expected an object with keys " + ", ".join(map(repr, keys)))
-    sets = [[_integer(v, f"a vertex of {key!r}") for v in vs] for vs in data[key]]
+    sets = [[_integer(v, f"a vertex of {key!r}") for v in _list(vs, f"an entry of {key!r}")]
+            for vs in _list(data[key], repr(key))]
     return [_integer(data[f], repr(f)) for f in header], sets
 
 

@@ -43,6 +43,13 @@ walk skip every core that contains a core it has already accepted:
 such a core gets no packing test and is not extended, because neither
 it nor any superset of it is minimal.  The accepted cores are then
 exactly B' (the argument is in ``b_kernel``), and B* is never built.
+B'' comes from the same incidence rows: the edges that contain a core
+are its carriers, and B'' is the edges outside the carriers of B'.
+
+The invariant checker reuses what the decomposition already settles.
+B'' is a subfamily of H, so when H is intersecting only a pair with a
+member of B' (or, in a hand-built decomposition, a member of B'' that
+is no edge of H) can be disjoint, and only those pairs are tested.
 
 The reduction step applies when a pair of vertices covers the family:
 edges carrying a member of the second or third layer are kept, and each
@@ -71,7 +78,7 @@ from .hypergraph import (
     is_intersecting,
     vertices_of,
 )
-from .sunflower import _heavy_cores, _packed_cores, find_sunflower
+from .sunflower import _heavy_cores, _packed_cores, _through, find_sunflower
 
 __all__ = [
     "ThresholdScheme",
@@ -166,9 +173,12 @@ class KernelDecomposition:
         return SetFamily.from_masks(self.b_prime.n, self.b_prime.members + self.b_dprime.members)
 
 
-def _sunflower_cores(h: Hypergraph, scheme: ThresholdScheme, minimal: bool) -> list[int]:
+def _sunflower_cores(
+    h: Hypergraph, rows: list[int], scheme: ThresholdScheme, minimal: bool
+) -> list[int]:
     """The exact cores of scheme-sized sunflowers in H in nondecreasing
-    size: all of B*, or with ``minimal`` only its minimal members B'."""
+    size: all of B*, or with ``minimal`` only its minimal members B'.
+    ``rows`` are the incidence rows of h.edges."""
     out: list[int] = []
     if h.r < 2 or not h.edges:
         return out
@@ -179,7 +189,6 @@ def _sunflower_cores(h: Hypergraph, scheme: ThresholdScheme, minimal: bool) -> l
     def need(size: int) -> int:
         return thresholds[min(size, h.r - 1)]
 
-    rows = _incidence_rows(h.edges)
     cores = _heavy_cores(rows, (1 << len(h.edges)) - 1, need, out if minimal else ())
     for t, _ in _packed_cores(h.edges, rows, cores, need, h.r):
         out.append(t)
@@ -188,7 +197,7 @@ def _sunflower_cores(h: Hypergraph, scheme: ThresholdScheme, minimal: bool) -> l
 
 def b_star(h: Hypergraph, scheme: ThresholdScheme) -> SetFamily:
     """All exact cores of scheme-sized sunflowers in H, sizes 1..r-1."""
-    return SetFamily.from_masks(h.n, _sunflower_cores(h, scheme, minimal=False))
+    return SetFamily.from_masks(h.n, _sunflower_cores(h, _incidence_rows(h.edges), scheme, False))
 
 
 def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
@@ -208,10 +217,23 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     and is reached and accepted in the same way.  B'' is then the edges
     containing no member of B', which are the edges containing no
     member of B*.
+
+    The incidence rows of the edges are built once, for the walk, the
+    packing tests and B''.  The edges that contain a core T are its
+    carriers, the AND of rows[v] over the vertices v of T, so B'' is the
+    edges outside the OR of the carriers of B', read off without a scan;
+    with B' empty it is all of H.
     """
-    bp = _sunflower_cores(h, scheme, minimal=True)
-    bpp = [e for e in h.edges if not any(t & e == t for t in bp)]
-    return KernelDecomposition(SetFamily.from_masks(h.n, bp), SetFamily(h.n, tuple(bpp)), scheme)
+    rows = _incidence_rows(h.edges)
+    bp = _sunflower_cores(h, rows, scheme, minimal=True)
+    bpp = h.edges
+    if bp:
+        everyone = (1 << len(h.edges)) - 1
+        carried = 0
+        for t in bp:
+            carried |= _through(rows, t, everyone)
+        bpp = tuple(h.edges[j] for j in _bits(everyone & ~carried))
+    return KernelDecomposition(SetFamily.from_masks(h.n, bp), SetFamily(h.n, bpp), scheme)
 
 
 def kernel_bound(h: Hypergraph, d: KernelDecomposition) -> int:
@@ -268,14 +290,24 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     an intersecting B covering a family of cover number >= 2 would have
     to meet the member inside an edge that misses v.  Both stay: each is
     a conclusion of the kernel lemma, and the report names it.
+
+    Two checks skip what the family already settles, so they hold for
+    any decomposition, a faulty one too.  A kernel member inside an
+    edge either has fewer than r vertices or is the edge itself, so an
+    edge in layer r is covered and coverage tests only the other edges.
+    In an intersecting H, two members of B'' that are edges of H meet,
+    so B is intersecting iff each member of B' and each member of B''
+    that is no edge of H meets every other member of B; B is not built.
+    For a decomposition from ``b_kernel`` every member of B'' is an edge
+    of H, so that is |B'| * |B| tests, none when B' is empty.
     """
     out: list[str] = []
     layers = d.by_size
-    # coverage: a kernel member inside an edge either has fewer than r
-    # vertices or is the edge itself
+    edges = set(h.edges)
+    # coverage: an edge of layer r carries itself
     small = [t for i, layer in layers.items() if i < h.r for t in layer.members]
-    top = set(layers[h.r].members) if h.r in layers else set()
-    bare = next((e for e in h.edges if e not in top and not any(t & e == t for t in small)), None)
+    rest = sorted(edges.difference(layers[h.r].members)) if h.r in layers else h.edges
+    bare = next((e for e in rest if not any(t & e == t for t in small)), None)
     if bare is not None:
         out.append(f"edge {vertices_of(bare)} contains no kernel member")
     # antichain: distinct same-size sets never nest, so only compare
@@ -285,8 +317,12 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     if nested is not None:
         out.append("kernel members {} and {} are nested".format(*map(vertices_of, nested)))
     intersecting = is_intersecting(h)
-    if intersecting and not is_intersecting(d.b()):
-        out.append("kernel of an intersecting family is not intersecting")
+    if intersecting:
+        # only a pair with one of these in it can be disjoint
+        strays = [*d.b_prime.members, *set(d.b_dprime.members).difference(edges)]
+        members = [t for layer in layers.values() for t in layer.members]
+        if not all(x & y or x == y for x in strays for y in members):
+            out.append("kernel of an intersecting family is not intersecting")
     if d.scheme.kind == "r" and intersecting and 1 in layers and cover_number(h) >= 2:
         out.append("layer 1 nonempty for an intersecting family with cover number >= 2")
     if intersecting:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
@@ -386,3 +389,57 @@ def test_contains():
     assert 0 not in h
     assert (1 << 80) not in h
     assert mask_of([1, 2, 3]) not in Hypergraph(5, 3, ())
+
+
+def star_with_noise(rng, n, uniform):
+    """Members through one centre, then, half the time, one to three
+    members that avoid it (for a SetFamily possibly the empty set)."""
+    centre = rng.randint(1, n)
+    others = [v for v in range(1, n + 1) if v != centre]
+    r = rng.randint(1, min(n, 5))
+
+    def size():
+        return r if uniform else rng.randint(1, min(n, 5))
+
+    masks = {mask_of([centre, *rng.sample(others, size() - 1)]) for _ in range(rng.randint(0, 25))}
+    if rng.random() < 0.5:
+        masks |= {
+            mask_of(rng.sample(others, min(size() if uniform else rng.randint(0, 5), n - 1)))
+            for _ in range(rng.randint(1, 3))
+        }
+    if uniform:
+        masks = {m for m in masks if m.bit_count() == r}
+        return Hypergraph.from_masks(n, r, masks)
+    return SetFamily.from_masks(n, masks)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 64, 130])
+def test_is_intersecting_matches_pairwise_oracle_on_stars_with_noise(n):
+    rng = random.Random(20261019 + n)
+    kinds = Counter()
+    for trial in range(300):
+        f = star_with_noise(rng, n, uniform=trial % 2 == 0)
+        members = f.edges if isinstance(f, Hypergraph) else f.members
+        common = bool(members) and reduce(and_, members) != 0
+        want = pairwise_intersecting(members)
+        assert is_intersecting(f) == want, f
+        kinds[common, want] += 1
+    # a common vertex, and without one both answers
+    assert kinds[True, True] and kinds[False, True] and kinds[False, False], kinds
+    assert not kinds[True, False]
+
+
+@pytest.mark.parametrize("f, want", [
+    (SetFamily(7, ()), True),
+    (Hypergraph(7, 3, ()), True),
+    (SetFamily(7, (0,)), True),
+    (SetFamily.from_vertex_sets(7, [(2, 5)]), True),
+    (Hypergraph.from_vertex_sets(130, 2, [(64, 130)]), True),
+    (SetFamily.from_vertex_sets(7, [(), (1,)]), False),
+    (SetFamily.from_vertex_sets(7, [(), (1, 2), (1, 3)]), False),
+    (Hypergraph(0, 0, (0,)), True),
+])
+def test_is_intersecting_on_zero_one_and_empty_members(f, want):
+    members = f.edges if isinstance(f, Hypergraph) else f.members
+    assert pairwise_intersecting(members) == want
+    assert is_intersecting(f) == want

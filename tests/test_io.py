@@ -186,6 +186,26 @@ def test_json_readers_refuse_a_non_integer_field(field, value, message):
             assert str(exc.value) == message.format(key=key)
 
 
+@pytest.mark.parametrize("sets, message", [
+    ([5], "an entry of {key!r} must be a list, got 5"),
+    ([[1, 2, 3], 4], "an entry of {key!r} must be a list, got 4"),
+    ([[1, 2, 3], "234"], "an entry of {key!r} must be a list, got '234'"),
+    ([[1, 2, 3], {"2": 3}], "an entry of {key!r} must be a list, got {{'2': 3}}"),
+    (5, "{key!r} must be a list, got 5"),
+    ("[[1, 2, 3]]", "{key!r} must be a list, got '[[1, 2, 3]]'"),
+    (None, "{key!r} must be a list, got None"),
+    ({"1": [1, 2, 3]}, "{key!r} must be a list, got {{'1': [1, 2, 3]}}"),
+])
+def test_json_readers_refuse_a_family_or_member_that_is_no_list(sets, message):
+    for reader, header, key in [(hypergraph_from_json, {"n": 5, "r": 3}, "edges"),
+                                (set_family_from_json, {"n": 5}, "members")]:
+        doc = {**header, key: sets}
+        for data in (doc, json.dumps(doc)):
+            with pytest.raises(ValueError) as exc:
+                reader(data)
+            assert str(exc.value) == message.format(key=key)
+
+
 def test_json_roundtrips():
     h = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (4, 5, 6)])
     blob = hypergraph_to_json(h)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -11,7 +13,14 @@ import pytest
 import ifam.kernel
 import ifam.sunflower
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
-from ifam.hypergraph import Hypergraph, SetFamily, cover_number, is_intersecting, mask_of
+from ifam.hypergraph import (
+    Hypergraph,
+    SetFamily,
+    cover_number,
+    is_intersecting,
+    mask_of,
+    vertices_of,
+)
 from ifam.kernel import (
     KernelDecomposition,
     ThresholdScheme,
@@ -23,6 +32,8 @@ from ifam.kernel import (
     paper_rs,
     reduce_to_3graph,
 )
+from ifam.sunflower import find_sunflower
+from ifam.verify import _random_greedy, _random_star_noise, _random_structured
 
 
 def full_star(n, r, x=1):
@@ -168,6 +179,7 @@ def fam(n, *sets):
 FAN = Hypergraph.from_vertex_sets(5, 3, [(1, 2, 3), (1, 4, 5)])
 TRIANGLE = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6)])
 STAR6 = Hypergraph.from_vertex_sets(6, 3, [(1, v, 6) for v in range(2, 6)])
+FAN_PARTS = fam(5, (1, 2, 3), (1, 4, 5))
 KERNEL_FAULTS = [
     # B = {23} leaves 145 bare; its layer keeps the counting bound at 3
     (FAN, KernelDecomposition(fam(5, (2, 3)), fam(5)),
@@ -298,3 +310,148 @@ def test_reduce_contract_on_random_pair_covered_families():
             assert is_intersecting(h3)
             assert cover_number(h3) <= 2
     assert count > 5
+
+
+def b_dprime_oracle(h, d):
+    """The edges of H containing no member of B', by a scan."""
+    return tuple(e for e in h.edges if not any(t & e == t for t in d.b_prime.members))
+
+
+KERNEL_PROPS_GENERATORS = (_random_star_noise, _random_structured, _random_greedy)
+SCHEMES = (paper_r(), paper_rs(1), paper_rs(2), paper_rs(3))
+
+
+def kernel_props_corpus(seed, count):
+    """(H, scheme) from the KERNEL_PROPS generators, every scheme each."""
+    rng = random.Random(seed)
+    for index in range(count):
+        h = KERNEL_PROPS_GENERATORS[index % 3](rng, rng.choice((3, 4)))
+        for scheme in SCHEMES:
+            yield h, scheme
+
+
+def test_b_dprime_is_the_edges_containing_no_b_prime_member_on_kernel_props_families():
+    empty = 0
+    for h, scheme in kernel_props_corpus(41, 90):
+        d = b_kernel(h, scheme)
+        assert d.b_dprime.members == b_dprime_oracle(h, d), (h, scheme)
+        empty += not d.b_prime.members
+    assert 0 < empty < 360
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_b_dprime_is_the_edges_containing_no_b_prime_member_on_lifts(n):
+    for i in range(6):
+        h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+        d = b_kernel(h, paper_r())
+        assert d.b_dprime.members == b_dprime_oracle(h, d), (n, i)
+
+
+def test_b_kernel_builds_its_incidence_rows_once(monkeypatch):
+    # the core walk, the packing tests and B'' all read one set of rows
+    calls = []
+    real = ifam.kernel._incidence_rows
+    monkeypatch.setattr(ifam.kernel, "_incidence_rows",
+                        lambda masks: calls.append(1) or real(masks))
+    for h, scheme in [(full_star(15, 3), paper_r()), (hm_classic(52, 4), paper_r()),
+                      (hm_classic(20, 4), paper_r()), (Hypergraph(8, 3, ()), paper_r())]:
+        calls.clear()
+        d = b_kernel(h, scheme)
+        assert d.b_dprime.members == b_dprime_oracle(h, d)
+        assert len(calls) == 1
+
+
+def checker_oracle(h, d):
+    """The invariant checker as it read before it learnt which pairs of
+    B can fail: it tests every edge for coverage and all of B, built as
+    one family, for the intersecting property."""
+    out = []
+    layers = d.by_size
+    small = [t for i, layer in layers.items() if i < h.r for t in layer.members]
+    top = set(layers[h.r].members) if h.r in layers else set()
+    bare = next((e for e in h.edges if e not in top and not any(t & e == t for t in small)), None)
+    if bare is not None:
+        out.append(f"edge {vertices_of(bare)} contains no kernel member")
+    nested = next(((a, c) for i, j in combinations(layers, 2) for a in layers[i].members
+                   for c in layers[j].members if a & c == a), None)
+    if nested is not None:
+        out.append("kernel members {} and {} are nested".format(*map(vertices_of, nested)))
+    intersecting = is_intersecting(h)
+    if intersecting and not is_intersecting(d.b()):
+        out.append("kernel of an intersecting family is not intersecting")
+    if d.scheme.kind == "r" and intersecting and 1 in layers and cover_number(h) >= 2:
+        out.append("layer 1 nonempty for an intersecting family with cover number >= 2")
+    if intersecting:
+        for i, layer in layers.items():
+            thr = d.scheme.claim_threshold(h.r, i)
+            if d.scheme.claim_applies(h.r, i) and len(layer) >= thr:
+                if find_sunflower(layer, thr) is not None:
+                    out.append(f"layer {i} contains a {thr}-sunflower")
+    if kernel_bound(h, d) < len(h):
+        out.append("counting bound below the family size")
+    return out
+
+
+def mutations(rng, h, d):
+    """Hand-built faulty variants of d: a B' member dropped, a set that
+    misses a B' member added to B'', a non-edge added to B'', and the
+    empty set put in B'."""
+    n, bp, bpp = h.n, d.b_prime.members, d.b_dprime.members
+
+    def variant(prime, dprime):
+        return KernelDecomposition(SetFamily.from_masks(n, prime), SetFamily.from_masks(n, dprime),
+                                   d.scheme)
+
+    if bp:
+        drop = rng.randrange(len(bp))
+        yield variant(bp[:drop] + bp[drop + 1:], bpp)
+        t = rng.choice(bp)
+        rest = [v for v in range(1, n + 1) if not t >> (v - 1) & 1]
+        miss = mask_of(rng.sample(rest, min(len(rest), rng.randint(1, h.r))))
+        yield variant(bp, bpp + (miss,))
+    for _ in range(20):
+        e = mask_of(rng.sample(range(1, n + 1), h.r))
+        if e not in h:
+            yield variant(bp, bpp + (e,))
+            break
+    yield variant((0,) + bp, bpp)
+
+
+def test_checker_matches_its_oracle_on_kernel_props_families_and_their_mutations():
+    rng = random.Random(20261019)
+    messages = Counter()
+    decompositions = 0
+    for h, scheme in kernel_props_corpus(20261019, 150):
+        d = b_kernel(h, scheme)
+        for v in (d, *mutations(rng, h, d)):
+            got = kernel_invariant_violations(h, v)
+            assert got == checker_oracle(h, v), (h, v)
+            messages.update(got)
+            decompositions += 1
+    assert decompositions > 1500
+    # the four kinds of fault that a mutation can bring all show up
+    kinds = Counter(re.sub(r"\(.*?\)", "T", m) for m in messages.elements())
+    assert kinds["edge T contains no kernel member"] > 20, kinds
+    assert kinds["kernel members T and T are nested"] > 400, kinds
+    assert kinds["kernel of an intersecting family is not intersecting"] > 400, kinds
+    assert kinds["counting bound below the family size"] > 20, kinds
+
+
+@pytest.mark.parametrize("h, d, messages", KERNEL_FAULTS, ids=[m[-1] for *_, m in KERNEL_FAULTS])
+def test_checker_matches_its_oracle_on_the_hand_built_faults(h, d, messages):
+    assert checker_oracle(h, d) == messages
+    rng = random.Random(len(h) * 31 + len(messages))
+    for v in mutations(rng, h, d):
+        assert kernel_invariant_violations(h, v) == checker_oracle(h, v), v
+
+
+@pytest.mark.parametrize("h, d, messages", [
+    # B = {{}} alone is intersecting, as is any one-member family
+    (Hypergraph(5, 3, ()), KernelDecomposition(fam(5, ()), fam(5)), []),
+    (Hypergraph(5, 3, ()), KernelDecomposition(fam(5, ()), fam(5, ())), []),
+    (FAN, KernelDecomposition(fam(5, ()), FAN_PARTS),
+     ["kernel members () and (1, 2, 3) are nested",
+      "kernel of an intersecting family is not intersecting"]),
+], ids=["empty set alone", "empty set in both parts", "empty set beside the edges"])
+def test_checker_matches_its_oracle_on_the_empty_member(h, d, messages):
+    assert kernel_invariant_violations(h, d) == checker_oracle(h, d) == messages
