@@ -17,7 +17,8 @@ neither collects nor skips it.  Run it from the repository root with
 
     python3 -m pytest -q slow_tests
 
-This file takes about 10 s on a 2-vCPU machine, 5 s of it at N = 260.
+This file takes about 13 s on a 2-vCPU machine, 6 to 7 s of it at
+N = 260 (`decompose_th4prime` there takes about 3 s).
 """
 
 from __future__ import annotations

@@ -54,8 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, islice, permutations
+from operator import and_
 
 from .constructions import (
     ConstructionError,
@@ -67,6 +68,7 @@ from .constructions import (
 from .hypergraph import (
     Hypergraph,
     SetFamily,
+    _intersecting_rows,
     cover_number,
     delete_vertices,
     is_intersecting,
@@ -75,7 +77,7 @@ from .hypergraph import (
     pack_exists,
     vertices_of,
 )
-from .kernel import _reduce_to_3graph, b_kernel, paper_r, paper_rs
+from .kernel import _b_kernel, _reduce_to_3graph, b_kernel, paper_r, paper_rs
 
 __all__ = [
     "VerdictKind",
@@ -696,12 +698,22 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     Returns (retained family, number of edges removed, lifted verdict).
     The retained edges each contain a small kernel member; at small n the
     kernel can be all of H, leaving an empty residue, in which case the
-    verdict describes the empty family.
+    verdict describes the empty family.  When no edge is removed, the
+    retained family is h itself.
+
+    The incidence rows are built once, by the proof that h is
+    intersecting; the kernel walk, B'' and the reduction read them, and
+    the reduction takes its kept edges and triples from the carriers of
+    the layer-2 and layer-3 members instead of scanning the edges.  A
+    common vertex proves h intersecting with cover number at most 1
+    without rows, and that path reads none.
     """
     if h.r < 4:
         raise ValueError(f"decompose_th4prime needs r >= 4, got r={h.r}")
-    if not is_intersecting(h):
-        raise ValueError("decompose_th4prime needs an intersecting family")
+    if not (h.edges and reduce(and_, h.edges)):
+        rows = _intersecting_rows(h.edges, h.n)
+        if rows is None:
+            raise ValueError("decompose_th4prime needs an intersecting family")
     tau = cover_number(h)
     if tau >= 3:
         raise ValueError("decompose_th4prime needs cover number at most 2")
@@ -710,9 +722,9 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
         if star.kind is VerdictKind.NONE:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)
-    decomp = b_kernel(h, paper_r())
+    decomp = _b_kernel(h, paper_r(), rows)
     # h is intersecting with tau = 2, checked above
-    hp, h3 = _reduce_to_3graph(h, decomp)
+    hp, h3 = _reduce_to_3graph(h, decomp, rows)
     removed = len(h) - len(hp)
     v3 = classify_3graph(h3)
     # the shadow's witness lifts as it stands: the star's center, or the

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   sizes, same storage order.
 * The empty hypergraph is intersecting, has matching number 0 and cover
   number 0.  ``is_intersecting`` accepts a family whose members share a
-  vertex (their AND is nonzero) before it builds any incidence row.
+  vertex (their AND is nonzero) before it builds any incidence row;
+  otherwise its proof builds the rows, and ``_intersecting_rows`` hands
+  them back for the kernel to read.
 * ``matching_number`` (nu) is the maximum number of pairwise disjoint
   edges; ``cover_number`` (tau) is the minimum size of a vertex set
   meeting every edge.  For every H: nu(H) <= tau(H) <= r * nu(H), and H
@@ -208,11 +210,19 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
     all of them (one C-level reduce) accepts at once.  Otherwise bit i of
     ``rows[v]`` marks member i as containing vertex v + 1, so member j
     meets all earlier ones iff its rows OR to the j low bits: O(m * r) ORs.
+    An accepting proof ends with the full rows (``_intersecting_rows``),
+    which a caller that needs them keeps.
     """
     members = _members(h)
     if members and reduce(and_, members):
         return True
-    rows = [0] * h.n
+    return _intersecting_rows(members, h.n) is not None
+
+
+def _intersecting_rows(members: Sequence[int], n: int) -> list[int] | None:
+    """The n incidence rows of members, built while proving them pairwise
+    intersecting, or None at the first member that misses an earlier one."""
+    rows = [0] * n
     for j, e in enumerate(members):
         bit = 1 << j
         seen = 0
@@ -222,8 +232,8 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
             rows[v] |= bit
             e &= e - 1
         if seen != bit - 1:
-            return False
-    return True
+            return None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +415,7 @@ def _cover_exists(masks: Sequence[int], k: int) -> int | None:
         return None
     if len(_greedy_packing(masks)) > k:
         return None
-    e = min(masks, key=lambda m: m.bit_count())
+    e = min(masks, key=int.bit_count)
     rest = e
     while rest:
         low = rest & -rest

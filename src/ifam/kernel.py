@@ -56,7 +56,9 @@ edges carrying a member of the second or third layer are kept, and each
 kept edge is shrunk onto triples through its layer-2 members, yielding
 an auxiliary 3-uniform family that preserves the intersecting property
 and is again covered by a pair.  Classification of the auxiliary family
-then transfers back to the original one.
+then transfers back to the original one.  The kept edges and the
+triples are read from carriers too, on the incidence rows that the
+proof that H is intersecting leaves behind.
 
 Two named schemes are provided: the single-family scheme with
 multiplicity (r+1)^|T|, and a coarser one with multiplicity
@@ -74,6 +76,7 @@ from .hypergraph import (
     SetFamily,
     _bits,
     _incidence_rows,
+    _intersecting_rows,
     cover_number,
     is_intersecting,
     vertices_of,
@@ -224,7 +227,11 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     edges outside the OR of the carriers of B', read off without a scan;
     with B' empty it is all of H.
     """
-    rows = _incidence_rows(h.edges)
+    return _b_kernel(h, scheme, _incidence_rows(h.edges))
+
+
+def _b_kernel(h: Hypergraph, scheme: ThresholdScheme, rows: list[int]) -> KernelDecomposition:
+    """b_kernel on the incidence rows of h.edges that the caller holds."""
     bp = _sunflower_cores(h, rows, scheme, minimal=True)
     bpp = h.edges
     if bp:
@@ -234,6 +241,11 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
             carried |= _through(rows, t, everyone)
         bpp = tuple(h.edges[j] for j in _bits(everyone & ~carried))
     return KernelDecomposition(SetFamily.from_masks(h.n, bp), SetFamily(h.n, bpp), scheme)
+
+
+def _same_ground_set(h: Hypergraph, d: KernelDecomposition) -> None:
+    if d.b_prime.n != h.n:
+        raise ValueError(f"the decomposition lies on [{d.b_prime.n}], the family on [{h.n}]")
 
 
 def kernel_bound(h: Hypergraph, d: KernelDecomposition) -> int:
@@ -248,32 +260,44 @@ def reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph,
 
     Returns (Hprime, H3) where Hprime keeps the edges containing a
     member of B_2 or B_3 and H3 consists of all B_3 members plus every
-    triple through a B_2 member that fits inside a kept edge.
+    triple through a B_2 member that fits inside a kept edge.  The proof
+    that H is intersecting builds the incidence rows the reduction reads.
+    A decomposition of another ground set is refused.
     """
-    if not is_intersecting(h) or cover_number(h) > 2:
+    _same_ground_set(h, d)
+    rows = _intersecting_rows(h.edges, h.n)
+    if rows is None or cover_number(h) > 2:
         raise ValueError("reduction needs an intersecting family with cover number <= 2")
-    return _reduce_to_3graph(h, d)
+    return _reduce_to_3graph(h, d, rows)
 
 
-def _reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph, Hypergraph]:
+def _reduce_to_3graph(
+    h: Hypergraph, d: KernelDecomposition, rows: list[int]
+) -> tuple[Hypergraph, Hypergraph]:
     """reduce_to_3graph for a caller that has already checked that h is
-    intersecting with cover number at most 2."""
+    intersecting with cover number at most 2; ``rows`` are the incidence
+    rows of h.edges.
+
+    No edge is scanned.  The kept edges are the OR of the carriers of
+    the B_2 and B_3 members, read from the rows as B'' is.  The triples
+    through a B_2 member t inside a kept edge are t plus one vertex v
+    outside t that some carrier of t contains, that is, with rows[v]
+    meeting t's carriers.  When every edge is kept, h itself is returned.
+    """
     b2 = d.by_size.get(2, SetFamily(h.n, ())).members
     b3 = d.by_size.get(3, SetFamily(h.n, ())).members
-    carriers = b2 + b3
-    kept = [e for e in h.edges if any(t & e == t for t in carriers)]
+    everyone = (1 << len(h.edges)) - 1
+    kept = 0
     triples = set(b3)
+    for t in b3:
+        kept |= _through(rows, t, everyone)
     for t in b2:
-        # the triples through t inside a kept edge are t plus one vertex
-        # of the union of the kept edges through t
-        rest = 0
-        for e in kept:
-            if e & t == t:
-                rest |= e
-        triples.update(t | 1 << v for v in _bits(rest & ~t))
-    hprime = Hypergraph.from_masks(h.n, h.r, kept)
-    h3 = Hypergraph.from_masks(h.n, 3, sorted(triples))
-    return hprime, h3
+        through = _through(rows, t, everyone)
+        kept |= through
+        triples.update(t | 1 << v for v, row in enumerate(rows) if row & through and not t >> v & 1)
+    if kept != everyone:
+        h = Hypergraph(h.n, h.r, tuple(h.edges[j] for j in _bits(kept)))
+    return h, Hypergraph.from_masks(h.n, 3, triples)
 
 
 def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[str]:
@@ -300,7 +324,10 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     that is no edge of H meets every other member of B; B is not built.
     For a decomposition from ``b_kernel`` every member of B'' is an edge
     of H, so that is |B'| * |B| tests, none when B' is empty.
+
+    A decomposition of another ground set is refused, not checked.
     """
+    _same_ground_set(h, d)
     out: list[str] = []
     layers = d.by_size
     edges = set(h.edges)

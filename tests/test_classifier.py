@@ -863,23 +863,47 @@ def test_th4prime_lifted_family_at_scale():
     assert embedding_is_valid(hp, v.embedding)
 
 
-def test_th4prime_checks_its_hypotheses_once(monkeypatch):
-    # decompose_th4prime checks intersection and tau itself, so the kernel
-    # reduction it calls must not check them again; classify_3graph on the
-    # shadow makes the second cover_number call
-    calls = {"is_intersecting": 0, "cover_number": 0}
-    for name, fn in (("is_intersecting", is_intersecting), ("cover_number", cover_number)):
-        def counting(h, name=name, fn=fn):
-            calls[name] += 1
-            return fn(h)
+def count_calls(monkeypatch, names):
+    """A dict counting the calls to each hypergraph function in names,
+    wherever a module of the package imported it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(ifam.hypergraph, name)
 
-        for mod in (ifam.hypergraph, ifam.classifier, ifam.kernel):
+        def counting(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        for mod in (ifam.hypergraph, ifam.classifier, ifam.kernel, ifam.sunflower):
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_th4prime_checks_its_hypotheses_once(monkeypatch):
+    # the proof that h is intersecting builds the incidence rows that the
+    # kernel and the reduction read, so neither proves it again nor builds
+    # rows of its own; classify_3graph on the shadow makes the second
+    # cover_number call
+    names = ("_intersecting_rows", "_incidence_rows", "cover_number")
     h = built(C.H3LIFT, 130, 4, i=3)
+    d = ifam.kernel.b_kernel(h, ifam.kernel.paper_r())
+    calls = count_calls(monkeypatch, names)
     hp, removed, v = decompose_th4prime(h)
     assert (removed, v.describe()) == (0, "H3(3)")
-    assert calls == {"is_intersecting": 1, "cover_number": 2}
+    assert hp is h
+    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 0, "cover_number": 2}
+    # the public reduction follows the same rule, and checks tau once
+    calls.update(dict.fromkeys(names, 0))
+    hp, h3 = ifam.kernel.reduce_to_3graph(h, d)
+    assert hp is h and len(h3) > 0
+    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 0, "cover_number": 1}
+    # a common vertex proves a star intersecting, and the star path reads no rows
+    star = built(C.EM, 40, 4, s=1)
+    want = classify(star)
+    calls.update(dict.fromkeys(names, 0))
+    assert decompose_th4prime(star) == (star, 0, want)
+    assert calls == {"_intersecting_rows": 0, "_incidence_rows": 0, "cover_number": 1}
 
 
 def test_th4prime_rejects_bad_input():

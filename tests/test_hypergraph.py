@@ -15,6 +15,8 @@ from ifam.hypergraph import (
     Hypergraph,
     SetFamily,
     _bits,
+    _incidence_rows,
+    _intersecting_rows,
     cover_number,
     delete_vertices,
     is_intersecting,
@@ -443,3 +445,27 @@ def test_is_intersecting_on_zero_one_and_empty_members(f, want):
     members = f.edges if isinstance(f, Hypergraph) else f.members
     assert pairwise_intersecting(members) == want
     assert is_intersecting(f) == want
+    assert _intersecting_rows(members, f.n) == rows_oracle(members, f.n)
+
+
+def rows_oracle(members, n):
+    """None for a family that is not pairwise intersecting, else its
+    incidence rows padded with zero rows to n."""
+    if not pairwise_intersecting(members):
+        return None
+    rows = _incidence_rows(members)
+    return rows + [0] * (n - len(rows))
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 130])
+def test_intersecting_rows_are_none_or_the_incidence_rows(n):
+    rng = random.Random(20261026 + n)
+    answers = Counter()
+    for trial in range(200):
+        make = majority_family if trial < 100 else star_with_noise
+        f = make(rng, n, uniform=trial % 2 == 0)
+        members = f.edges if isinstance(f, Hypergraph) else f.members
+        got = _intersecting_rows(members, n)
+        assert got == rows_oracle(members, n), f
+        answers[got is None] += 1
+    assert answers[True] and answers[False], answers

@@ -361,6 +361,59 @@ def test_b_kernel_builds_its_incidence_rows_once(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("check, family, decomposed, message", [
+    (reduce_to_3graph, 21, 20, "the decomposition lies on [20], the family on [21]"),
+    (kernel_invariant_violations, 20, 21, "the decomposition lies on [21], the family on [20]"),
+])
+def test_a_decomposition_of_another_ground_set_is_refused(check, family, decomposed, message):
+    def lift(n):
+        return build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=3))
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(lift(family), b_kernel(lift(decomposed), paper_r()))
+
+
+def scan_reduce_oracle(h, d):
+    """The reduction by scans: each edge is tested against every B_2 and
+    B_3 member, and the triples through a B_2 member t are t plus one
+    vertex of a kept edge through t."""
+    b2 = d.by_size[2].members if 2 in d.by_size else ()
+    b3 = d.by_size[3].members if 3 in d.by_size else ()
+    kept = [e for e in h.edges if any(t & e == t for t in b2 + b3)]
+    triples = set(b3)
+    for t in b2:
+        for e in kept:
+            if e & t == t:
+                triples.update(t | 1 << (v - 1) for v in vertices_of(e & ~t))
+    return Hypergraph.from_masks(h.n, h.r, kept), Hypergraph.from_masks(h.n, 3, triples)
+
+
+def test_reduction_matches_the_scan_on_kernel_props_families():
+    outcomes = Counter()
+    for h, scheme in kernel_props_corpus(20261020, 150):
+        if not is_intersecting(h) or cover_number(h) > 2:
+            continue
+        d = b_kernel(h, scheme)
+        hp, h3 = reduce_to_3graph(h, d)
+        assert (hp, h3) == scan_reduce_oracle(h, d), (h, scheme)
+        outcomes["none kept" if not hp.edges else "all kept" if hp == h else "some kept"] += 1
+        outcomes["triples"] += bool(h3.edges)
+    # an empty and a whole retained family, and shadows; the lifts below
+    # take the partial path
+    assert min(outcomes.values()) > 100 and len(outcomes) == 3, outcomes
+
+
+@pytest.mark.parametrize("n", [20, 52, 60])
+def test_reduction_matches_the_scan_on_lifts(n):
+    for i in range(6):
+        h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+        d = b_kernel(h, paper_r())
+        hp, h3 = reduce_to_3graph(h, d)
+        assert (hp, h3) == scan_reduce_oracle(h, d), (n, i)
+        if (n, i) == (52, 3):  # the partial path
+            assert len(h) - len(hp) == 284
+
+
 def checker_oracle(h, d):
     """The invariant checker as it read before it learnt which pairs of
     B can fail: it tests every edge for coverage and all of B, built as
