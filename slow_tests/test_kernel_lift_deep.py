@@ -4,11 +4,12 @@ and on H3LIFT(260, 4, 0).
 At N = 190 the lifts have 52,360 (i = 0) and 18,690 (i = 3) edges; at
 i = 0, B* has 565 cores and B' has 3.
 `decompose_th4prime` must keep every edge and answer H3(i), and
-`b_kernel`'s B', B'' and layers must equal the minimal members of
-`b_star` and the edges containing none of them (the oracle in
-tests/test_core_search.py).  At N = 260 (98,945 edges) the reduction
+`b_kernel`'s B', B'' and layers must equal the minimal members of B*
+and the edges containing none of them.  B* comes from the brute-force
+`oracle_b_star` in tests/test_core_search.py, which scores every
+proper subset of every edge.  At N = 260 (98,945 edges) the reduction
 is checked, but not against the oracle: its B* there has 775 cores and
-takes about 5 s, more than the reduction itself.  On every lift,
+takes about 4.5 s, more than the reduction itself.  On every lift,
 `kernel_invariant_violations` must find nothing in `b_kernel`'s
 decomposition.
 
@@ -17,7 +18,7 @@ neither collects nor skips it.  Run it from the repository root with
 
     python3 -m pytest -q slow_tests
 
-This file takes about 13 s on a 2-vCPU machine, 6 to 7 s of it at
+This file takes 7 to 12 s on a 2-vCPU machine, 4 to 7 s of it at
 N = 260 (`decompose_th4prime` there takes about 3 s).
 """
 

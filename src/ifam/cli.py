@@ -143,7 +143,7 @@ def _parse_scheme(text: str) -> ThresholdScheme:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    from .kernel import b_kernel, b_star, kernel_bound
+    from .kernel import b_kernel, kernel_bound
 
     h = _read_hypergraph(args.file)
     scheme = _parse_scheme(args.scheme)
@@ -153,7 +153,6 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json({
             "scheme": scheme.name,
-            "b_star": [list(vs) for vs in b_star(h, scheme).vertex_sets()],
             "b_prime": [list(vs) for vs in d.b_prime.vertex_sets()],
             "b_dprime": [list(vs) for vs in d.b_dprime.vertex_sets()],
             "by_size": {str(k): v for k, v in sizes.items()},

@@ -37,12 +37,12 @@ edge that misses it meets every carrier, as holds in any intersecting
 family.
 
 The walk hands over the cores level by level, all cores of one size
-before any larger one.  ``b_star`` tests every core.  ``b_kernel``
-needs only B' (the layers are built from B' and B''), so it lets the
-walk skip every core that contains a core it has already accepted:
-such a core gets no packing test and is not extended, because neither
-it nor any superset of it is minimal.  The accepted cores are then
-exactly B' (the argument is in ``b_kernel``), and B* is never built.
+before any larger one.  ``b_kernel`` needs only B' (the layers are
+built from B' and B''), so it lets the walk skip every core that
+contains a core it has already accepted: such a core gets no packing
+test and is not extended, because neither it nor any superset of it
+is minimal.  The accepted cores are then exactly B' (the argument is
+in ``b_kernel``), and B* is never built.
 B'' comes from the same incidence rows: the edges that contain a core
 are its carriers, and B'' is the edges outside the carriers of B'.
 
@@ -88,7 +88,6 @@ __all__ = [
     "KernelDecomposition",
     "paper_r",
     "paper_rs",
-    "b_star",
     "b_kernel",
     "kernel_bound",
     "reduce_to_3graph",
@@ -113,8 +112,10 @@ class ThresholdScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("r", "rs"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "rs" and (self.s is None or self.s < 1):
-            raise ValueError("scheme kind 'rs' needs s >= 1")
+        if self.kind == "rs" and (
+            isinstance(self.s, bool) or not isinstance(self.s, int) or self.s < 1
+        ):
+            raise ValueError(f"scheme kind 'rs' needs an integer s >= 1, got {self.s!r}")
         if self.kind == "r" and self.s is not None:
             raise ValueError("scheme kind 'r' takes no s")
 
@@ -176,33 +177,6 @@ class KernelDecomposition:
         return SetFamily.from_masks(self.b_prime.n, self.b_prime.members + self.b_dprime.members)
 
 
-def _sunflower_cores(
-    h: Hypergraph, rows: list[int], scheme: ThresholdScheme, minimal: bool
-) -> list[int]:
-    """The exact cores of scheme-sized sunflowers in H in nondecreasing
-    size: all of B*, or with ``minimal`` only its minimal members B'.
-    ``rows`` are the incidence rows of h.edges."""
-    out: list[int] = []
-    if h.r < 2 or not h.edges:
-        return out
-    thresholds = scheme.table(h.r)
-
-    # an r-set lies in at most one edge, so holding the last threshold
-    # past r - 1 keeps the need nondecreasing and ends the walk there
-    def need(size: int) -> int:
-        return thresholds[min(size, h.r - 1)]
-
-    cores = _heavy_cores(rows, (1 << len(h.edges)) - 1, need, out if minimal else ())
-    for t, _ in _packed_cores(h.edges, rows, cores, need, h.r):
-        out.append(t)
-    return out
-
-
-def b_star(h: Hypergraph, scheme: ThresholdScheme) -> SetFamily:
-    """All exact cores of scheme-sized sunflowers in H, sizes 1..r-1."""
-    return SetFamily.from_masks(h.n, _sunflower_cores(h, _incidence_rows(h.edges), scheme, False))
-
-
 def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     """Full kernel decomposition; deterministic for a given H and scheme.
 
@@ -232,10 +206,23 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
 
 def _b_kernel(h: Hypergraph, scheme: ThresholdScheme, rows: list[int]) -> KernelDecomposition:
     """b_kernel on the incidence rows of h.edges that the caller holds."""
-    bp = _sunflower_cores(h, rows, scheme, minimal=True)
+    everyone = (1 << len(h.edges)) - 1
+    bp: list[int] = []
+    if h.r >= 2 and everyone:
+        thresholds = scheme.table(h.r)
+
+        # an r-set lies in at most one edge, so holding the last threshold
+        # past r - 1 keeps the need nondecreasing and ends the walk there
+        def need(size: int) -> int:
+            return thresholds[min(size, h.r - 1)]
+
+        # the walk reads bp after every core it yields: a core that
+        # contains an accepted one is neither tested nor extended
+        cores = _heavy_cores(rows, everyone, need, bp)
+        for t, _ in _packed_cores(h.edges, rows, cores, need, h.r):
+            bp.append(t)
     bpp = h.edges
     if bp:
-        everyone = (1 << len(h.edges)) - 1
         carried = 0
         for t in bp:
             carried |= _through(rows, t, everyone)
@@ -249,7 +236,9 @@ def _same_ground_set(h: Hypergraph, d: KernelDecomposition) -> None:
 
 
 def kernel_bound(h: Hypergraph, d: KernelDecomposition) -> int:
-    """Upper bound on |H| from counting edges through their B-members."""
+    """Upper bound on |H| from counting edges through their B-members.
+    A decomposition of another ground set is refused."""
+    _same_ground_set(h, d)
     return sum(
         len(layer) * comb(h.n - i, h.r - i) for i, layer in d.by_size.items()
     )

@@ -109,7 +109,7 @@ def test_kernel_json_and_schemes(capsys, tmp_path):
     code, out, _ = run(capsys, "kernel", "--file", path, "--scheme", "rs:2", "--json")
     assert code == 0
     data = json.loads(out)
-    assert set(data) >= {"b_prime", "b_dprime", "by_size", "counting_bound", "scheme"}
+    assert set(data) == {"scheme", "b_prime", "b_dprime", "by_size", "counting_bound", "edges"}
     assert run(capsys, "kernel", "--file", path, "--scheme", "bogus")[0] == 2
 
 

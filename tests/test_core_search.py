@@ -1,12 +1,14 @@
-"""The codegree walk behind `b_star`, `b_kernel` and `find_sunflower`,
-against the subset-enumeration code it replaced.
+"""The codegree walk behind `b_kernel` and `find_sunflower`, against the
+subset-enumeration code it replaced.
 
 The oracles score every proper nonempty subset of every member by
-codegree (`b_star`) or every nonempty subset (`find_sunflower`), and
-only then drop the light ones; the walk prunes by codegree as it grows
-each core.  Both must find the same cores and ask the packing engine
-the same questions.  `b_kernel` collects B' on the same walk without
-building B*; its oracle builds all of B* and keeps the minimal members.
+codegree (`oracle_b_star`) or every nonempty subset (`find_sunflower`),
+and only then drop the light ones; the walk prunes by codegree as it
+grows each core.  `oracle_b_star` is the only B* there is: `b_kernel`
+collects B' on the walk without building B*, so it must find the
+minimal members of the oracle's B*, and ask the packing engine the
+oracle's questions about every candidate core that strictly contains
+no member of B'.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ifam.hypergraph import (
     vertices_of,
 )
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
-from ifam.kernel import b_kernel, b_star, paper_r, paper_rs
+from ifam.kernel import b_kernel, paper_r, paper_rs
 import ifam.sunflower
 from ifam.sunflower import _SUBSET_CAP, _heavy_cores, find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured, verify
@@ -57,6 +59,7 @@ def oracle_candidates(h, scheme):
 
 
 def oracle_b_star(h, scheme):
+    """B*: every candidate core whose petals hold k pairwise disjoint ones."""
     if h.r < 2 or not h.edges:
         return SetFamily(h.n, ())
     cores = [
@@ -78,7 +81,7 @@ def minimal_members(masks):
 def oracle_kernel(h, scheme):
     """(B', B'', layers) from all of B*: its inclusion-minimal members,
     the edges containing none of them, and the union split by size."""
-    bp = minimal_members(b_star(h, scheme).members)
+    bp = minimal_members(oracle_b_star(h, scheme).members)
     bpp = [e for e in h.edges if not any(t & e == t for t in bp)]
     by_size = {}
     for m in sorted(set(bp) | set(bpp)):
@@ -133,7 +136,7 @@ def test_b_star_matches_oracle_on_kernel_props_families(gen, seed):
     for _ in range(12):
         h = gen(rng, rng.choice((3, 4)))
         for scheme in SCHEMES:
-            assert b_star(h, scheme) == oracle_b_star(h, scheme), (h, scheme)
+            assert kernel_parts(h, scheme) == oracle_kernel(h, scheme), (h, scheme)
         masks = sorted(h.edges, key=vertices_of)
         for k in (2, 3, 5):
             assert sunflower_exists(masks, k) == oracle_sunflower_exists(masks, k)
@@ -156,14 +159,19 @@ def dense_star(rng, r):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_b_star_matches_oracle_across_r_and_schemes(r):
+    # the kernel against the definitions on the oracle's B*: B' is its
+    # minimal members, and B'' the edges that contain no member of B*
     rng = random.Random(100 + r)
     core_sizes = Counter()
     for _ in range(25):
         h = dense_star(rng, r)
         for scheme in SCHEMES:
-            got = b_star(h, scheme)
-            assert got == oracle_b_star(h, scheme), (h, scheme)
-            core_sizes.update(got.sizes())
+            star = oracle_b_star(h, scheme).members
+            d = b_kernel(h, scheme)
+            assert d.b_prime == SetFamily.from_masks(h.n, minimal_members(star)), (h, scheme)
+            bare = [e for e in h.edges if not any(t & e == t for t in star)]
+            assert d.b_dprime == SetFamily.from_masks(h.n, bare), (h, scheme)
+            core_sizes.update(t.bit_count() for t in star)
     assert core_sizes, "no family reached a threshold"
 
 
@@ -194,9 +202,13 @@ def test_b_star_finds_planted_cores_of_every_size(r):
                 continue
             for petals in (k - 1, k):
                 h, core = planted(r, core_size, petals)
-                got = b_star(h, scheme)
-                assert got == oracle_b_star(h, scheme), (r, scheme, core_size)
-                assert (core in got.members) == (petals == k)
+                star = oracle_b_star(h, scheme).members
+                bp = b_kernel(h, scheme).b_prime
+                assert bp == SetFamily.from_masks(h.n, minimal_members(star)), (r, scheme, core_size)
+                # no proper subset of the core has more than two disjoint
+                # petals, so a planted core in B* is minimal
+                assert (core in star) == (petals == k)
+                assert (core in bp.members) == (petals == k)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -226,8 +238,8 @@ def test_b_kernel_matches_the_minimal_members_of_b_star_on_lifts(n):
 
 
 def test_b_kernel_skips_the_packing_test_for_non_minimal_cores(monkeypatch):
-    # b_star packs 524 + 527 + 526 = 1,577 cores on these lifts; b_kernel
-    # tests only the cores that contain no accepted core
+    # the oracle packs 524 + 527 + 526 = 1,577 candidate cores on these
+    # lifts; b_kernel tests only the cores that contain no accepted core
     calls = []
 
     def counting(*args):
@@ -277,10 +289,11 @@ def petals_of(masks, carriers, core):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_b_star_asks_the_packing_engine_the_same_questions(r, monkeypatch):
-    # the same candidate cores, with the same petals in the same order,
-    # reach the packing test: the walk changes which subsets are
-    # enumerated, never which ones are settled
+def test_b_kernel_asks_the_packing_engine_the_oracle_questions(r, monkeypatch):
+    # exactly the oracle candidates that strictly contain no member of
+    # B' reach the packing test, with the same petals in the same order
+    # and the same k: the walk changes which subsets are enumerated, and
+    # skips only the cores that cannot be minimal
     rng = random.Random(200 + r)
     for _ in range(10):
         h = dense_star(rng, r)
@@ -288,12 +301,15 @@ def test_b_star_asks_the_packing_engine_the_same_questions(r, monkeypatch):
             asked = []
 
             def recording(masks, rows, carriers, k, core, least):
-                asked.append((tuple(petals_of(masks, carriers, core)), k))
+                asked.append((core, tuple(petals_of(masks, carriers, core)), k))
                 return _pack_rows(masks, rows, carriers, k, core, least)
 
             monkeypatch.setattr(ifam.sunflower, "_pack_rows", recording)
-            b_star(h, scheme)
-            want = [(tuple(p), k) for _, p, k in oracle_candidates(h, scheme)]
+            bp = b_kernel(h, scheme).b_prime.members
+            want = [
+                (t, tuple(p), k) for t, p, k in oracle_candidates(h, scheme)
+                if not any(a & t == a and a != t for a in bp)
+            ]
             assert sorted(asked) == sorted(want)
 
 
@@ -385,7 +401,7 @@ def test_the_core_walk_and_the_packing_engine_leave_no_cyclic_garbage():
     gc.disable()
     try:
         for h in hs:
-            b_star(h, paper_r())
+            b_kernel(h, paper_r())
             find_sunflower(h, 3)
             matching_number(h)
             pack_exists(h.edges, 2)

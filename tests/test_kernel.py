@@ -25,7 +25,6 @@ from ifam.kernel import (
     KernelDecomposition,
     ThresholdScheme,
     b_kernel,
-    b_star,
     kernel_bound,
     kernel_invariant_violations,
     paper_r,
@@ -34,6 +33,7 @@ from ifam.kernel import (
 )
 from ifam.sunflower import find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured
+from test_core_search import oracle_b_star
 
 
 def full_star(n, r, x=1):
@@ -79,8 +79,14 @@ def test_scheme_claim_thresholds():
 def test_scheme_validation():
     with pytest.raises(ValueError):
         ThresholdScheme("bogus")
-    with pytest.raises(ValueError):
-        ThresholdScheme("rs")  # missing s
+    with pytest.raises(ValueError, match=r"^scheme kind 'rs' needs an integer s >= 1, got None$"):
+        ThresholdScheme("rs")
+    with pytest.raises(ValueError, match=r"^scheme kind 'rs' needs an integer s >= 1, got 1\.5$"):
+        paper_rs(1.5)
+    with pytest.raises(ValueError, match=r"^scheme kind 'rs' needs an integer s >= 1, got True$"):
+        paper_rs(True)
+    with pytest.raises(ValueError, match=r"^scheme kind 'rs' needs an integer s >= 1, got 0$"):
+        paper_rs(0)
     with pytest.raises(ValueError):
         ThresholdScheme("r", s=2)
     with pytest.raises(ValueError):
@@ -102,20 +108,22 @@ def test_full_star_kernel_is_the_center():
 def test_full_star_larger_cores_appear_with_room():
     # pairs through the center become cores once 16 disjoint singleton
     # petals fit, i.e. from n = 18 for triple systems
-    bs17 = b_star(full_star(17, 3), paper_r())
+    bs17 = oracle_b_star(full_star(17, 3), paper_r())
     assert bs17.vertex_sets() == [(1,)]
-    bs18 = b_star(full_star(18, 3), paper_r())
+    bs18 = oracle_b_star(full_star(18, 3), paper_r())
     assert (1,) in bs18.vertex_sets()
     assert all(1 in s for s in bs18.vertex_sets())
     assert {s for s in bs18.vertex_sets() if len(s) == 2} == {
         (1, a) for a in range(2, 19)
     }
+    # the pairs all contain the center, so B' keeps the center alone
+    assert b_kernel(full_star(18, 3), paper_r()).b_prime.vertex_sets() == [(1,)]
 
 
 def test_single_edge_kernel():
     h = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3)])
     d = b_kernel(h, paper_r())
-    assert len(b_star(h, paper_r())) == 0
+    assert len(oracle_b_star(h, paper_r())) == 0
     assert d.b_dprime.members == h.edges
     assert kernel_bound(h, d) == 1
     assert kernel_invariant_violations(h, d) == []
@@ -134,7 +142,7 @@ def test_hm_kernel_below_threshold_scale():
     # family itself via the no-member edges
     h = hm_classic(51, 4)
     d = b_kernel(h, paper_r())
-    assert len(b_star(h, paper_r())) == 0
+    assert len(oracle_b_star(h, paper_r())) == 0
     assert len(d.b_dprime) == len(h)
     assert kernel_bound(h, d) == len(h)
     assert kernel_invariant_violations(h, d) == []
@@ -147,7 +155,7 @@ def test_hm_kernel_structure_at_scale():
     d = b_kernel(h, paper_r())
     expected_pairs = {(1, w) for w in (2, 3, 4, 5)}
     assert set(d.b_prime.vertex_sets()) == expected_pairs
-    assert set(b_star(h, paper_r()).vertex_sets()) == expected_pairs
+    assert set(oracle_b_star(h, paper_r()).vertex_sets()) == expected_pairs
     assert d.b_dprime.vertex_sets() == [(2, 3, 4, 5)]
     assert set(d.by_size) == {2, 4}
     assert kernel_bound(h, d) == 4 * comb(50, 2) + 1 == 4901
@@ -231,7 +239,7 @@ def test_kernel_rs_scheme_runs_same_pipeline():
     assert kernel_invariant_violations(h, d) == []
     d2 = b_kernel(h, paper_rs(2))
     # multiplicity 36 is out of reach, kernel falls back to the edges
-    assert len(b_star(h, paper_rs(2))) == 0
+    assert len(oracle_b_star(h, paper_rs(2))) == 0
     assert len(d2.b_dprime) == len(h)
 
 
@@ -243,7 +251,7 @@ def test_b_kernel_skips_a_core_whose_prefix_is_no_core(monkeypatch):
     h = Hypergraph.from_vertex_sets(
         24, 3, [(1, 2, x) for x in range(3, 19)] + [(2, 19, 20), (2, 21, 22), (2, 23, 24)]
     )
-    assert b_star(h, paper_r()).vertex_sets() == [(2,), (1, 2)]
+    assert oracle_b_star(h, paper_r()).vertex_sets() == [(2,), (1, 2)]
     tested = []
     real = ifam.sunflower._pack_rows
     monkeypatch.setattr(
@@ -362,6 +370,9 @@ def test_b_kernel_builds_its_incidence_rows_once(monkeypatch):
 
 
 @pytest.mark.parametrize("check, family, decomposed, message", [
+    # H3LIFT(21, 4, 3) has 269 edges; the decomposition of H3LIFT(20, 4, 3)
+    # would bound it by 245
+    (kernel_bound, 21, 20, "the decomposition lies on [20], the family on [21]"),
     (reduce_to_3graph, 21, 20, "the decomposition lies on [20], the family on [21]"),
     (kernel_invariant_violations, 20, 21, "the decomposition lies on [21], the family on [20]"),
 ])
