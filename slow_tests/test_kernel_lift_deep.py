@@ -18,8 +18,8 @@ neither collects nor skips it.  Run it from the repository root with
 
     python3 -m pytest -q slow_tests
 
-This file takes 7 to 12 s on a 2-vCPU machine, 4 to 7 s of it at
-N = 260 (`decompose_th4prime` there takes about 3 s).
+This file took 3.9 and 6.1 s in two runs on a 2-vCPU machine, 1.8 and
+2.4 s of it at N = 260 (`decompose_th4prime` there takes about 0.7 s).
 """
 
 from __future__ import annotations

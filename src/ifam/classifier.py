@@ -69,6 +69,7 @@ from .hypergraph import (
     Hypergraph,
     SetFamily,
     _intersecting_rows,
+    _two_cover,
     cover_number,
     delete_vertices,
     is_intersecting,
@@ -702,26 +703,26 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     retained family is h itself.
 
     The incidence rows are built once, by the proof that h is
-    intersecting; the kernel walk, B'' and the reduction read them, and
-    the reduction takes its kept edges and triples from the carriers of
-    the layer-2 and layer-3 members instead of scanning the edges.  A
-    common vertex proves h intersecting with cover number at most 1
-    without rows, and that path reads none.
+    intersecting, and tau <= 2 is read from them (``_two_cover``); the
+    kernel walk, B'' and the reduction read them too, and the reduction
+    takes its kept edges and triples from the carriers of the layer-2
+    and layer-3 members instead of scanning the edges.  A common vertex
+    proves h intersecting with cover number 1 (0 with no edges), and
+    that path builds no rows and runs no cover search.
     """
     if h.r < 4:
         raise ValueError(f"decompose_th4prime needs r >= 4, got r={h.r}")
-    if not (h.edges and reduce(and_, h.edges)):
-        rows = _intersecting_rows(h.edges, h.n)
-        if rows is None:
-            raise ValueError("decompose_th4prime needs an intersecting family")
-    tau = cover_number(h)
-    if tau >= 3:
-        raise ValueError("decompose_th4prime needs cover number at most 2")
-    if tau <= 1:
-        star = _first_fit(h, _ladder(h.n, h.r, tau))
+    if not h.edges or reduce(and_, h.edges):
+        # the ladder offers the star rung alone for every tau <= 1
+        star = _first_fit(h, _ladder(h.n, h.r, 1))
         if star.kind is VerdictKind.NONE:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)
+    rows = _intersecting_rows(h.edges, h.n)
+    if rows is None:
+        raise ValueError("decompose_th4prime needs an intersecting family")
+    if not _two_cover(h.edges, rows):
+        raise ValueError("decompose_th4prime needs cover number at most 2")
     decomp = _b_kernel(h, paper_r(), rows)
     # h is intersecting with tau = 2, checked above
     hp, h3 = _reduce_to_3graph(h, decomp, rows)

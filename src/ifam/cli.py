@@ -138,8 +138,12 @@ def _parse_scheme(text: str) -> ThresholdScheme:
     if text == "paper":
         return paper_r()
     if text.startswith("rs:"):
-        return paper_rs(int(text[3:]))
-    raise ValueError(f"unknown scheme {text!r}; expected 'paper' or 'rs:S'")
+        try:
+            s = int(text[3:])
+        except ValueError:
+            raise ValueError(f"--scheme {text!r}: expected 'rs:S' with an integer S >= 1") from None
+        return paper_rs(s)
+    raise ValueError(f"--scheme: unknown scheme {text!r}; expected 'paper' or 'rs:S'")
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:

@@ -10,9 +10,12 @@ Conventions used throughout the package:
   sizes, same storage order.
 * The empty hypergraph is intersecting, has matching number 0 and cover
   number 0.  ``is_intersecting`` accepts a family whose members share a
-  vertex (their AND is nonzero) before it builds any incidence row;
-  otherwise its proof builds the rows, and ``_intersecting_rows`` hands
-  them back for the kernel to read.
+  vertex (their AND is nonzero) before it builds any incidence row.
+  Otherwise its proof, ``_intersecting_rows``, builds the rows and tests
+  only the members outside the largest star; it hands the rows back for
+  the kernel to read, and ``_two_cover`` decides tau <= 2 on them with
+  no cover search.  One builder, ``_incidence_rows``, makes every set of
+  rows, in blocks of members so that no bit is set in a wide row.
 * ``matching_number`` (nu) is the maximum number of pairwise disjoint
   edges; ``cover_number`` (tau) is the minimum size of a vertex set
   meeting every edge.  For every H: nu(H) <= tau(H) <= r * nu(H), and H
@@ -207,11 +210,10 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
     """True iff every two members share a vertex.  Empty families qualify.
 
     Members that all share a vertex meet pairwise, so a nonzero AND of
-    all of them (one C-level reduce) accepts at once.  Otherwise bit i of
-    ``rows[v]`` marks member i as containing vertex v + 1, so member j
-    meets all earlier ones iff its rows OR to the j low bits: O(m * r) ORs.
-    An accepting proof ends with the full rows (``_intersecting_rows``),
-    which a caller that needs them keeps.
+    all of them (one C-level reduce) accepts at once.  Otherwise the
+    proof is ``_intersecting_rows``: it builds the incidence rows, and
+    only the members outside the largest star need a test, |e| ORs each.
+    A caller that needs the rows calls it directly and keeps them.
     """
     members = _members(h)
     if members and reduce(and_, members):
@@ -220,20 +222,49 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
 
 
 def _intersecting_rows(members: Sequence[int], n: int) -> list[int] | None:
-    """The n incidence rows of members, built while proving them pairwise
-    intersecting, or None at the first member that misses an earlier one."""
-    rows = [0] * n
-    for j, e in enumerate(members):
-        bit = 1 << j
-        seen = 0
+    """The n incidence rows of members if they pairwise intersect, else None.
+
+    The members through a vertex of largest degree share that vertex, so
+    they meet pairwise.  Every other member j must meet every member but
+    itself: the rows of its vertices, with bit j, OR to everyone.  A lone
+    empty member meets no other member and is intersecting.
+    """
+    rows = _incidence_rows(members, n)
+    everyone = (1 << len(members)) - 1
+    left = everyone & ~max(rows, key=int.bit_count, default=0)
+    while left:
+        j = left.bit_length() - 1
+        left ^= 1 << j
+        seen = 1 << j
+        e = members[j]
         while e:
-            v = (e & -e).bit_length() - 1
+            v = e.bit_length() - 1
             seen |= rows[v]
-            rows[v] |= bit
-            e &= e - 1
-        if seen != bit - 1:
+            e ^= 1 << v
+        if seen != everyone:
             return None
     return rows
+
+
+def _two_cover(members: Sequence[int], rows: Sequence[int]) -> bool:
+    """Whether two vertices meet every member (tau <= 2), read from the
+    incidence rows of members.
+
+    A cover {u, w} holds a vertex u of the least member, and unless u
+    alone covers, w lies in the least member that u misses.  So at most
+    r + r^2 row ORs decide it for members of r vertices, with no search.
+    """
+    if not members:
+        return True
+    everyone = (1 << len(members)) - 1
+    for u in _bits(members[0]):
+        missed = everyone & ~rows[u]
+        if not missed:
+            return True
+        for w in _bits(members[(missed & -missed).bit_length() - 1]):
+            if not missed & ~rows[w]:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +287,30 @@ def _greedy_packing(masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _incidence_rows(masks: Sequence[int]) -> list[int]:
-    """rows[v] has bit j set iff masks[j] contains vertex v + 1."""
-    rows = [0] * max(masks, default=0).bit_length()
-    for j, m in enumerate(masks):
-        bit = 1 << j
-        while m:
-            low = m & -m
-            rows[low.bit_length() - 1] |= bit
-            m ^= low
+# members per block of ``_incidence_rows``
+_ROW_BLOCK = 1024
+
+
+def _incidence_rows(masks: Sequence[int], n: int) -> list[int]:
+    """rows[v] has bit j set iff masks[j] contains vertex v + 1, v < n.
+
+    Setting bit j in a row as wide as the family copies that row, which
+    would cost O(m^2 * r / 64) word copies for m members of r vertices.
+    So the members go in blocks of ``_ROW_BLOCK``: a block's rows are
+    built with small-int ORs, then ORed into the rows once per vertex,
+    shifted to the block's first index.
+    """
+    rows = [0] * n
+    for base in range(0, len(masks), _ROW_BLOCK):
+        block = [0] * n
+        bit = 1
+        for m in masks[base : base + _ROW_BLOCK]:
+            while m:
+                v = m.bit_length() - 1
+                block[v] |= bit
+                m ^= 1 << v
+            bit <<= 1
+        rows = [row | x << base for row, x in zip(rows, block)] if base else block
     return rows
 
 
@@ -385,7 +431,8 @@ def pack_exists(masks: Sequence[int], k: int) -> list[int] | None:
     """
     masks = list(masks)
     least = min((m.bit_count() for m in masks), default=0)
-    return _pack_rows(masks, _incidence_rows(masks), (1 << len(masks)) - 1, k, 0, least)
+    rows = _incidence_rows(masks, max(masks, default=0).bit_length())
+    return _pack_rows(masks, rows, (1 << len(masks)) - 1, k, 0, least)
 
 
 def matching_number(h: Hypergraph | SetFamily) -> int:
@@ -393,7 +440,7 @@ def matching_number(h: Hypergraph | SetFamily) -> int:
     that the packing engine reaches, counting up from the greedy packing
     on one set of incidence rows."""
     masks = _members(h)
-    rows = _incidence_rows(masks)
+    rows = _incidence_rows(masks, h.n)
     everyone = (1 << len(masks)) - 1
     least = min((m.bit_count() for m in masks), default=0)
     k = len(_greedy_packing(masks))

@@ -77,6 +77,7 @@ from .hypergraph import (
     _bits,
     _incidence_rows,
     _intersecting_rows,
+    _two_cover,
     cover_number,
     is_intersecting,
     vertices_of,
@@ -201,7 +202,7 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     edges outside the OR of the carriers of B', read off without a scan;
     with B' empty it is all of H.
     """
-    return _b_kernel(h, scheme, _incidence_rows(h.edges))
+    return _b_kernel(h, scheme, _incidence_rows(h.edges, h.n))
 
 
 def _b_kernel(h: Hypergraph, scheme: ThresholdScheme, rows: list[int]) -> KernelDecomposition:
@@ -250,12 +251,13 @@ def reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph,
     Returns (Hprime, H3) where Hprime keeps the edges containing a
     member of B_2 or B_3 and H3 consists of all B_3 members plus every
     triple through a B_2 member that fits inside a kept edge.  The proof
-    that H is intersecting builds the incidence rows the reduction reads.
+    that H is intersecting builds the incidence rows that the reduction
+    reads, and tau <= 2 is decided on them too, with no cover search.
     A decomposition of another ground set is refused.
     """
     _same_ground_set(h, d)
     rows = _intersecting_rows(h.edges, h.n)
-    if rows is None or cover_number(h) > 2:
+    if rows is None or not _two_cover(h.edges, rows):
         raise ValueError("reduction needs an intersecting family with cover number <= 2")
     return _reduce_to_3graph(h, d, rows)
 

@@ -881,10 +881,11 @@ def count_calls(monkeypatch, names):
 
 
 def test_th4prime_checks_its_hypotheses_once(monkeypatch):
-    # the proof that h is intersecting builds the incidence rows that the
-    # kernel and the reduction read, so neither proves it again nor builds
-    # rows of its own; classify_3graph on the shadow makes the second
-    # cover_number call
+    # the proof that h is intersecting builds the incidence rows (its one
+    # _incidence_rows call) that the kernel and the reduction read, so
+    # neither proves it again nor builds rows of its own; tau <= 2 is read
+    # from the same rows, so the one cover_number call is classify_3graph's
+    # on the shadow
     names = ("_intersecting_rows", "_incidence_rows", "cover_number")
     h = built(C.H3LIFT, 130, 4, i=3)
     d = ifam.kernel.b_kernel(h, ifam.kernel.paper_r())
@@ -892,18 +893,19 @@ def test_th4prime_checks_its_hypotheses_once(monkeypatch):
     hp, removed, v = decompose_th4prime(h)
     assert (removed, v.describe()) == (0, "H3(3)")
     assert hp is h
-    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 0, "cover_number": 2}
-    # the public reduction follows the same rule, and checks tau once
+    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 1, "cover_number": 1}
+    # the public reduction follows the same rule, and runs no cover search
     calls.update(dict.fromkeys(names, 0))
     hp, h3 = ifam.kernel.reduce_to_3graph(h, d)
     assert hp is h and len(h3) > 0
-    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 0, "cover_number": 1}
-    # a common vertex proves a star intersecting, and the star path reads no rows
+    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 1, "cover_number": 0}
+    # a common vertex proves a star intersecting with tau = 1, and the star
+    # path reads no rows and runs no cover search
     star = built(C.EM, 40, 4, s=1)
     want = classify(star)
     calls.update(dict.fromkeys(names, 0))
     assert decompose_th4prime(star) == (star, 0, want)
-    assert calls == {"_intersecting_rows": 0, "_incidence_rows": 0, "cover_number": 1}
+    assert calls == {"_intersecting_rows": 0, "_incidence_rows": 0, "cover_number": 0}
 
 
 def test_th4prime_rejects_bad_input():

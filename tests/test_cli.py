@@ -113,6 +113,14 @@ def test_kernel_json_and_schemes(capsys, tmp_path):
     assert run(capsys, "kernel", "--file", path, "--scheme", "bogus")[0] == 2
 
 
+@pytest.mark.parametrize("scheme", ["rs:1.5", "rs:", "rs:x"])
+def test_kernel_names_the_scheme_option_on_a_bad_multiplicity(capsys, tmp_path, scheme):
+    path = write(tmp_path, "h.txt", "6 3\n1 2 3\n1 2 4\n")
+    code, out, err = run(capsys, "kernel", "--file", path, "--scheme", scheme)
+    assert (code, out) == (2, "")
+    assert err == f"ifam: error: --scheme {scheme!r}: expected 'rs:S' with an integer S >= 1\n"
+
+
 def test_classify_star(capsys, tmp_path):
     path = write(tmp_path, "h.txt", "6 3\n1 2 3\n1 2 4\n1 5 6\n")
     code, out, _ = run(capsys, "classify", "--file", path)

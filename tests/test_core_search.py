@@ -36,7 +36,7 @@ from ifam.hypergraph import (
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.kernel import b_kernel, paper_r, paper_rs
 import ifam.sunflower
-from ifam.sunflower import _SUBSET_CAP, _heavy_cores, find_sunflower
+from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _through, find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured, verify
 
 
@@ -223,7 +223,8 @@ def test_b_kernel_matches_the_minimal_members_of_b_star_on_kernel_props_families
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_b_kernel_matches_the_minimal_members_of_b_star_on_dense_stars(r):
-    rng = random.Random(100 + r)
+    # other stars than test_b_star_matches_oracle_across_r_and_schemes draws
+    rng = random.Random(400 + r)
     for _ in range(25):
         h = dense_star(rng, r)
         for scheme in SCHEMES:
@@ -368,9 +369,88 @@ def test_members_above_the_subset_cap_use_pairwise_intersections():
     assert sunflower_exists(big, 3) and oracle_sunflower_exists(big, 3)
 
 
+def scan_heavy_cores(rows, carriers, need, accepted=()):
+    """The core walk that extends each core by every larger vertex: the
+    reference for ``_heavy_cores``, whose candidate join must yield the
+    same (core, carriers) stream."""
+    verts = [(1 << v, row) for v, row in enumerate(rows) if row]
+    level = [(0, 0)]
+    size = 1
+    floor = need(size)
+    while level:
+        ahead = need(size + 1)
+        deeper = []
+        for core, start in level:
+            through = _through(rows, core, carriers)
+            for i in range(start, len(verts)):
+                bit, row = verts[i]
+                sub = through & row
+                count = sub.bit_count()
+                if count < floor:
+                    continue
+                t = core | bit
+                if accepted and any(a & t == a for a in accepted):
+                    continue
+                yield t, sub
+                if count >= ahead and t not in accepted:
+                    deeper.append((t, i + 1))
+        level = deeper
+        size += 1
+        floor = ahead
+
+
+def core_stream(walk, h, need, accept):
+    """The (core, carriers) stream of walk on h.edges.  With accept, the
+    caller keeps each core that packs need(|core|) petals, as b_kernel
+    does, and the walk reads the kept cores."""
+    rows = _incidence_rows(h.edges, h.n)
+    everyone = (1 << len(h.edges)) - 1
+    accepted = []
+    out = []
+    for t, sub in walk(rows, everyone, need, accepted if accept else ()):
+        out.append((t, sub))
+        size = t.bit_count()
+        if accept and _pack_rows(h.edges, rows, sub, need(size), t, h.r - size) is not None:
+            accepted.append(t)
+    return out
+
+
+def walk_families():
+    rng = random.Random(2026)
+    for gen in GENERATORS:
+        for _ in range(10):
+            yield gen(rng, rng.choice((3, 4)))
+    for r in (2, 3, 4, 5):
+        for _ in range(5):
+            yield dense_star(rng, r)
+    for n in (20, 60, 130):
+        for i in range(6):
+            yield build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+
+
+@pytest.mark.parametrize("accept", [False, True], ids=["all", "accepted"])
+def test_the_join_walk_yields_the_scan_stream(accept):
+    # under both schemes, with the multiplicity held past r - 1 as in
+    # b_kernel, and under constant multiplicities; k = 2 is left out on
+    # the lifts of over 1,000 edges, where it yields thousands of cores
+    yielded = Counter()
+    for h in walk_families():
+        big = len(h) > 1000
+        needs = [
+            lambda size, t=s.table(h.r), top=h.r - 1: t[min(size, top)]
+            for s in (paper_r(), paper_rs(2))
+        ]
+        needs += [lambda size, k=k: k for k in ((h.r + 1,) if big else (2, h.r + 1))]
+        for need in needs:
+            want = core_stream(scan_heavy_cores, h, need, accept)
+            assert core_stream(_heavy_cores, h, need, accept) == want, h
+            yielded[big] += len(want)
+    assert yielded[False] and yielded[True], yielded
+
+
 def test_heavy_cores_is_lazy_and_complete_for_constant_need():
     masks = [mask_of(s) for s in ((1, 2, 3), (1, 2, 4), (1, 2), (2, 5), ())]
-    rows = _incidence_rows(masks)
+    rows = _incidence_rows(masks, 5)
     asked = []
 
     def need(size):

@@ -12,11 +12,13 @@ import pytest
 
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import (
+    _ROW_BLOCK,
     Hypergraph,
     SetFamily,
     _bits,
     _incidence_rows,
     _intersecting_rows,
+    _two_cover,
     cover_number,
     delete_vertices,
     is_intersecting,
@@ -197,6 +199,24 @@ def test_nu_tau_against_oracles_random():
         assert matching_number(h) == nu_oracle(h.edges)
         assert cover_number(h) == tau_oracle(h.edges, n)
         assert is_intersecting(h) == (nu_oracle(h.edges) <= 1)
+
+
+def test_two_cover_agrees_with_cover_number():
+    # tau <= 2 read from the incidence rows against the cover search, on
+    # random r-graphs and mixed-size families with no empty member
+    rng = random.Random(20261020)
+    taus = Counter()
+    for trial in range(600):
+        n = rng.randint(4, 12)
+        if trial % 2:
+            r = rng.randint(2, 4)
+            members = random_hypergraph(rng, n, r, rng.randint(0, 30)).edges
+        else:
+            members = tuple(sorted({rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 12))}))
+        tau = cover_number(SetFamily(n, members))
+        assert _two_cover(members, _incidence_rows(members, n)) == (tau <= 2), (n, members)
+        taus[tau] += 1
+    assert {0, 1, 2, 3, 4} <= set(taus), taus
 
 
 def test_min_cover_is_a_cover():
@@ -448,13 +468,16 @@ def test_is_intersecting_on_zero_one_and_empty_members(f, want):
     assert _intersecting_rows(members, f.n) == rows_oracle(members, f.n)
 
 
+def naive_rows(members, n):
+    """The incidence rows, one vertex at a time: bit j of row v is set
+    iff members[j] contains vertex v + 1."""
+    return [sum(1 << j for j, m in enumerate(members) if m >> v & 1) for v in range(n)]
+
+
 def rows_oracle(members, n):
     """None for a family that is not pairwise intersecting, else its
-    incidence rows padded with zero rows to n."""
-    if not pairwise_intersecting(members):
-        return None
-    rows = _incidence_rows(members)
-    return rows + [0] * (n - len(rows))
+    incidence rows."""
+    return naive_rows(members, n) if pairwise_intersecting(members) else None
 
 
 @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 130])
@@ -469,3 +492,45 @@ def test_intersecting_rows_are_none_or_the_incidence_rows(n):
         assert got == rows_oracle(members, n), f
         answers[got is None] += 1
     assert answers[True] and answers[False], answers
+
+
+def off_star_family(m, n=40):
+    """m - 2 sets {1, p, q, x, y} with p in {2, 3} and q in {4, 5}, in
+    storage order, with a = {2, 3} at index 1 and b = {4, 5} last.  The
+    largest star is the one through vertex 1, and a and b lie outside it:
+    each meets every star member, and a and b are disjoint."""
+    star = [
+        mask_of((1, p, q, *xy))
+        for p in (2, 3) for q in (4, 5) for xy in combinations(range(6, n + 1), 2)
+    ]
+    members = sorted(star)[: m - 2]
+    members.insert(1, mask_of((2, 3)))
+    return [*members, mask_of((4, 5))]
+
+
+@pytest.mark.parametrize("m", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+def test_rows_and_the_proof_across_row_blocks(m):
+    n = 40
+    members = off_star_family(m, n)
+    assert len(members) == m
+    # the disjoint pair lies in the first and the last block
+    assert _incidence_rows(members, n) == naive_rows(members, n)
+    assert _intersecting_rows(members, n) is None
+    assert not pairwise_intersecting([members[1], members[-1]])
+    # without b the family is intersecting, and the proof hands back the rows
+    assert _intersecting_rows(members[:-1], n) == rows_oracle(members[:-1], n)
+    # an empty member in the last block misses everyone
+    spoiled = [*members[:-1], 0]
+    assert _incidence_rows(spoiled, n) == naive_rows(spoiled, n)
+    assert _intersecting_rows(spoiled, n) is None
+    # a lone empty member is intersecting
+    assert _intersecting_rows([0], n) == [0] * n
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_rows_of_the_lifts_are_the_naive_rows(i):
+    h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n=130, r=4, i=i))
+    assert len(h) > 2 * _ROW_BLOCK
+    want = naive_rows(h.edges, h.n)
+    assert _incidence_rows(h.edges, h.n) == want
+    assert _intersecting_rows(h.edges, h.n) == want

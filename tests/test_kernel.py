@@ -360,7 +360,7 @@ def test_b_kernel_builds_its_incidence_rows_once(monkeypatch):
     calls = []
     real = ifam.kernel._incidence_rows
     monkeypatch.setattr(ifam.kernel, "_incidence_rows",
-                        lambda masks: calls.append(1) or real(masks))
+                        lambda masks, n: calls.append(1) or real(masks, n))
     for h, scheme in [(full_star(15, 3), paper_r()), (hm_classic(52, 4), paper_r()),
                       (hm_classic(20, 4), paper_r()), (Hypergraph(8, 3, ()), paper_r())]:
         calls.clear()
