@@ -18,8 +18,9 @@ neither collects nor skips it.  Run it from the repository root with
 
     python3 -m pytest -q slow_tests
 
-This file took 3.9 and 6.1 s in two runs on a 2-vCPU machine, 1.8 and
-2.4 s of it at N = 260 (`decompose_th4prime` there takes about 0.7 s).
+This file's tests took 5.3 and 4.2 s in two runs on a 2-vCPU machine,
+2.1 and 1.6 s of it at N = 260 (`decompose_th4prime` there takes about
+0.4 s).
 """
 
 from __future__ import annotations

@@ -670,8 +670,11 @@ def decompose_matching(
     candidate sets are tried in the induced lexicographic order and the
     first success wins, which also settles ties by least Z.  The verdict
     describes the peeled family on its relabeled ground set (labels keep
-    their relative order).
+    their relative order).  An s that is no int, a bool included, is
+    refused with a TypeError.
     """
+    if isinstance(s, bool) or not isinstance(s, int):
+        raise TypeError(f"s must be an int, got {s!r}")
     if s < 1:
         raise ValueError(f"matching bound must be positive, got s={s}")
     if s - 1 > h.n:
@@ -704,7 +707,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
 
     The incidence rows are built once, by the proof that h is
     intersecting, and tau <= 2 is read from them (``_two_cover``); the
-    kernel walk, B'' and the reduction read them too, and the reduction
+    kernel, told that h is intersecting, takes its cores from the covers
+    on them, B'' and the reduction read them too, and the reduction
     takes its kept edges and triples from the carriers of the layer-2
     and layer-3 members instead of scanning the edges.  A common vertex
     proves h intersecting with cover number 1 (0 with no edges), and
@@ -723,7 +727,7 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
         raise ValueError("decompose_th4prime needs an intersecting family")
     if not _two_cover(h.edges, rows):
         raise ValueError("decompose_th4prime needs cover number at most 2")
-    decomp = _b_kernel(h, paper_r(), rows)
+    decomp = _b_kernel(h, paper_r(), rows, intersecting=True)
     # h is intersecting with tau = 2, checked above
     hp, h3 = _reduce_to_3graph(h, decomp, rows)
     removed = len(h) - len(hp)

@@ -230,6 +230,12 @@ def _intersecting_rows(members: Sequence[int], n: int) -> list[int] | None:
     empty member meets no other member and is intersecting.
     """
     rows = _incidence_rows(members, n)
+    return rows if _rows_intersect(members, rows) else None
+
+
+def _rows_intersect(members: Sequence[int], rows: Sequence[int]) -> bool:
+    """The proof of ``_intersecting_rows`` on the incidence rows of
+    members that the caller holds."""
     everyone = (1 << len(members)) - 1
     left = everyone & ~max(rows, key=int.bit_count, default=0)
     while left:
@@ -242,8 +248,8 @@ def _intersecting_rows(members: Sequence[int], n: int) -> list[int] | None:
             seen |= rows[v]
             e ^= 1 << v
         if seen != everyone:
-            return None
-    return rows
+            return False
+    return True
 
 
 def _two_cover(members: Sequence[int], rows: Sequence[int]) -> bool:

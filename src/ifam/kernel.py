@@ -17,28 +17,41 @@ sum over i of |B_i| * C(n-i, r-i).
 Core search is complete: a core of any sunflower with at least two
 members is the intersection of two of them, hence a proper nonempty
 subset of an edge, and a core of a k-sunflower lies in at least k
-edges.  Candidate cores come from the codegree walk
-``sunflower._heavy_cores``, which extends no core whose codegree falls
-below the multiplicity its next size needs.  Both schemes'
-multiplicities grow with the core size, so the walk misses none.  It
-feeds ``sunflower._packed_cores``, the stream ``find_sunflower`` reads
-too, which hands each core's carriers to the exact packing engine.
+edges.  A set is heavy when the edges that contain it, its carriers,
+number at least the multiplicity of its size.  Both schemes'
+multiplicities grow with the size, so a subset of a heavy set is heavy.
 
-Most candidate cores are refuted by Frankl's transversal fact (Frankl,
-Bull. Austral. Math. Soc. 17, 1977): in an intersecting r-uniform
-family the core of a sunflower with more than r petals meets every
-edge, since an edge that misses the core meets every petal, and an
-r-set cannot meet r + 1 pairwise disjoint sets.  Both schemes ask for
-more than r petals at every core size, as (r+1)^i >= r + 1 and
-(rs)^(i+1) >= r^2 > r for r >= 2, so in an intersecting family a core
-that some edge misses is no kernel core.  The packing engine checks
-this at its root, before any search: it refutes a core when the least
-edge that misses it meets every carrier, as holds in any intersecting
-family.
+Frankl's transversal fact (Frankl, Bull. Austral. Math. Soc. 17, 1977)
+narrows the candidates when H is intersecting: in an intersecting
+r-uniform family the core of a sunflower with more than r petals meets
+every edge, since an edge that misses the core meets every petal, and
+an r-set cannot meet r + 1 pairwise disjoint sets.  Both schemes ask
+for more than r petals at every core size, as (r+1)^i >= r + 1 and
+(rs)^(i+1) >= r^2 > r for r >= 2, so every kernel core of an
+intersecting family is a cover, and the candidates there are its
+heavy covers of fewer than r vertices (``_heavy_covers``).  They are
+complete: every minimal cover is reached by branching on the least
+edge that a partial cover misses, r ways at each of at most r - 1
+levels, and every other cover T contains a cover T - v of one vertex
+less, which is heavy when T is, so T is a one-vertex extension of a
+heavy cover that was tested and not accepted.  A cover of r - 1
+vertices needs no packing search: its carriers are T + x for distinct
+vertices x, so their petals {x} are pairwise disjoint, and it is a
+core exactly when it is heavy.
 
-The walk hands over the cores level by level, all cores of one size
-before any larger one.  ``b_kernel`` needs only B' (the layers are
-built from B' and B''), so it lets the walk skip every core that
+A family that is not intersecting has cores that are no covers, and
+there the codegree walk ``sunflower._heavy_cores`` supplies every heavy
+core, extending no core whose codegree falls below the multiplicity
+its next size needs.  Each candidate of either stream goes through
+``sunflower._packed_cores``, the stream ``find_sunflower`` reads too,
+which hands the core's carriers to the exact packing engine.  The
+engine applies the transversal fact at its root, before any search:
+it refutes a core when the least edge that misses it meets every
+carrier, as holds in any intersecting family.
+
+Both streams hand over the cores level by level, all cores of one
+size before any larger one.  ``b_kernel`` needs only B' (the layers are
+built from B' and B''), so it lets them skip every core that
 contains a core it has already accepted: such a core gets no packing
 test and is not extended, because neither it nor any superset of it
 is minimal.  The accepted cores are then exactly B' (the argument is
@@ -70,6 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from math import comb
+from typing import Callable, Iterator, Sequence
 
 from .hypergraph import (
     Hypergraph,
@@ -77,6 +91,7 @@ from .hypergraph import (
     _bits,
     _incidence_rows,
     _intersecting_rows,
+    _rows_intersect,
     _two_cover,
     cover_number,
     is_intersecting,
@@ -181,32 +196,52 @@ class KernelDecomposition:
 def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     """Full kernel decomposition; deterministic for a given H and scheme.
 
-    B' is collected without building B*: the core walk hands each core
-    the packing test unless it contains a core already accepted, and
-    extends no core that contains one.  The accepted cores are exactly
-    B'.  Every accepted core is in B*.  Conversely, let T contain a
-    member S of B* strictly, and take a minimal member S' of B* inside
-    S.  Neither S' nor any prefix of S' contains a B* member other than
-    S' itself, so none of them is skipped and no prefix is accepted: the
-    walk reaches S' as it would with nothing accepted, tests it and
-    accepts it.  The walk yields cores in nondecreasing size and
+    B' is collected without building B*: each candidate core gets the
+    packing test unless it contains a core already accepted, and no core
+    that contains one is extended.  The accepted cores are exactly B'.
+    Every accepted core is in B*.  Conversely, let T contain a member S
+    of B* strictly, and take a minimal member S' of B* inside S.
+    Neither S' nor any prefix of S' contains a B* member other than S'
+    itself, so no accepted core: the walk reaches S' as it would with
+    nothing accepted, and the cover route below reaches every heavy
+    cover that contains no accepted core.  S' is tested and accepted.
+    Cores come in nondecreasing size and
     |S'| < |T|, so S' is accepted before T comes up, and T is skipped.
     A core of B' contains no other B* member, hence no accepted core,
     and is reached and accepted in the same way.  B'' is then the edges
     containing no member of B', which are the edges containing no
     member of B*.
 
-    The incidence rows of the edges are built once, for the walk, the
-    packing tests and B''.  The edges that contain a core T are its
+    When H is intersecting, every B* core is a cover (module
+    docstring), and the candidates are the heavy covers of fewer than r
+    vertices (``_heavy_covers``).  A cover of r - 1 vertices is accepted
+    on its carrier count: its carriers are T + x for distinct x, so
+    their petals {x} are pairwise disjoint, and no packing search or
+    witness is needed.  Otherwise the codegree walk ``_heavy_cores``
+    supplies every heavy core.  Whether H is intersecting is decided by
+    the largest-star proof on the rows built here, which accepts at once
+    when every edge lies in the largest star.
+
+    The incidence rows of the edges are built once, for the candidates,
+    the packing tests and B''.  The edges that contain a core T are its
     carriers, the AND of rows[v] over the vertices v of T, so B'' is the
     edges outside the OR of the carriers of B', read off without a scan;
-    with B' empty it is all of H.
+    with B' empty it is all of H.  An argument of another type is
+    refused with a TypeError.
     """
-    return _b_kernel(h, scheme, _incidence_rows(h.edges, h.n))
+    if not isinstance(h, Hypergraph):
+        raise TypeError(f"h must be a Hypergraph, got {type(h).__name__}")
+    if not isinstance(scheme, ThresholdScheme):
+        raise TypeError(f"scheme must be a ThresholdScheme, got {type(scheme).__name__}")
+    rows = _incidence_rows(h.edges, h.n)
+    return _b_kernel(h, scheme, rows, _rows_intersect(h.edges, rows))
 
 
-def _b_kernel(h: Hypergraph, scheme: ThresholdScheme, rows: list[int]) -> KernelDecomposition:
-    """b_kernel on the incidence rows of h.edges that the caller holds."""
+def _b_kernel(
+    h: Hypergraph, scheme: ThresholdScheme, rows: list[int], intersecting: bool
+) -> KernelDecomposition:
+    """b_kernel on the incidence rows of h.edges that the caller holds,
+    and on whether the caller has proved h intersecting."""
     everyone = (1 << len(h.edges)) - 1
     bp: list[int] = []
     if h.r >= 2 and everyone:
@@ -217,9 +252,12 @@ def _b_kernel(h: Hypergraph, scheme: ThresholdScheme, rows: list[int]) -> Kernel
         def need(size: int) -> int:
             return thresholds[min(size, h.r - 1)]
 
-        # the walk reads bp after every core it yields: a core that
+        # both streams read bp after every core they yield: a core that
         # contains an accepted one is neither tested nor extended
-        cores = _heavy_cores(rows, everyone, need, bp)
+        if intersecting:
+            cores = _heavy_covers(h.edges, rows, need, bp)
+        else:
+            cores = _heavy_cores(rows, everyone, need, bp)
         for t, _ in _packed_cores(h.edges, rows, cores, need, h.r):
             bp.append(t)
     bpp = h.edges
@@ -229,6 +267,69 @@ def _b_kernel(h: Hypergraph, scheme: ThresholdScheme, rows: list[int]) -> Kernel
             carried |= _through(rows, t, everyone)
         bpp = tuple(h.edges[j] for j in _bits(everyone & ~carried))
     return KernelDecomposition(SetFamily.from_masks(h.n, bp), SetFamily(h.n, bpp), scheme)
+
+
+def _heavy_covers(
+    masks: Sequence[int], rows: Sequence[int], need: Callable[[int], int], accepted: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Every cover T of the nonempty r-uniform ``masks`` with
+    |T| <= r - 2 that at least need(|T|) of them contain and that
+    contains no core of ``accepted``, lazily, level by level, each with
+    the bitset of those members (its carriers).  A heavy cover of r - 1
+    vertices is appended to ``accepted`` instead of being yielded.
+
+    A level's covers come from two routes.  Branching on the least
+    member that a partial set P misses reaches every minimal cover: a
+    cover C containing P meets that member, so some branch stays inside
+    C until it covers.  A branch node is dropped when it has fewer
+    carriers than the next level needs, as every set through it has no
+    more.  A cover T that is not minimal contains a cover T - v, which
+    has at least as many carriers and was a heavy cover of the level
+    before; if T contains no accepted core, T - v was yielded and not
+    accepted.  So the other covers are the one-vertex extensions of the
+    yielded covers that the caller did not append to ``accepted``.
+    ``accepted`` is read when a level is built and after every yield,
+    and need must be nondecreasing.
+    """
+    r = masks[0].bit_count()
+    everyone = (1 << len(masks)) - 1
+    # partial sets that miss a member: carriers and the members they meet
+    branch = {0: (everyone, 0)}
+    grow: list[tuple[int, int]] = []
+    for size in range(1, r):
+        floor, ahead = need(size), need(size + 1)
+        found: dict[int, int] = {}
+        deeper: dict[int, tuple[int, int]] = {}
+        for part, (through, hit) in branch.items():
+            missed = everyone & ~hit
+            for v in _bits(masks[(missed & -missed).bit_length() - 1]):
+                t = part | 1 << v
+                sub = through & rows[v]
+                count = sub.bit_count()
+                if count < floor or any(a & t == a for a in accepted):
+                    continue
+                if hit | rows[v] == everyone:
+                    found[t] = sub
+                elif size < r - 1 and count >= ahead:
+                    deeper[t] = (sub, hit | rows[v])
+        for part, through in grow:
+            for v, row in enumerate(rows):
+                t = part | 1 << v
+                if t == part or t in found:
+                    continue
+                sub = through & row
+                if sub.bit_count() >= floor and not any(a & t == a for a in accepted):
+                    found[t] = sub
+        grow = []
+        for t in sorted(found):
+            sub = found[t]
+            if size == r - 1:
+                accepted.append(t)
+                continue
+            yield t, sub
+            if t not in accepted and sub.bit_count() >= ahead:
+                grow.append((t, sub))
+        branch = deeper
 
 
 def _same_ground_set(h: Hypergraph, d: KernelDecomposition) -> None:

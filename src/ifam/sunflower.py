@@ -230,12 +230,15 @@ def find_sunflower_with_core(
     family: SetFamily | Hypergraph, core: int, k: int
 ) -> Sunflower | None:
     """Least k-sunflower, in storage order, whose pairwise intersections
-    equal `core` exactly; a core outside [n] is refused.
+    equal `core` exactly; a core outside [n] is refused, and a core that
+    is no int mask (a bool included) is refused with a TypeError.
 
     Members not containing the core cannot participate; among the rest a
     sunflower with this exact core is precisely a set of k members whose
     residues are pairwise disjoint, an exact packing question.
     """
+    if isinstance(core, bool) or not isinstance(core, int):
+        raise TypeError(f"core must be an int mask, got {core!r}")
     if k < 2:
         raise ValueError("find_sunflower_with_core requires k >= 2")
     if core < 0:

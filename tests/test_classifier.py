@@ -811,6 +811,13 @@ def test_decompose_matching_rejects_bad_bounds():
         decompose_matching(h, 20)  # cannot peel more vertices than exist
 
 
+@pytest.mark.parametrize("s", [True, False, 2.0, "2"])
+def test_decompose_matching_refuses_a_bound_that_is_no_int(s):
+    # True ran as s = 1 on this intersecting family
+    with pytest.raises(TypeError, match=r"^s must be an int, got "):
+        decompose_matching(built(C.EM, 12, 3, s=1), s)
+
+
 # -- kernel reduction decomposition -----------------------------------------
 
 

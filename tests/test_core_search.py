@@ -28,6 +28,7 @@ from ifam.hypergraph import (
     _bits,
     _incidence_rows,
     _pack_rows,
+    is_intersecting,
     mask_of,
     matching_number,
     pack_exists,
@@ -238,9 +239,92 @@ def test_b_kernel_matches_the_minimal_members_of_b_star_on_lifts(n):
         assert kernel_parts(h, paper_r()) == oracle_kernel(h, paper_r()), (n, i)
 
 
+def walk_parts(h, scheme, intersecting):
+    """(B', B'', layers) from the cover route or from the codegree walk."""
+    d = ifam.kernel._b_kernel(h, scheme, _incidence_rows(h.edges, h.n), intersecting)
+    return d.b_prime, d.b_dprime, d.by_size
+
+
+def cover_route_families():
+    """Intersecting families: the KERNEL_PROPS generators, dense stars,
+    lifts, and the edges {1, 2, 3, y}, whose B' under the paper scheme
+    is {1, 2, 3} although {1} covers them."""
+    rng = random.Random(2027)
+    drawn = [gen(rng, rng.choice((3, 4))) for gen in GENERATORS for _ in range(20)]
+    drawn += [dense_star(rng, r) for r in (2, 3, 4, 5) for _ in range(15)]
+    yield from filter(is_intersecting, drawn)
+    for n in (8, 12, 20, 52, 60, 130):
+        for i in range(6):
+            yield build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+    for y in range(4, 131):
+        yield Hypergraph.from_vertex_sets(130, 4, [(1, 2, 3, x) for x in range(4, y + 1)])
+
+
+def test_the_cover_route_gives_the_walks_kernel_on_intersecting_families():
+    accepted = Counter()
+    for h in cover_route_families():
+        assert is_intersecting(h)
+        for scheme in SCHEMES:
+            got = walk_parts(h, scheme, True)
+            assert got == walk_parts(h, scheme, False), (h, scheme)
+            accepted.update(t.bit_count() for t in got[0].members)
+    assert set(accepted) == {1, 2, 3}, accepted
+    h = Hypergraph.from_vertex_sets(130, 4, [(1, 2, 3, y) for y in range(4, 131)])
+    assert b_kernel(h, paper_r()).b_prime.vertex_sets() == [(1, 2, 3)]
+    assert is_cover(h, mask_of((1,)))
+
+
+def test_b_kernel_matches_the_oracle_on_families_that_are_not_intersecting():
+    rng = random.Random(404)
+    accepted = 0
+    checked = 0
+    while checked < 60:
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(2 * r, 12)
+        # a dense star, so that cores reach the thresholds, and a few
+        # random edges, one of them disjoint from the star's centre
+        centre = rng.sample(range(1, n + 1), rng.randint(1, r - 1))
+        others = [v for v in range(1, n + 1) if v not in centre]
+        edges = {mask_of((*centre, *rng.sample(others, r - len(centre))))
+                 for _ in range(rng.randint(0, 60))}
+        edges.update(mask_of(rng.sample(range(1, n + 1), r)) for _ in range(rng.randint(1, 6)))
+        edges.add(mask_of(rng.sample(others, r)))
+        h = Hypergraph.from_masks(n, r, edges)
+        if is_intersecting(h):
+            continue
+        checked += 1
+        for scheme in SCHEMES:
+            got = kernel_parts(h, scheme)
+            assert got == oracle_kernel(h, scheme), (h, scheme)
+            accepted += len(got[0])
+    assert accepted > 0
+
+
+def test_b_kernel_takes_the_cover_route_only_on_intersecting_families(monkeypatch):
+    routes = []
+    for name in ("_heavy_covers", "_heavy_cores"):
+        real = getattr(ifam.kernel, name)
+        monkeypatch.setattr(
+            ifam.kernel, name, lambda *args, name=name, real=real: routes.append(name) or real(*args)
+        )
+    star = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7)])
+    triangle = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6)])
+    split = Hypergraph.from_vertex_sets(9, 3, [(1, 2, 3), (4, 5, 6)])
+    for h, route in ((star, "_heavy_covers"), (triangle, "_heavy_covers"), (split, "_heavy_cores")):
+        routes.clear()
+        b_kernel(h, paper_r())
+        assert routes == [route], h
+    routes.clear()
+    b_kernel(Hypergraph(9, 3, ()), paper_r())
+    assert routes == []
+
+
 def test_b_kernel_skips_the_packing_test_for_non_minimal_cores(monkeypatch):
     # the oracle packs 524 + 527 + 526 = 1,577 candidate cores on these
-    # lifts; b_kernel tests only the cores that contain no accepted core
+    # lifts; b_kernel tests only the heavy covers of fewer than r - 1
+    # vertices that contain no accepted core: {1, 2} on each lift, where
+    # tau = 2, and the covers of three vertices are accepted on their
+    # carrier counts
     calls = []
 
     def counting(*args):
@@ -254,19 +338,19 @@ def test_b_kernel_skips_the_packing_test_for_non_minimal_cores(monkeypatch):
         calls.clear()
         d = b_kernel(h, paper_r())
         per_lift.append(len(calls))
-        # breadth-first: the tested cores come in nondecreasing size
+        # level by level: the tested cores come in nondecreasing size
         sizes = [t.bit_count() for t in calls]
         assert sizes == sorted(sizes)
         assert not any(
             a & t == a and a != t for a in d.b_prime.members for t in calls
         )
-    assert per_lift == [396, 399, 398]
+    assert per_lift == [1, 1, 1]
 
 
 def test_only_the_accepted_cores_reach_the_packing_search_on_lifts(monkeypatch):
-    # Every core that b_kernel tests on these lifts but does not accept
-    # is missed by some edge, which meets all of its more than r petals:
-    # the transversal bound refutes it before the search starts.
+    # Every core that b_kernel tests on these lifts is a cover, and every
+    # heavy cover of fewer than r - 1 vertices that it tests packs; a
+    # cover of r - 1 vertices is accepted with no search.
     roots = []
     extend = ifam.hypergraph._extend
 
@@ -281,23 +365,32 @@ def test_only_the_accepted_cores_reach_the_packing_search_on_lifts(monkeypatch):
         roots.clear()
         d = b_kernel(h, paper_r())
         per_lift.append(sum(roots))
-        assert sum(roots) == len(d.b_prime)
-    assert per_lift == [7, 7, 7]
+        assert sum(roots) == sum(t.bit_count() < h.r - 1 for t in d.b_prime.members)
+    assert per_lift == [1, 1, 1]
 
 
 def petals_of(masks, carriers, core):
     return [masks[j] & ~core for j in _bits(carriers)]
 
 
+def is_cover(h, t):
+    return all(e & t for e in h.edges)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_b_kernel_asks_the_packing_engine_the_oracle_questions(r, monkeypatch):
-    # exactly the oracle candidates that strictly contain no member of
-    # B' reach the packing test, with the same petals in the same order
-    # and the same k: the walk changes which subsets are enumerated, and
-    # skips only the cores that cannot be minimal
+    # with the same petals in the same order and the same k, the packing
+    # test gets: on a family that is not intersecting, exactly the oracle
+    # candidates that strictly contain no member of B' (the walk changes
+    # which subsets are enumerated, and skips only the cores that cannot
+    # be minimal); on an intersecting one, those of them that are covers
+    # of fewer than r - 1 vertices
     rng = random.Random(200 + r)
+    kinds = Counter()
     for _ in range(10):
         h = dense_star(rng, r)
+        intersecting = is_intersecting(h)
+        kinds[intersecting] += 1
         for scheme in SCHEMES:
             asked = []
 
@@ -310,8 +403,10 @@ def test_b_kernel_asks_the_packing_engine_the_oracle_questions(r, monkeypatch):
             want = [
                 (t, tuple(p), k) for t, p, k in oracle_candidates(h, scheme)
                 if not any(a & t == a and a != t for a in bp)
+                and (not intersecting or is_cover(h, t) and t.bit_count() < r - 1)
             ]
             assert sorted(asked) == sorted(want)
+    assert len(kinds) == 2, kinds
 
 
 def mixed_size_families(count=300, n=8):

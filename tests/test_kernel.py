@@ -246,11 +246,14 @@ def test_kernel_rs_scheme_runs_same_pipeline():
 def test_b_kernel_skips_a_core_whose_prefix_is_no_core(monkeypatch):
     # {1, 2} is a core (16 petals {x}) and so is {2} (petals {1, 3},
     # {19, 20}, {21, 22}, {23, 24}); {1} is heavy but no core, since every
-    # edge through 1 contains 2.  The walk reaches {1, 2} through {1},
-    # after it has accepted {2}, and must skip it.
+    # edge through 1 contains 2.  The edge {25, 26, 27} meets no other, so
+    # the family is not intersecting and the codegree walk runs.  It
+    # reaches {1, 2} through {1}, after it has accepted {2}, and must skip it.
     h = Hypergraph.from_vertex_sets(
-        24, 3, [(1, 2, x) for x in range(3, 19)] + [(2, 19, 20), (2, 21, 22), (2, 23, 24)]
+        27, 3,
+        [(1, 2, x) for x in range(3, 19)] + [(2, 19, 20), (2, 21, 22), (2, 23, 24), (25, 26, 27)],
     )
+    assert not is_intersecting(h)
     assert oracle_b_star(h, paper_r()).vertex_sets() == [(2,), (1, 2)]
     tested = []
     real = ifam.sunflower._pack_rows
@@ -259,8 +262,18 @@ def test_b_kernel_skips_a_core_whose_prefix_is_no_core(monkeypatch):
     )
     d = b_kernel(h, paper_r())
     assert d.b_prime.vertex_sets() == [(2,)]
-    assert len(d.b_dprime) == 0
+    assert d.b_dprime.vertex_sets() == [(25, 26, 27)]
     assert tested == [mask_of((1,)), mask_of((2,))]
+
+
+def test_b_kernel_refuses_a_set_family():
+    with pytest.raises(TypeError, match=r"^h must be a Hypergraph, got SetFamily$"):
+        b_kernel(SetFamily.from_vertex_sets(5, [(1, 3)]), paper_r())
+
+
+def test_b_kernel_refuses_a_missing_scheme():
+    with pytest.raises(TypeError, match=r"^scheme must be a ThresholdScheme, got NoneType$"):
+        b_kernel(full_star(6, 3), None)
 
 
 def test_b_dprime_uses_subset_not_equality():

@@ -132,6 +132,14 @@ def test_searches_refuse_fewer_than_two_petals(k):
         find_sunflower_with_core(f, mask_of([1]), k)
 
 
+@pytest.mark.parametrize("core", [True, False, 2.0, "1", None])
+def test_a_core_that_is_no_int_mask_is_refused(core):
+    # True was read as the core {1}
+    f = SetFamily.from_vertex_sets(5, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(TypeError, match=r"^core must be an int mask, got "):
+        find_sunflower_with_core(f, core, 2)
+
+
 def test_searches_accept_a_hypergraph():
     h = Hypergraph.from_vertex_sets(
         7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (3, 5, 7)]
