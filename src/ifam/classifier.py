@@ -16,9 +16,10 @@ role assignment when one exists.  It splits that work in two:
   vertex per role in layout order.  A search must be complete (some
   candidate is a witness whenever one exists) but need not be sound;
 * one check certifies a candidate: its labels are distinct labels of
-  [n], and every edge contains a generator under that role map.  The
-  first accepted candidate is the witness, and ``embedding_is_valid``
-  runs the same check on a given role map.
+  [n], and every edge contains a generator under that role map (it
+  drops the edges that contain each generator in turn, and accepts when
+  none is left).  The first accepted candidate is the witness, and
+  ``embedding_is_valid`` runs the same check on a given role map.
 
 A search never runs short of free labels to pad a candidate with:
 ``_resolve`` has checked the template's size rule before any search
@@ -28,13 +29,21 @@ The searches are anchored:
 
 * the apex candidate fixes the set of edges that avoid it, and those
   edges pin down the base set (two such edges intersect in exactly the
-  base, one leaves r choices, none reduces to a covering problem);
+  base, one leaves r choices, none reduces to a covering problem).  At
+  most k edges may avoid the apex (t for the tailed patterns, 2 for the
+  double pair), so it lies in one of the first k + 1 edges: only their
+  union is tried, ascending, or every label when there are k or fewer;
 * a triple template is anchored on a covering pair, since every edge
   meets two of the three special vertices;
 * the pair patterns and the lifted tailed patterns, whose first two
   roles meet every generator, are anchored on a covering pair as well
   and then branch on the first edge not yet explained, which keeps the
-  search tree small without giving up completeness.
+  search tree small without giving up completeness.  A child extends
+  its parent's assignment, so the edges its parent explained stay
+  explained and its scan resumes at its parent's pending edge.  The
+  memo keeps an assignment's first visit, and any start at or before
+  its first pending edge finds that edge, so the resumed scan branches
+  as a full rescan would.
 
 Classification is one ladder.  ``_ladder`` lists the (kind, template,
 parameters) rungs in the paper's order, keeping those that can hold a
@@ -47,7 +56,8 @@ number at least two.  ``decompose_matching`` peels a small vertex set
 so that the rest of the family collapses onto a single classified
 structure, and ``decompose_th4prime`` runs the kernel reduction to a
 3-uniform shadow, classifies the shadow, and lifts the verdict back to
-the r-uniform family.
+the r-uniform family.  Each public function refuses an h that is no
+``Hypergraph`` with a TypeError.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import combinations, islice, permutations
-from operator import and_
+from operator import and_, or_
 
 from .constructions import (
     ConstructionError,
@@ -69,6 +79,7 @@ from .hypergraph import (
     Hypergraph,
     SetFamily,
     _intersecting_rows,
+    _need_hypergraph,
     _two_cover,
     cover_number,
     delete_vertices,
@@ -156,13 +167,6 @@ def _bit(v: int) -> int:
     return 1 << (v - 1)
 
 
-def _and_all(masks, full: int) -> int:
-    out = full
-    for m in masks:
-        out &= m
-    return out
-
-
 def _lowest_free(n: int, excluded: int, count: int) -> list[int]:
     """The `count` smallest labels outside `excluded`, fewer if [n] runs out."""
     return list(islice((v for v in range(1, n + 1) if not excluded & _bit(v)), count))
@@ -176,12 +180,11 @@ def _witness_check(h: Hypergraph, res: Resolved):
     template's roles in layout order, if they are distinct labels of [n]
     and every edge of H is a member under it, else None.
 
-    This is the one certificate for a witness: ``embed`` keeps the first
-    search candidate it accepts and ``embedding_is_valid`` runs it on a
-    given role map.  An edge of size r is a member exactly when it equals
-    a generator of size r or contains a smaller one.  The role table
-    comes with the resolved instance, each generator as the positions of
-    its roles in layout order; each call only puts vertices on them.
+    This is the one certificate for a witness, which ``embed`` and
+    ``embedding_is_valid`` both run.  An edge is a member exactly when it
+    contains a generator; the role table comes with the resolved
+    instance, each generator as the positions of its roles in layout
+    order, and each call only puts vertices on them.
     """
     edges, n = h.edges, h.n
     names, gens = res.names, res.gens
@@ -193,25 +196,20 @@ def _witness_check(h: Hypergraph, res: Resolved):
         if min(vertices) < 1 or max(vertices) > n:
             return None
         bits = [1 << (v - 1) for v in vertices]
-        masks = []
+        rest = edges
         for gen in gens:
             m = 0
             for j in gen:
                 m |= bits[j]
-            masks.append(m)
-        for e in edges:
-            for m in masks:
-                if not m & ~e:
-                    break
-            else:
-                return None
-        return dict(zip(names, vertices))
+            rest = [e for e in rest if m & ~e]
+        return None if rest else dict(zip(names, vertices))
 
     return fits
 
 
 def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
     """Check an embedding witness edge by edge against the template's generators."""
+    _need_hypergraph(h)
     p = emb.params
     if p.n != h.n or p.r != h.r:
         return False
@@ -244,7 +242,7 @@ def _two_cover_cands(masks, forbidden: int, n: int):
         ub = _bit(u)
         miss = [m for m in masks if not m & ub]
         if miss:
-            cands = vertices_of(_and_all(miss, full) & ~(forbidden | ub))
+            cands = vertices_of(reduce(and_, miss, full) & ~(forbidden | ub))
         else:
             cands = _lowest_free(n, forbidden | ub, 1)
         for v in cands:
@@ -264,7 +262,7 @@ def _pair_anchor_cands(h: Hypergraph):
         pb = _bit(p)
         miss = [e for e in edges if not e & pb]
         if miss:
-            qcands = vertices_of(_and_all(miss, full))
+            qcands = vertices_of(reduce(and_, miss, full))
         else:
             qcands = tuple(v for v in range(1, h.n + 1) if v != p)
         for q in qcands:
@@ -306,26 +304,31 @@ def _embed_hm0(h: Hypergraph, res: Resolved):
         tried.add(pair)
         singles = [e for e in edges if (e & pair).bit_count() == 1]
         if singles:
-            ccands = vertices_of(_and_all(singles, full) & ~pair)
+            ccands = vertices_of(reduce(and_, singles, full) & ~pair)
         else:
             ccands = _lowest_free(h.n, pair, 1)
         for cv in ccands:
             yield tuple(sorted((pv, qv, cv)))
 
 
+def _apex_cands(edges, k: int, n: int):
+    """The apex candidates when at most k edges may avoid the apex: the
+    union of the first k + 1 edges, ascending (a label outside it avoids
+    all of them), or all of [n] when there are k edges or fewer."""
+    return range(1, n + 1) if len(edges) <= k else vertices_of(reduce(or_, edges[: k + 1]))
+
+
 def _hm_t_finish(h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[int]):
     """Fix apex and base (r - 1 labels other than the apex), then solve
     for the tail set."""
     xb = _bit(xv)
-    demand = 0
-    for e in e0:
-        demand |= e & ~xmask
+    demand = reduce(or_, e0, 0) & ~xmask
     bad = [e for e in h.edges if e & xb and not e & xmask]
     full = (1 << h.n) - 1
     if bad:
         if t > r - 1:
             return
-        pool = _and_all(bad, full) & ~(xb | xmask)
+        pool = reduce(and_, bad, full) & ~(xb | xmask)
         if demand & ~pool:
             return
     else:
@@ -338,8 +341,7 @@ def _hm_t_finish(h: Hypergraph, t: int, r: int, xv: int, xmask: int, e0: list[in
 def _embed_hm_t(h: Hypergraph, res: Resolved):
     t, r, n = res.k, h.r, h.n
     edges = h.edges
-    full = (1 << n) - 1
-    for xv in range(1, n + 1):
+    for xv in _apex_cands(edges, t, n):
         xb = _bit(xv)
         e0 = [e for e in edges if not e & xb]
         if len(e0) > t:
@@ -347,7 +349,7 @@ def _embed_hm_t(h: Hypergraph, res: Resolved):
             # sets, so there are at most t of them.
             continue
         if len(e0) >= 2:
-            inter = _and_all(e0, full)
+            inter = reduce(and_, e0)
             if inter.bit_count() != r - 1:
                 continue
             xcands = [inter]
@@ -386,7 +388,7 @@ def _hm_t_star_residue(h: Hypergraph, t: int, r: int, xv: int, links: list[int])
 def _embed_hm_dp(h: Hypergraph, res: Resolved):
     r, n = h.r, h.n
     edges = h.edges
-    for xv in range(1, n + 1):
+    for xv in _apex_cands(edges, 2, n):
         xb = _bit(xv)
         e0 = [e for e in edges if not e & xb]
         if len(e0) > 2:
@@ -415,10 +417,7 @@ def _dp_star(h: Hypergraph, xv: int):
     r, n = h.r, h.n
     xb = _bit(xv)
     links = [e & ~xb for e in h.edges]
-    sup = 0
-    for l in links:
-        sup |= l
-    supverts = vertices_of(sup)
+    supverts = vertices_of(reduce(or_, links, 0))
     for k in range(0, r - 1):
         for xhit in combinations(supverts, k):
             xh = mask_of(xhit)
@@ -454,56 +453,51 @@ def _schema_dfs(h: Hypergraph, res: Resolved, assigned=()):
     edge through some generator, whose unassigned roles then take values
     inside the edge; that extension is among the branches.
     """
-    return _schema_rec(h.edges, h.n, len(res.names), res.gens, set(), dict(assigned))
+    asg = tuple(map(dict(assigned).get, range(len(res.names))))
+    return _schema_rec(h.edges, h.n, res.gens, set(), asg, 0)
 
 
-def _schema_satisfied(schemas, e: int, asg: dict[int, int]) -> bool:
-    """Does some fully-assigned generator of the schemas lie inside e?"""
-    for schema in schemas:
+def _schema_rec(edges, n: int, schemas, memo: set, asg: tuple, start: int):
+    """One node of ``_schema_dfs``: `asg` holds a vertex or None per role
+    position, `start` the parent's pending edge, and memo the assignments
+    already searched.  A module-level generator, not a closure: a closure
+    that calls itself is a reference cycle, which would keep the search
+    state alive until the next full garbage collection."""
+    if asg in memo:
+        return
+    memo.add(asg)
+    # an unassigned role's bit is -1, so a generator holding one ORs to -1
+    bits = [1 << (v - 1) if v else -1 for v in asg]
+    done = []
+    for gen in schemas:
         m = 0
-        for role in schema:
-            v = asg.get(role)
-            if v is None:
-                m = -1
-                break
-            m |= _bit(v)
-        if m >= 0 and not m & ~e:
-            return True
-    return False
-
-
-def _schema_rec(edges, n: int, width: int, schemas, memo: set, asg: dict[int, int]):
-    """One node of ``_schema_dfs``; memo holds the assignments already
-    searched.  A module-level generator, not a closure: a closure that
-    calls itself is a reference cycle, which would keep the search state
-    alive until the next full garbage collection."""
-    key = tuple(sorted(asg.items()))
-    if key in memo:
+        for j in gen:
+            m |= bits[j]
+        if m >= 0:
+            done.append(m)
+    for start in range(start, len(edges)):
+        pend = edges[start]
+        if all(m & ~pend for m in done):
+            break
+    else:
+        fill = (v for v in range(1, n + 1) if v not in asg)
+        yield tuple([v or next(fill) for v in asg])
         return
-    memo.add(key)
-    pend = next((e for e in edges if not _schema_satisfied(schemas, e, asg)), None)
-    used = set(asg.values())
-    if pend is None:
-        fill = (v for v in range(1, n + 1) if v not in used)
-        yield tuple([asg[j] if j in asg else next(fill) for j in range(width)])
-        return
-    everts = [v for v in vertices_of(pend) if v not in used]
+    everts = [v for v in vertices_of(pend) if v not in asg]
     for schema in schemas:
         unassigned = []
-        conflict = False
-        for role in schema:
-            v = asg.get(role)
-            if v is None:
-                unassigned.append(role)
-            elif not pend & _bit(v):
-                conflict = True
+        for j in schema:
+            if bits[j] < 0:
+                unassigned.append(j)
+            elif bits[j] & ~pend:
                 break
-        if conflict or not unassigned or len(everts) < len(unassigned):
-            continue
-        for combo in permutations(everts, len(unassigned)):
-            nxt = dict(asg)
-            nxt.update(zip(unassigned, combo))
-            yield from _schema_rec(edges, n, width, schemas, memo, nxt)
+        else:
+            # each such generator has a role left; too few labels permute to nothing
+            for combo in permutations(everts, len(unassigned)):
+                nxt = list(asg)
+                for j, v in zip(unassigned, combo):
+                    nxt[j] = v
+                yield from _schema_rec(edges, n, schemas, memo, tuple(nxt), start)
 
 
 def _embed_pair(h: Hypergraph, res: Resolved):
@@ -540,6 +534,7 @@ def embed(
     Raises ValueError when the ground set or uniformity disagree, and
     ConstructionError when the parameters name no valid instance.
     """
+    _need_hypergraph(h)
     cid = ConstructionId(template)
     if params.n != h.n or params.r != h.r:
         raise ValueError(
@@ -614,6 +609,7 @@ def classify_3graph(h: Hypergraph) -> Verdict:
     Intersecting families with cover number three or more are reported
     as such (they have at most ten edges); non-intersecting ones get NONE.
     """
+    _need_hypergraph(h)
     if h.r != 3:
         raise ValueError(f"classify_3graph needs r = 3, got r={h.r}")
     return classify(h)
@@ -624,6 +620,7 @@ def classify_rgraph(h: Hypergraph) -> Verdict:
     number two or more, past the star on the ladder.  NONE is an allowed
     outcome here.
     """
+    _need_hypergraph(h)
     if h.r < 4:
         raise ValueError(f"classify_rgraph needs r >= 4, got r={h.r}")
     tau = cover_number(h)
@@ -643,6 +640,7 @@ def classify(h: Hypergraph) -> Verdict:
     ladder.  Raises ValueError for an intersecting family with cover
     number two or more and r < 3.
     """
+    _need_hypergraph(h)
     tau = cover_number(h)
     if tau <= 1 or (h.r == 3 and tau == 2):
         return _first_fit(h, _ladder(h.n, h.r, tau))
@@ -673,6 +671,7 @@ def decompose_matching(
     their relative order).  An s that is no int, a bool included, is
     refused with a TypeError.
     """
+    _need_hypergraph(h)
     if isinstance(s, bool) or not isinstance(s, int):
         raise TypeError(f"s must be an int, got {s!r}")
     if s < 1:
@@ -714,6 +713,7 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     proves h intersecting with cover number 1 (0 with no edges), and
     that path builds no rows and runs no cover search.
     """
+    _need_hypergraph(h)
     if h.r < 4:
         raise ValueError(f"decompose_th4prime needs r >= 4, got r={h.r}")
     if not h.edges or reduce(and_, h.edges):

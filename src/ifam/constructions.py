@@ -87,11 +87,22 @@ class ConstructionId(str, Enum):
 
 @dataclass(frozen=True)
 class ConstructionParams:
+    """n and r, and the extra parameters s, t and i, each an int or None.
+    A field of another type, a bool included, is refused with a TypeError."""
+
     n: int
     r: int
     s: int | None = None
     t: int | None = None
     i: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("n", "r", "s", "t", "i"):
+            value = getattr(self, name)
+            if value is None and name in "sti":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 class ConstructionError(ValueError):

@@ -202,6 +202,12 @@ class SetFamily:
         return iter(self.members)
 
 
+def _need_hypergraph(h) -> None:
+    """Refuse an argument h that is no Hypergraph with a TypeError."""
+    if not isinstance(h, Hypergraph):
+        raise TypeError(f"h must be a Hypergraph, got {type(h).__name__}")
+
+
 def _members(h: Hypergraph | SetFamily) -> tuple[int, ...]:
     return h.edges if isinstance(h, Hypergraph) else h.members
 

@@ -91,6 +91,7 @@ from .hypergraph import (
     _bits,
     _incidence_rows,
     _intersecting_rows,
+    _need_hypergraph,
     _rows_intersect,
     _two_cover,
     cover_number,
@@ -229,8 +230,7 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     with B' empty it is all of H.  An argument of another type is
     refused with a TypeError.
     """
-    if not isinstance(h, Hypergraph):
-        raise TypeError(f"h must be a Hypergraph, got {type(h).__name__}")
+    _need_hypergraph(h)
     if not isinstance(scheme, ThresholdScheme):
         raise TypeError(f"scheme must be a ThresholdScheme, got {type(scheme).__name__}")
     rows = _incidence_rows(h.edges, h.n)

@@ -43,6 +43,7 @@ from ifam.constructions import (
 )
 from ifam.hypergraph import (
     Hypergraph,
+    SetFamily,
     cover_number,
     is_intersecting,
     mask_of,
@@ -273,14 +274,12 @@ def check_against_brute_force(h, cid, p, hits, misses):
         misses.add(p)
 
 
-def test_lifted_embed_agrees_with_brute_force():
-    # r = 4 families on n = 6, 7: every two 4-sets meet, so every family
-    # is intersecting and the lift searches see arbitrary inputs
-    rng = random.Random(SEED)
-    hits, misses = set(), set()
+def lifted_corpus(rng):
+    """r = 4 families on n = 6, 7: every two 4-sets meet, so every family
+    is intersecting and the lift searches see arbitrary inputs."""
+    fams = []
     for n in (6, 7):
         pool = [mask_of(c) for c in combinations(range(1, n + 1), 4)]
-        fams = []
         for i in range(6):
             lift = relabeled(built(C.H3LIFT, n, 4, i=i), rng)
             edges = sorted(lift.edges)
@@ -288,54 +287,72 @@ def test_lifted_embed_agrees_with_brute_force():
             fams += [sub, swapped(sub, rng, pool)]
         for _ in range(4):
             fams.append(Hypergraph.from_masks(n, 4, rng.sample(pool, rng.randint(3, 9))))
-        for h in fams:
-            for i in range(6):
-                check_against_brute_force(h, C.H3LIFT, P(n, 4, i=i), hits, misses)
+    return fams
+
+
+def test_lifted_embed_agrees_with_brute_force():
+    hits, misses = set(), set()
+    for h in lifted_corpus(random.Random(SEED)):
+        for i in range(6):
+            check_against_brute_force(h, C.H3LIFT, P(h.n, 4, i=i), hits, misses)
     for i in range(6):
         assert any(p.i == i for p in hits), i
         assert any(p.i == i for p in misses), i
 
 
-def test_tailed_and_double_pair_embed_agree_with_brute_force():
-    rng = random.Random(SEED)
+TAILED_GRID = [(C.HM_T, P(8, 4, t=t)) for t in (1, 2, 3)] + [(C.HM_DP, P(8, 4))]
+
+
+def tailed_corpus(rng):
+    """(family, template, parameters): five families per tailed or
+    double-pair instance on [8], drawn from that instance."""
     pool = [mask_of(c) for c in combinations(range(1, 9), 4)]
-    grid = [P(8, 4, t=t) for t in (1, 2, 3)] + [P(8, 4)]
-    cids = [C.HM_T] * 3 + [C.HM_DP]
-    hits, misses = set(), set()
-    for cid, p in zip(cids, grid):
+    out = []
+    for cid, p in TAILED_GRID:
         h = relabeled(build_construction(cid, p), rng)
         sub = Hypergraph.from_masks(8, 4, rng.sample(sorted(h.edges), len(h) // 2))
         fams = [h, sub, swapped(h, rng, pool), swapped(sub, rng, pool),
                 random_intersecting(rng, 8, 4, 8)]
-        for g in fams:
-            check_against_brute_force(g, cid, p, hits, misses)
-    assert hits == misses == set(grid)
+        out += [(g, cid, p) for g in fams]
+    return out
+
+
+def test_tailed_and_double_pair_embed_agree_with_brute_force():
+    hits, misses = set(), set()
+    for g, cid, p in tailed_corpus(random.Random(SEED)):
+        check_against_brute_force(g, cid, p, hits, misses)
+    assert hits == misses == {p for _, p in TAILED_GRID}
 
 
 # Every edge holds vertex 1 and vertex 2; the other pairs are disjoint.
 PAIR_SPINE = Hypergraph.from_vertex_sets(8, 4, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8)])
 
 
-@pytest.mark.parametrize("cid, p", [(C.HM_T, P(8, 4, t=t)) for t in (1, 2, 3)]
-                         + [(C.HM_DP, P(8, 4))])
-def test_star_families_embed_as_brute_force_says(cid, p):
-    # a family whose edges all pass through one vertex leaves no edge off
-    # that apex, so the searches take their star branches there: the
-    # tail-guessing residue search for HM_T when the links need more than
-    # r - 1 cover vertices, and _dp_star for HM_DP
+def star_corpus(cid, p):
+    """Families on [8] whose edges all pass through vertex 1 (before
+    relabeling): the edges of the instance through its apex, with one
+    swapped, the full star, part of it, and PAIR_SPINE."""
     rng = random.Random(SEED)
     star = [mask_of((1, *c)) for c in combinations(range(2, 9), 3)]
     part = [e for e in build_construction(cid, p).edges if e & 1]
     outside = sorted(set(star) - set(part))
-    fams = [
+    return [
         Hypergraph.from_masks(8, 4, part),
         relabeled(Hypergraph.from_masks(8, 4, part[1:] + [rng.choice(outside)]), rng),
         Hypergraph.from_masks(8, 4, star),
         relabeled(Hypergraph.from_masks(8, 4, rng.sample(star, 6)), rng),
         PAIR_SPINE,
     ]
+
+
+@pytest.mark.parametrize("cid, p", TAILED_GRID)
+def test_star_families_embed_as_brute_force_says(cid, p):
+    # a family whose edges all pass through one vertex leaves no edge off
+    # that apex, so the searches take their star branches there: the
+    # tail-guessing residue search for HM_T when the links need more than
+    # r - 1 cover vertices, and _dp_star for HM_DP
     hits, misses = set(), set()
-    for h in fams:
+    for h in star_corpus(cid, p):
         check_against_brute_force(h, cid, p, hits, misses)
     assert hits == misses == {p}
 
@@ -816,6 +833,21 @@ def test_decompose_matching_refuses_a_bound_that_is_no_int(s):
     # True ran as s = 1 on this intersecting family
     with pytest.raises(TypeError, match=r"^s must be an int, got "):
         decompose_matching(built(C.EM, 12, 3, s=1), s)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (classify, ()), (classify_3graph, ()), (classify_rgraph, ()),
+    (embed, (C.EM, P(7, 3, s=1))),
+    (embedding_is_valid, (Embedding(C.EM, P(7, 3, s=1), (("x1", 1),)),)),
+    (decompose_matching, (1,)), (decompose_th4prime, ()),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_entry_points_refuse_an_h_that_is_no_hypergraph(fn, args):
+    # classify read the missing attribute r and raised AttributeError
+    f = SetFamily.from_vertex_sets(7, [(1, 2, 3), (1, 4, 5)])
+    with pytest.raises(TypeError, match=r"^h must be a Hypergraph, got SetFamily$"):
+        fn(f, *args)
+    with pytest.raises(TypeError, match=r"^h must be a Hypergraph, got tuple$"):
+        fn(f.members, *args)
 
 
 # -- kernel reduction decomposition -----------------------------------------

@@ -8,6 +8,7 @@ and the generator act as oracles for each other.
 from __future__ import annotations
 
 import hashlib
+import re
 from itertools import combinations
 from math import comb
 
@@ -314,6 +315,35 @@ def test_size_and_layout_reject_what_build_rejects(fn, cid, p):
         build_construction(cid, p)
     with pytest.raises(ConstructionError):
         fn(cid, p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 7.0), ("n", True), ("n", None), ("r", "3"), ("r", 3.0),
+    ("s", True), ("s", 1.0), ("t", False), ("t", "1"), ("i", True), ("i", 2.5),
+])
+def test_params_refuse_a_field_that_is_no_int(field, value):
+    # i=True built H3(1); n=7.0 left embed answering None and the builder
+    # failing deep inside range()
+    kw = {"n": 7, "r": 3, field: value}
+    want = rf"^{field} must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=want):
+        ConstructionParams(**kw)
+
+
+def test_params_refusals_reach_the_public_calls():
+    from ifam.classifier import embed
+
+    h = build(ConstructionId.EM, 7, 3, s=1)
+    with pytest.raises(TypeError, match=r"^i must be an int, got True$"):
+        build_construction(ConstructionId.H3FAM, ConstructionParams(7, 3, i=True))
+    with pytest.raises(TypeError, match=r"^n must be an int, got 7\.0$"):
+        embed(h, ConstructionId.EM, ConstructionParams(7.0, 3, s=1))
+    with pytest.raises(TypeError, match=r"^n must be an int, got 7\.0$"):
+        build_construction(ConstructionId.EM, ConstructionParams(7.0, 3, s=1))
+    # the extra parameters may be left out; n and r may not
+    assert ConstructionParams(7, 3) == ConstructionParams(7, 3, s=None, t=None, i=None)
+    with pytest.raises(TypeError, match=r"^r must be an int, got None$"):
+        ConstructionParams(7, None)
 
 
 def test_layout_table_mentions_every_construction():
