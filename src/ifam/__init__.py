@@ -49,7 +49,7 @@ _LAZY = {
                 "parse_hypergraph", "parse_set_family", "serialize_hypergraph",
                 "serialize_set_family", "set_family_from_json", "set_family_to_json")),
         ("kernel", ("KernelDecomposition", "ThresholdScheme", "b_kernel", "kernel_bound",
-                    "kernel_invariant_violations", "paper_r", "paper_rs", "reduce_to_3graph")),
+                    "kernel_invariant_violations", "paper_r", "paper_rs")),
         ("sunflower", ("Sunflower", "find_sunflower", "find_sunflower_with_core")),
     )
     for name in names

@@ -49,15 +49,17 @@ Classification is one ladder.  ``_ladder`` lists the (kind, template,
 parameters) rungs in the paper's order, keeping those that can hold a
 family of a given cover number, and ``_first_fit`` reports the first
 rung whose instance contains the family.  ``classify`` is the one entry
-point and the one place the cover-number and intersecting guards are
-written; ``classify_3graph`` is ``classify`` restricted to r = 3, and
-``classify_rgraph`` climbs the ladder for r >= 4 families with cover
-number at least two.  ``decompose_matching`` peels a small vertex set
-so that the rest of the family collapses onto a single classified
-structure, and ``decompose_th4prime`` runs the kernel reduction to a
-3-uniform shadow, classifies the shadow, and lifts the verdict back to
-the r-uniform family.  Each public function refuses an h that is no
-``Hypergraph`` with a TypeError.
+point, for every r, and the one place the cover-number and intersecting
+guards are written; ``classify_3graph`` and ``classify_rgraph`` are
+other names for it.  Every rung is an intersecting template, so the
+ladder answers NONE for a family that is not intersecting, and only an
+r <= 3 family past its rungs is proved intersecting.
+``decompose_matching`` peels a small vertex set so that the rest of the
+family collapses onto a single classified structure, and
+``decompose_th4prime``, the one guarded entry to the kernel reduction,
+reduces to a 3-uniform shadow, classifies the shadow, and lifts the
+verdict back to the r-uniform family.  Each public function refuses an
+h that is no ``Hypergraph`` with a TypeError.
 """
 
 from __future__ import annotations
@@ -602,47 +604,23 @@ def _ladder(n: int, r: int, tau: int | None) -> tuple:
     return tuple(rungs[:1] if tau <= 1 else rungs[1:] if tau == 2 else ())
 
 
-def classify_3graph(h: Hypergraph) -> Verdict:
-    """``classify`` for r = 3: the first containing template among the
-    star and the six 3-uniform patterns.
-
-    Intersecting families with cover number three or more are reported
-    as such (they have at most ten edges); non-intersecting ones get NONE.
-    """
-    _need_hypergraph(h)
-    if h.r != 3:
-        raise ValueError(f"classify_3graph needs r = 3, got r={h.r}")
-    return classify(h)
-
-
-def classify_rgraph(h: Hypergraph) -> Verdict:
-    """The first containing template for r >= 4 families with cover
-    number two or more, past the star on the ladder.  NONE is an allowed
-    outcome here.
-    """
-    _need_hypergraph(h)
-    if h.r < 4:
-        raise ValueError(f"classify_rgraph needs r >= 4, got r={h.r}")
-    tau = cover_number(h)
-    if tau < 2:
-        raise ValueError("classify_rgraph needs cover number at least 2")
-    return _first_fit(h, _ladder(h.n, h.r, tau))
-
-
 def classify(h: Hypergraph) -> Verdict:
     """The verdict for any family: the one classification entry point.
 
     A family is tried on the ladder rungs for its cover number: the star
     when that is at most one (NONE when no star template fits the ground
-    set), the six 3-uniform patterns when r = 3 and it is two.  Past that
-    a family that is not intersecting is NONE, an intersecting 3-graph is
-    TAU_GE_3 (it has at most ten edges), and r >= 4 goes on to the
-    ladder.  Raises ValueError for an intersecting family with cover
-    number two or more and r < 3.
+    set), the six 3-uniform patterns when r = 3 and it is two, and the
+    templates past the star when r >= 4 (none from three on).  Every rung
+    is an intersecting template, so a family that is not intersecting
+    fits none and gets NONE from the ladder: no r >= 4 family needs a
+    proof that it is intersecting.  An r <= 3 family past its rungs
+    does, as the proof tells its answers apart: NONE when it is not
+    intersecting, else TAU_GE_3 for r = 3 (at most ten edges) and a
+    ValueError for r < 3.
     """
     _need_hypergraph(h)
     tau = cover_number(h)
-    if tau <= 1 or (h.r == 3 and tau == 2):
+    if tau <= 1 or h.r >= 4 or (h.r == 3 and tau == 2):
         return _first_fit(h, _ladder(h.n, h.r, tau))
     if not is_intersecting(h):
         return Verdict(VerdictKind.NONE)
@@ -650,9 +628,11 @@ def classify(h: Hypergraph) -> Verdict:
         if len(h) > 10:
             raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
         return Verdict(VerdictKind.TAU_GE_3)
-    if h.r < 3:
-        raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
-    return _first_fit(h, _ladder(h.n, h.r, tau))
+    raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
+
+
+# kept for the callers outside the library that use these names
+classify_3graph = classify_rgraph = classify
 
 
 # -- decompositions ---------------------------------------------------------
@@ -731,7 +711,7 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     # h is intersecting with tau = 2, checked above
     hp, h3 = _reduce_to_3graph(h, decomp, rows)
     removed = len(h) - len(hp)
-    v3 = classify_3graph(h3)
+    v3 = classify(h3)
     # the shadow's witness lifts as it stands: the star's center, or the
     # pattern's roles inside every r-set containing one of its triples
     if v3.kind is VerdictKind.STAR:

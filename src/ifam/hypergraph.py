@@ -135,6 +135,9 @@ class Hypergraph:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # a list would leave the family unhashable and unequal to its
+        # tuple twin; a tuple converts to itself
+        object.__setattr__(self, "edges", tuple(self.edges))
         _check_family(self.n, self.edges, "edge", self.r)
 
     @classmethod
@@ -179,6 +182,7 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "members", tuple(self.members))
         _check_family(self.n, self.members, "member")
 
     @classmethod

@@ -64,14 +64,16 @@ B'' is a subfamily of H, so when H is intersecting only a pair with a
 member of B' (or, in a hand-built decomposition, a member of B'' that
 is no edge of H) can be disjoint, and only those pairs are tested.
 
-The reduction step applies when a pair of vertices covers the family:
-edges carrying a member of the second or third layer are kept, and each
-kept edge is shrunk onto triples through its layer-2 members, yielding
-an auxiliary 3-uniform family that preserves the intersecting property
-and is again covered by a pair.  Classification of the auxiliary family
-then transfers back to the original one.  The kept edges and the
-triples are read from carriers too, on the incidence rows that the
-proof that H is intersecting leaves behind.
+The reduction step, ``_reduce_to_3graph``, applies when a pair of
+vertices covers the family: edges carrying a member of the second or
+third layer are kept, and each kept edge is shrunk onto triples through
+its layer-2 members, yielding an auxiliary 3-uniform family that
+preserves the intersecting property and is again covered by a pair.
+Classification of the auxiliary family then transfers back to the
+original one.  Its one entry is ``classifier.decompose_th4prime``, which
+proves the hypotheses first: the proof that H is intersecting leaves
+the incidence rows behind, and the kept edges and the triples are read
+from carriers on those rows.
 
 Two named schemes are provided: the single-family scheme with
 multiplicity (r+1)^|T|, and a coarser one with multiplicity
@@ -90,10 +92,8 @@ from .hypergraph import (
     SetFamily,
     _bits,
     _incidence_rows,
-    _intersecting_rows,
     _need_hypergraph,
     _rows_intersect,
-    _two_cover,
     cover_number,
     is_intersecting,
     vertices_of,
@@ -107,7 +107,6 @@ __all__ = [
     "paper_rs",
     "b_kernel",
     "kernel_bound",
-    "reduce_to_3graph",
     "kernel_invariant_violations",
 ]
 
@@ -346,29 +345,16 @@ def kernel_bound(h: Hypergraph, d: KernelDecomposition) -> int:
     )
 
 
-def reduce_to_3graph(h: Hypergraph, d: KernelDecomposition) -> tuple[Hypergraph, Hypergraph]:
+def _reduce_to_3graph(
+    h: Hypergraph, d: KernelDecomposition, rows: list[int]
+) -> tuple[Hypergraph, Hypergraph]:
     """Shrink a pair-coverable family onto its layer-2/3 kernel triples.
 
     Returns (Hprime, H3) where Hprime keeps the edges containing a
     member of B_2 or B_3 and H3 consists of all B_3 members plus every
-    triple through a B_2 member that fits inside a kept edge.  The proof
-    that H is intersecting builds the incidence rows that the reduction
-    reads, and tau <= 2 is decided on them too, with no cover search.
-    A decomposition of another ground set is refused.
-    """
-    _same_ground_set(h, d)
-    rows = _intersecting_rows(h.edges, h.n)
-    if rows is None or not _two_cover(h.edges, rows):
-        raise ValueError("reduction needs an intersecting family with cover number <= 2")
-    return _reduce_to_3graph(h, d, rows)
-
-
-def _reduce_to_3graph(
-    h: Hypergraph, d: KernelDecomposition, rows: list[int]
-) -> tuple[Hypergraph, Hypergraph]:
-    """reduce_to_3graph for a caller that has already checked that h is
-    intersecting with cover number at most 2; ``rows`` are the incidence
-    rows of h.edges.
+    triple through a B_2 member that fits inside a kept edge.  The caller
+    has checked that h is intersecting with cover number at most 2, and
+    ``rows`` are the incidence rows of h.edges.
 
     No edge is scanned.  The kept edges are the OR of the carriers of
     the B_2 and B_3 members, read from the rows as B'' is.  The triples

@@ -186,16 +186,25 @@ def _packed_cores(
             yield core, got
 
 
+def _need_k(k, caller: str) -> None:
+    """Refuse a petal count k that is no int (a bool included) with a
+    TypeError, and one below two with a ValueError."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"k must be an int, got {k!r}")
+    if k < 2:
+        raise ValueError(f"{caller} requires k >= 2")
+
+
 def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
     """The k-sunflower inside the family with the least core, if any.
 
     Cores are tried empty first, then by fewest vertices, then by least
     vertex tuple, and the first that packs is the witness.  Around it the
     members are the least indices in storage order, as in
-    ``find_sunflower_with_core``.
+    ``find_sunflower_with_core``.  A k that is no int, a bool included,
+    is refused with a TypeError.
     """
-    if k < 2:
-        raise ValueError("find_sunflower requires k >= 2")
+    _need_k(k, "find_sunflower")
     members = _members(family)
     if len(members) < k:
         return None
@@ -231,7 +240,8 @@ def find_sunflower_with_core(
 ) -> Sunflower | None:
     """Least k-sunflower, in storage order, whose pairwise intersections
     equal `core` exactly; a core outside [n] is refused, and a core that
-    is no int mask (a bool included) is refused with a TypeError.
+    is no int mask or a k that is no int (a bool included) is refused
+    with a TypeError.
 
     Members not containing the core cannot participate; among the rest a
     sunflower with this exact core is precisely a set of k members whose
@@ -239,8 +249,7 @@ def find_sunflower_with_core(
     """
     if isinstance(core, bool) or not isinstance(core, int):
         raise TypeError(f"core must be an int mask, got {core!r}")
-    if k < 2:
-        raise ValueError("find_sunflower_with_core requires k >= 2")
+    _need_k(k, "find_sunflower_with_core")
     if core < 0:
         raise ValueError(f"a core mask is nonnegative, got {core}")
     if core >> family.n:

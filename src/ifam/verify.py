@@ -228,13 +228,13 @@ def _th4_scope(
 ) -> tuple[dict[str, Any], list[Hypergraph], list[tuple[Hypergraph, Verdict]]]:
     """The parameters, every tau <= 2 class on [n] with an edge, and the
     classes in scope paired with their verdicts; only those are classified."""
-    from .classifier import classify_3graph
+    from .classifier import classify
     from .enumeration import EnumerationFilter, enumerate_intersecting
 
     ceiling = _require_n_range(statement, n, ceiling)
     fams = enumerate_intersecting(n, 3, EnumerationFilter(tau_le=2, min_edges=1),
                                   ceiling=ceiling)
-    scope = [(h, classify_3graph(h)) for h in fams if in_scope(h)]
+    scope = [(h, classify(h)) for h in fams if in_scope(h)]
     return {"n": n, "ceiling": ceiling}, fams, scope
 
 

@@ -13,7 +13,7 @@ from math import comb, factorial
 
 from ifam.classifier import (
     VerdictKind,
-    classify_3graph,
+    classify,
     decompose_matching,
     decompose_th4prime,
     embed,
@@ -151,7 +151,7 @@ def test_criterion_5_classification_at_n6():
 def test_criterion_5_classification_at_n7():
     start = time.perf_counter()
     fams = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, min_edges=1))
-    pairs = [(h, classify_3graph(h)) for h in fams]
+    pairs = [(h, classify(h)) for h in fams]
     bad_main = [h for h, v in pairs if v.kind not in (VerdictKind.STAR, VerdictKind.H3)]
     first_four_set = {
         id(h) for h, v in pairs

@@ -624,8 +624,8 @@ def test_classify_3graph_star_and_cover_three():
     assert classify_3graph(k5).kind is VerdictKind.TAU_GE_3
     fp = built(C.FP, 9, 3)
     assert classify_3graph(fp).kind is VerdictKind.TAU_GE_3
-    with pytest.raises(ValueError):
-        classify_3graph(built(C.HM0, 9, 4))
+    # the name answers every r, as classify does
+    assert classify_3graph(built(C.HM0, 9, 4)).kind is VerdictKind.HM0
 
 
 def test_classify_3graph_non_intersecting_cover_three_is_none():
@@ -677,13 +677,14 @@ def test_classify_rgraph_none_and_errors(monkeypatch):
     assert classify_rgraph(t7).kind is VerdictKind.NONE
     assert classify(t7).kind is VerdictKind.NONE
     assert embeds == []
-    with pytest.raises(ValueError):
-        classify_rgraph(built(C.HM0, 9, 3))
-    with pytest.raises(ValueError):
-        classify_rgraph(built(C.EM, 10, 4, s=1))
+    monkeypatch.undo()
+    # the name answers r = 3 and cover number one, as classify does
+    assert classify_rgraph(built(C.HM0, 9, 3)).describe() == "H3(0)"
+    assert classify_rgraph(built(C.EM, 10, 4, s=1)).kind is VerdictKind.STAR
 
 
 def test_classify_dispatches_by_uniformity():
+    assert classify_3graph is classify_rgraph is classify
     assert classify(built(C.H3FAM, 8, 3, i=4)) == classify_3graph(built(C.H3FAM, 8, 3, i=4))
     hm = built(C.HM_T, 12, 4, t=2)
     assert classify(hm) == classify_rgraph(hm)
@@ -731,15 +732,14 @@ def test_each_classifier_checks_its_guards_once(monkeypatch):
             return fn(h)
 
         monkeypatch.setattr(ifam.classifier, name, counting)
+    # an r >= 4 family climbs the ladder with no proof that it is
+    # intersecting; only an r = 3 family with cover number 3 is proved
     h3, hm = built(C.H3FAM, 8, 3, i=4), built(C.HM_T, 12, 4, t=2)
-    for classify_fn, h, want in (
-        (classify_3graph, h3, {"cover_number": 1, "is_intersecting": 0}),
-        (classify_rgraph, hm, {"cover_number": 1, "is_intersecting": 0}),
-        (classify, hm, {"cover_number": 1, "is_intersecting": 1}),
-    ):
+    k5 = Hypergraph.from_masks(5, 3, {mask_of(c) for c in combinations(range(1, 6), 3)})
+    for h, verdict, proofs in ((h3, "H3(4)", 0), (hm, "HM_T(t=2)", 0), (k5, "TAU_GE_3", 1)):
         calls.update(cover_number=0, is_intersecting=0)
-        assert classify_fn(h).describe() in ("H3(4)", "HM_T(t=2)")
-        assert calls == want, classify_fn.__name__
+        assert classify(h).describe() == verdict
+        assert calls == {"cover_number": 1, "is_intersecting": proofs}, verdict
 
 
 def rung_names(rungs, n, r):
@@ -835,14 +835,15 @@ def test_decompose_matching_refuses_a_bound_that_is_no_int(s):
         decompose_matching(built(C.EM, 12, 3, s=1), s)
 
 
-@pytest.mark.parametrize("fn, args", [
-    (classify, ()), (classify_3graph, ()), (classify_rgraph, ()),
-    (embed, (C.EM, P(7, 3, s=1))),
-    (embedding_is_valid, (Embedding(C.EM, P(7, 3, s=1), (("x1", 1),)),)),
-    (decompose_matching, (1,)), (decompose_th4prime, ()),
-], ids=lambda x: getattr(x, "__name__", ""))
-def test_entry_points_refuse_an_h_that_is_no_hypergraph(fn, args):
+@pytest.mark.parametrize("name, args", [
+    ("classify", ()), ("classify_3graph", ()), ("classify_rgraph", ()),
+    ("embed", (C.EM, P(7, 3, s=1))),
+    ("embedding_is_valid", (Embedding(C.EM, P(7, 3, s=1), (("x1", 1),)),)),
+    ("decompose_matching", (1,)), ("decompose_th4prime", ()),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_entry_points_refuse_an_h_that_is_no_hypergraph(name, args):
     # classify read the missing attribute r and raised AttributeError
+    fn = getattr(ifam.classifier, name)
     f = SetFamily.from_vertex_sets(7, [(1, 2, 3), (1, 4, 5)])
     with pytest.raises(TypeError, match=r"^h must be a Hypergraph, got SetFamily$"):
         fn(f, *args)
@@ -923,21 +924,15 @@ def test_th4prime_checks_its_hypotheses_once(monkeypatch):
     # the proof that h is intersecting builds the incidence rows (its one
     # _incidence_rows call) that the kernel and the reduction read, so
     # neither proves it again nor builds rows of its own; tau <= 2 is read
-    # from the same rows, so the one cover_number call is classify_3graph's
-    # on the shadow
+    # from the same rows, so the one cover_number call is classify's on
+    # the shadow
     names = ("_intersecting_rows", "_incidence_rows", "cover_number")
     h = built(C.H3LIFT, 130, 4, i=3)
-    d = ifam.kernel.b_kernel(h, ifam.kernel.paper_r())
     calls = count_calls(monkeypatch, names)
     hp, removed, v = decompose_th4prime(h)
     assert (removed, v.describe()) == (0, "H3(3)")
     assert hp is h
     assert calls == {"_intersecting_rows": 1, "_incidence_rows": 1, "cover_number": 1}
-    # the public reduction follows the same rule, and runs no cover search
-    calls.update(dict.fromkeys(names, 0))
-    hp, h3 = ifam.kernel.reduce_to_3graph(h, d)
-    assert hp is h and len(h3) > 0
-    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 1, "cover_number": 0}
     # a common vertex proves a star intersecting with tau = 1, and the star
     # path reads no rows and runs no cover search
     star = built(C.EM, 40, 4, s=1)

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +283,20 @@ def test_import_loads_only_hypergraph_and_verify():
     assert [m for m in loaded if m.split(".")[0] == "ifam"] == [
         "ifam", "ifam.hypergraph", "ifam.verify"]
     assert "numpy" not in loaded
+
+
+def test_every_module_imports_only_the_standard_library():
+    # parsed, not run: an import inside a function or under TYPE_CHECKING
+    # is checked too, which no run-time import of the package reaches
+    found = set()
+    for path in Path(ifam.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert {name for name, _ in found} >= {"cli.py", "hypergraph.py", "verify.py"}
+    assert sorted(pair for pair in found if pair[1] not in sys.stdlib_module_names) == []
 
 
 def test_check_loads_no_engine_module(tmp_path):

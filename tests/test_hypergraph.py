@@ -143,6 +143,21 @@ def test_family_contract_accepts_mixed_sizes_and_the_empty_member():
     assert len(Hypergraph(4, 3, ())) == 0
 
 
+@pytest.mark.parametrize("make", [tuple, list, lambda m: (x for x in m)],
+                         ids=["tuple", "list", "generator"])
+def test_families_store_their_masks_as_a_tuple(make):
+    # a list made two equal families unequal and unhashable, and a
+    # generator was used up by the check and stayed in the field
+    masks = (mask_of([1, 2]), mask_of([1, 3]), mask_of([2, 3]))
+    h, f = Hypergraph(3, 2, make(masks)), SetFamily(3, make(masks))
+    assert h.edges == f.members == masks
+    assert h == Hypergraph(3, 2, masks) and hash(h) == hash(Hypergraph(3, 2, masks))
+    assert f == SetFamily(3, masks) and hash(f) == hash(SetFamily(3, masks))
+    assert len(h) == len(f) == 3 and cover_number(h) == 2
+    if make is tuple:
+        assert h.edges is masks and f.members is masks
+
+
 def test_empty_conventions():
     h = Hypergraph(5, 3, ())
     assert is_intersecting(h)

@@ -16,6 +16,7 @@ from ifam.constructions import ConstructionId, ConstructionParams, build_constru
 from ifam.hypergraph import (
     Hypergraph,
     SetFamily,
+    _incidence_rows,
     cover_number,
     is_intersecting,
     mask_of,
@@ -23,13 +24,13 @@ from ifam.hypergraph import (
 )
 from ifam.kernel import (
     KernelDecomposition,
+    _reduce_to_3graph,
     ThresholdScheme,
     b_kernel,
     kernel_bound,
     kernel_invariant_violations,
     paper_r,
     paper_rs,
-    reduce_to_3graph,
 )
 from ifam.sunflower import find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured
@@ -284,18 +285,17 @@ def test_b_dprime_uses_subset_not_equality():
     assert len(d.b_dprime) == 0
 
 
+def reduce_on_rows(h, d):
+    """The reduction of a family that is intersecting with cover number
+    at most 2, on incidence rows built here."""
+    return _reduce_to_3graph(h, d, _incidence_rows(h.edges, h.n))
+
+
 def test_reduce_full_star_is_empty():
     h = full_star(15, 3)
     d = b_kernel(h, paper_r())
-    hp, h3 = reduce_to_3graph(h, d)
+    hp, h3 = reduce_on_rows(h, d)
     assert len(hp) == 0 and len(h3) == 0
-
-
-def test_reduce_precondition():
-    fp = build_construction(ConstructionId.FP, ConstructionParams(n=8, r=3))
-    d = b_kernel(fp, paper_r())
-    with pytest.raises(ValueError):
-        reduce_to_3graph(fp, d)
 
 
 def test_reduce_triangle_base_at_scale():
@@ -305,7 +305,7 @@ def test_reduce_triangle_base_at_scale():
     d = b_kernel(h4, paper_r())
     assert set(d.b_prime.vertex_sets()) == {(1, 2), (1, 3), (2, 3)}
     assert len(d.b_dprime) == 0
-    hp, h3 = reduce_to_3graph(h4, d)
+    hp, h3 = reduce_on_rows(h4, d)
     assert len(hp) == len(h4)
     base = build_construction(ConstructionId.HM0, ConstructionParams(n=52, r=3))
     assert h3.edges == base.edges
@@ -324,7 +324,7 @@ def test_reduce_contract_on_random_pair_covered_families():
             continue
         count += 1
         d = b_kernel(h, paper_r())
-        hp, h3 = reduce_to_3graph(h, d)
+        hp, h3 = reduce_on_rows(h, d)
         assert set(hp.edges) <= set(h.edges)
         assert h3.r == 3
         if h3.edges:
@@ -386,7 +386,6 @@ def test_b_kernel_builds_its_incidence_rows_once(monkeypatch):
     # H3LIFT(21, 4, 3) has 269 edges; the decomposition of H3LIFT(20, 4, 3)
     # would bound it by 245
     (kernel_bound, 21, 20, "the decomposition lies on [20], the family on [21]"),
-    (reduce_to_3graph, 21, 20, "the decomposition lies on [20], the family on [21]"),
     (kernel_invariant_violations, 20, 21, "the decomposition lies on [21], the family on [20]"),
 ])
 def test_a_decomposition_of_another_ground_set_is_refused(check, family, decomposed, message):
@@ -418,7 +417,7 @@ def test_reduction_matches_the_scan_on_kernel_props_families():
         if not is_intersecting(h) or cover_number(h) > 2:
             continue
         d = b_kernel(h, scheme)
-        hp, h3 = reduce_to_3graph(h, d)
+        hp, h3 = reduce_on_rows(h, d)
         assert (hp, h3) == scan_reduce_oracle(h, d), (h, scheme)
         outcomes["none kept" if not hp.edges else "all kept" if hp == h else "some kept"] += 1
         outcomes["triples"] += bool(h3.edges)
@@ -432,7 +431,7 @@ def test_reduction_matches_the_scan_on_lifts(n):
     for i in range(6):
         h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
         d = b_kernel(h, paper_r())
-        hp, h3 = reduce_to_3graph(h, d)
+        hp, h3 = reduce_on_rows(h, d)
         assert (hp, h3) == scan_reduce_oracle(h, d), (n, i)
         if (n, i) == (52, 3):  # the partial path
             assert len(h) - len(hp) == 284

@@ -140,6 +140,22 @@ def test_a_core_that_is_no_int_mask_is_refused(core):
         find_sunflower_with_core(f, core, 2)
 
 
+@pytest.mark.parametrize("k", [3.0, True, "3", None])
+def test_find_sunflower_refuses_a_k_that_is_no_int(k):
+    # 3.0 reached the packing search, where range refused the float
+    f = SetFamily.from_vertex_sets(5, [(2,), (2, 4), (3, 4), (1, 3, 4), (2, 3, 4)])
+    with pytest.raises(TypeError, match=r"^k must be an int, got "):
+        find_sunflower(f, k)
+
+
+@pytest.mark.parametrize("k", [3.0, True, "3", None])
+def test_find_sunflower_with_core_refuses_a_k_that_is_no_int(k):
+    # 3.0 was answered as k = 3
+    f = SetFamily.from_vertex_sets(5, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(TypeError, match=r"^k must be an int, got "):
+        find_sunflower_with_core(f, mask_of([1]), k)
+
+
 def test_searches_accept_a_hypergraph():
     h = Hypergraph.from_vertex_sets(
         7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (3, 5, 7)]

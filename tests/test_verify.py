@@ -101,8 +101,8 @@ def test_th4_statements_classify_only_their_scope(monkeypatch):
     # TH4_A and TH4_B sweep all 578 classes at n = 7 but classify only the
     # 41 with at least 11 edges and the 16 with more than n + 4
     calls = []
-    real = classifier.classify_3graph
-    monkeypatch.setattr(classifier, "classify_3graph",
+    real = classifier.classify
+    monkeypatch.setattr(classifier, "classify",
                         lambda h: calls.append(len(h)) or real(h))
     counts = {}
     for statement in ("TH4_MAIN", "TH4_A", "TH4_B"):
@@ -304,8 +304,7 @@ def assert_replays_the_star(rep, *keys):
 
 @pytest.mark.parametrize("statement", ["TH4_MAIN", "TH4_A", "TH4_B"])
 def test_th4_statements_report_a_refused_class(monkeypatch, statement):
-    monkeypatch.setattr(classifier, "classify_3graph",
-                        refuse_the_star(classifier.classify_3graph))
+    monkeypatch.setattr(classifier, "classify", refuse_the_star(classifier.classify))
     rep = verify(statement, n=7)
     assert assert_replays_the_star(rep, "verdict")["verdict"] == "NONE"
     if statement == "TH4_MAIN":
