@@ -51,9 +51,13 @@ family of a given cover number, and ``_first_fit`` reports the first
 rung whose instance contains the family.  ``classify`` is the one entry
 point, for every r, and the one place the cover-number and intersecting
 guards are written; ``classify_3graph`` and ``classify_rgraph`` are
-other names for it.  Every rung is an intersecting template, so the
-ladder answers NONE for a family that is not intersecting, and only an
-r <= 3 family past its rungs is proved intersecting.
+other names for it.  The ladder reads the cover number only as at most
+one, two, or three and more, so ``classify`` asks no more than that: a
+common vertex (or no edge) gives the first, and a bounded search for a
+cover of two vertices tells the other two apart.  Every rung is an
+intersecting template, so the ladder answers NONE for a family that is
+not intersecting, and only an r <= 3 family past its rungs is proved
+intersecting.
 ``decompose_matching`` peels a small vertex set so that the rest of the
 family collapses onto a single classified structure, and
 ``decompose_th4prime``, the one guarded entry to the kernel reduction,
@@ -75,15 +79,17 @@ from .constructions import (
     ConstructionId,
     ConstructionParams,
     Resolved,
+    _need_params,
     _resolve,
 )
 from .hypergraph import (
     Hypergraph,
     SetFamily,
-    _intersecting_rows,
+    _cover_exists,
+    _incidence_rows,
     _need_hypergraph,
+    _rows_intersect,
     _two_cover,
-    cover_number,
     delete_vertices,
     is_intersecting,
     mask_of,
@@ -537,6 +543,7 @@ def embed(
     ConstructionError when the parameters name no valid instance.
     """
     _need_hypergraph(h)
+    _need_params(params)
     cid = ConstructionId(template)
     if params.n != h.n or params.r != h.r:
         raise ValueError(
@@ -610,7 +617,11 @@ def classify(h: Hypergraph) -> Verdict:
     A family is tried on the ladder rungs for its cover number: the star
     when that is at most one (NONE when no star template fits the ground
     set), the six 3-uniform patterns when r = 3 and it is two, and the
-    templates past the star when r >= 4 (none from three on).  Every rung
+    templates past the star when r >= 4 (none from three on).  Only those
+    three cases are told apart, and with no unbounded cover search: tau
+    is at most one when the family has no edge or its edges share a
+    vertex (a nonzero AND), else it is two exactly when the bounded
+    search ``_cover_exists`` finds a cover of two vertices.  Every rung
     is an intersecting template, so a family that is not intersecting
     fits none and gets NONE from the ladder: no r >= 4 family needs a
     proof that it is intersecting.  An r <= 3 family past its rungs
@@ -619,7 +630,10 @@ def classify(h: Hypergraph) -> Verdict:
     ValueError for r < 3.
     """
     _need_hypergraph(h)
-    tau = cover_number(h)
+    if not h.edges or reduce(and_, h.edges):
+        tau = 1
+    else:
+        tau = 2 if _cover_exists(h.edges, 2) is not None else 3
     if tau <= 1 or h.r >= 4 or (h.r == 3 and tau == 2):
         return _first_fit(h, _ladder(h.n, h.r, tau))
     if not is_intersecting(h):
@@ -702,8 +716,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
         if star.kind is VerdictKind.NONE:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)
-    rows = _intersecting_rows(h.edges, h.n)
-    if rows is None:
+    rows = _incidence_rows(h.edges)
+    if not _rows_intersect(h.edges, rows):
         raise ValueError("decompose_th4prime needs an intersecting family")
     if not _two_cover(h.edges, rows):
         raise ValueError("decompose_th4prime needs cover number at most 2")

@@ -324,14 +324,22 @@ def _role_table(rec: Template, r: int, k: Any) -> tuple[Roles, tuple[tuple[int, 
     return names, tuple(tuple(place[role] for role in gen) for gen in rec.generators(r, k))
 
 
+def _need_params(p) -> None:
+    """Refuse parameters p that are no ConstructionParams with a TypeError."""
+    if not isinstance(p, ConstructionParams):
+        raise TypeError(f"params must be ConstructionParams, got {type(p).__name__}")
+
+
 def _resolve(cid: ConstructionId, p: ConstructionParams) -> Resolved:
     """Validate (cid, p) and resolve the aliases once: HM_T with t = 0 is
     HM0; H3FAM and H3LIFT index i names HM0 (i = 0), HM_T(r = 3, t = i)
     (i = 1, 2) or the pair pattern {v1, v2} plus six triples (i = 3..5).
 
     Every public entry point that takes (cid, p) validates here, and
-    only here.
+    only here; parameters that are no ConstructionParams are refused
+    with a TypeError.
     """
+    _need_params(p)
     rec = _TEMPLATES[ConstructionId(cid)]
     k = getattr(p, rec.param) if rec.param else None
     if rec.param and k is None:

@@ -33,8 +33,11 @@ appears once, as its canonical form, provided the predicate is
 invariant under relabeling (so the canonical form satisfies it too)
 and hereditary (so every prefix on the path to it does): intersecting,
 cover number at most t, at most k edges, some vertex missing at most
-two edges.  Conditions that are not hereditary, lower bounds on the
-cover number or the edge count, filter the output.
+two edges.  The prune reads a child as masks and asks only its
+questions: the new edge meets every edge of its parent, and a bounded
+search finds a cover of at most t vertices; no family is built and no
+exact cover number is computed.  Conditions that are not hereditary,
+lower bounds on the cover number or the edge count, filter the output.
 
 The canonicity test is the canonical-form search started with its best
 tuple preset to the candidate itself.  It stops at the first leaf
@@ -68,7 +71,15 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .hypergraph import Hypergraph, _bits, cover_number, is_intersecting, mask_of
+from .hypergraph import (
+    Hypergraph,
+    _bits,
+    _cover_exists,
+    _need_hypergraph,
+    cover_number,
+    is_intersecting,
+    mask_of,
+)
 
 __all__ = [
     "DEFAULT_CEILING",
@@ -105,6 +116,7 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
     ground set: two families on the same n with the same r are
     isomorphic exactly when their canonical forms coincide.
     """
+    _need_hypergraph(h)
     return _canonical_masks(h.n, h.r, h.edges)
 
 
@@ -477,10 +489,7 @@ def enumerate_intersecting(
                 return False
             if f.intersecting and not all(e & g for g in fam):
                 return False
-            return (
-                f.tau_le is None
-                or cover_number(Hypergraph(n, r, (*fam, e))) <= f.tau_le
-            )
+            return f.tau_le is None or _cover_exists((*fam, e), f.tau_le) is not None
 
         fams = _orderly(n, r, keep)
         # keep held every prefix to the hereditary conditions; the lower

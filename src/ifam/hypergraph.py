@@ -11,11 +11,14 @@ Conventions used throughout the package:
 * The empty hypergraph is intersecting, has matching number 0 and cover
   number 0.  ``is_intersecting`` accepts a family whose members share a
   vertex (their AND is nonzero) before it builds any incidence row.
-  Otherwise its proof, ``_intersecting_rows``, builds the rows and tests
-  only the members outside the largest star; it hands the rows back for
-  the kernel to read, and ``_two_cover`` decides tau <= 2 on them with
-  no cover search.  One builder, ``_incidence_rows``, makes every set of
-  rows, in blocks of members so that no bit is set in a wide row.
+  Otherwise its proof, ``_rows_intersect``, reads the incidence rows
+  and tests only the members outside the largest star.  A caller that
+  keeps the rows, as the kernel reduction does, builds them and runs
+  the proof on them, and ``_two_cover`` decides tau <= 2 on them with
+  no cover search.  One builder, ``_incidence_rows``, makes every set
+  of rows: one row per vertex up to the highest vertex that a member
+  holds, so the ground set size is never read, built in blocks of
+  members so that no bit is set in a wide row.
 * ``matching_number`` (nu) is the maximum number of pairwise disjoint
   edges; ``cover_number`` (tau) is the minimum size of a vertex set
   meeting every edge.  For every H: nu(H) <= tau(H) <= r * nu(H), and H
@@ -26,7 +29,10 @@ Conventions used throughout the package:
 The exact nu/tau routines are branch-and-bound searches.  They are built
 for the small, structured instances that arise here (covers of size at
 most ~6, matchings of size at most ~5) and are exact for any input.  tau
-and the minimum cover come from one cover search.  Every packing
+and the minimum cover come from one cover search, ``_cover_exists``,
+which keeps its branches on an explicit stack, so a large tau needs no
+deep recursion.  A caller that needs only whether tau <= k asks that
+search with the bound k and gets no exact tau.  Every packing
 question, from ``pack_exists``, ``matching_number``, the kernel's core
 tests and the sunflower searches, goes to one engine, ``_pack_rows``,
 on per-vertex incidence rows (bit j of a vertex's row marks member j
@@ -213,7 +219,13 @@ def _need_hypergraph(h) -> None:
 
 
 def _members(h: Hypergraph | SetFamily) -> tuple[int, ...]:
-    return h.edges if isinstance(h, Hypergraph) else h.members
+    """The masks of h; an h that is neither family type is refused with
+    a TypeError."""
+    if isinstance(h, Hypergraph):
+        return h.edges
+    if isinstance(h, SetFamily):
+        return h.members
+    raise TypeError(f"expected a Hypergraph or a SetFamily, got {type(h).__name__}")
 
 
 def is_intersecting(h: Hypergraph | SetFamily) -> bool:
@@ -221,31 +233,24 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
 
     Members that all share a vertex meet pairwise, so a nonzero AND of
     all of them (one C-level reduce) accepts at once.  Otherwise the
-    proof is ``_intersecting_rows``: it builds the incidence rows, and
-    only the members outside the largest star need a test, |e| ORs each.
-    A caller that needs the rows calls it directly and keeps them.
+    proof is ``_rows_intersect`` on the incidence rows, where only the
+    members outside the largest star need a test, |e| ORs each.  A
+    caller that needs the rows builds them and runs the proof on them.
     """
     members = _members(h)
     if members and reduce(and_, members):
         return True
-    return _intersecting_rows(members, h.n) is not None
+    return _rows_intersect(members, _incidence_rows(members))
 
 
-def _intersecting_rows(members: Sequence[int], n: int) -> list[int] | None:
-    """The n incidence rows of members if they pairwise intersect, else None.
+def _rows_intersect(members: Sequence[int], rows: Sequence[int]) -> bool:
+    """Whether members pairwise intersect, read from their incidence rows.
 
     The members through a vertex of largest degree share that vertex, so
     they meet pairwise.  Every other member j must meet every member but
     itself: the rows of its vertices, with bit j, OR to everyone.  A lone
     empty member meets no other member and is intersecting.
     """
-    rows = _incidence_rows(members, n)
-    return rows if _rows_intersect(members, rows) else None
-
-
-def _rows_intersect(members: Sequence[int], rows: Sequence[int]) -> bool:
-    """The proof of ``_intersecting_rows`` on the incidence rows of
-    members that the caller holds."""
     everyone = (1 << len(members)) - 1
     left = everyone & ~max(rows, key=int.bit_count, default=0)
     while left:
@@ -307,8 +312,9 @@ def _greedy_packing(masks: Sequence[int]) -> list[int]:
 _ROW_BLOCK = 1024
 
 
-def _incidence_rows(masks: Sequence[int], n: int) -> list[int]:
-    """rows[v] has bit j set iff masks[j] contains vertex v + 1, v < n.
+def _incidence_rows(masks: Sequence[int]) -> list[int]:
+    """rows[v] has bit j set iff masks[j] contains vertex v + 1: one row
+    per vertex up to the highest vertex that some member holds.
 
     Setting bit j in a row as wide as the family copies that row, which
     would cost O(m^2 * r / 64) word copies for m members of r vertices.
@@ -316,6 +322,7 @@ def _incidence_rows(masks: Sequence[int], n: int) -> list[int]:
     built with small-int ORs, then ORed into the rows once per vertex,
     shifted to the block's first index.
     """
+    n = max(masks, default=0).bit_length()
     rows = [0] * n
     for base in range(0, len(masks), _ROW_BLOCK):
         block = [0] * n
@@ -447,7 +454,7 @@ def pack_exists(masks: Sequence[int], k: int) -> list[int] | None:
     """
     masks = list(masks)
     least = min((m.bit_count() for m in masks), default=0)
-    rows = _incidence_rows(masks, max(masks, default=0).bit_length())
+    rows = _incidence_rows(masks)
     return _pack_rows(masks, rows, (1 << len(masks)) - 1, k, 0, least)
 
 
@@ -456,7 +463,7 @@ def matching_number(h: Hypergraph | SetFamily) -> int:
     that the packing engine reaches, counting up from the greedy packing
     on one set of incidence rows."""
     masks = _members(h)
-    rows = _incidence_rows(masks, h.n)
+    rows = _incidence_rows(masks)
     everyone = (1 << len(masks)) - 1
     least = min((m.bit_count() for m in masks), default=0)
     k = len(_greedy_packing(masks))
@@ -468,26 +475,32 @@ def matching_number(h: Hypergraph | SetFamily) -> int:
 def _cover_exists(masks: Sequence[int], k: int) -> int | None:
     """A cover mask of at most k vertices, or None.
 
-    Branches on the vertices of the first uncovered member; prunes with a
-    greedy packing lower bound (a cover needs one vertex per disjoint
-    member).
+    Branches on the vertices of a least member still uncovered, lowest
+    vertex first; prunes with a greedy packing lower bound (a cover needs
+    one vertex per disjoint member).  The branches wait on an explicit
+    stack, one frame per chosen vertex, so a cover of thousands of
+    vertices needs no deep recursion; the first cover found is the one a
+    depth-first recursion would return.
     """
-    if not masks:
-        return 0
-    if k <= 0:
-        return None
-    if len(_greedy_packing(masks)) > k:
-        return None
-    e = min(masks, key=int.bit_count)
-    rest = e
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        sub = [m for m in masks if not m & low]
-        got = _cover_exists(sub, k - 1)
-        if got is not None:
-            return got | low
-    return None
+    # frames: members not yet covered, the cover so far, the vertices it
+    # may still take, and the branch vertices not yet tried
+    stack = []
+    left, cover = masks, 0
+    while True:
+        if not left:
+            return cover
+        if k > 0 and len(_greedy_packing(left)) <= k:
+            stack.append((left, cover, k, min(left, key=int.bit_count)))
+        while stack:
+            left, cover, k, rest = stack[-1]
+            if rest:
+                low = rest & -rest
+                stack[-1] = (left, cover, k, rest ^ low)
+                left, cover, k = [m for m in left if not m & low], cover | low, k - 1
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def _min_cover_mask(masks: Sequence[int]) -> int:
@@ -517,6 +530,7 @@ def delete_vertices(h: Hypergraph, zs: Iterable[int]) -> Hypergraph:
     Vertices keep their relative order: the surviving labels are mapped
     onto [n - |Z|] monotonically.
     """
+    _need_hypergraph(h)
     zmask = mask_of(zs)
     if zmask & ~_full_mask(h.n):
         raise ValueError("deleted vertices leave the ground set")

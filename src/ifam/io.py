@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .hypergraph import Hypergraph, SetFamily
+from .hypergraph import Hypergraph, SetFamily, _need_hypergraph
 
 __all__ = [
     "ParseError",
@@ -122,6 +122,7 @@ def _write_family(header: str, sets: list[tuple[int, ...]], kind: str, to_json: 
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
+    _need_hypergraph(h)
     return _write_family(f"{h.n} {h.r}", h.vertex_sets(), "edge", "hypergraph_to_json")
 
 
@@ -157,6 +158,7 @@ def _json_family(data: Any, header: tuple[str, ...], key: str) -> tuple[list[int
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict[str, Any]:
+    _need_hypergraph(h)
     return {"n": h.n, "r": h.r, "edges": [list(vs) for vs in h.vertex_sets()]}
 
 

@@ -83,8 +83,10 @@ multiplicity (r+1)^|T|, and a coarser one with multiplicity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, groupby
 from math import comb
+from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from .hypergraph import (
@@ -94,7 +96,6 @@ from .hypergraph import (
     _incidence_rows,
     _need_hypergraph,
     _rows_intersect,
-    cover_number,
     is_intersecting,
     vertices_of,
 )
@@ -232,7 +233,7 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     _need_hypergraph(h)
     if not isinstance(scheme, ThresholdScheme):
         raise TypeError(f"scheme must be a ThresholdScheme, got {type(scheme).__name__}")
-    rows = _incidence_rows(h.edges, h.n)
+    rows = _incidence_rows(h.edges)
     return _b_kernel(h, scheme, rows, _rows_intersect(h.edges, rows))
 
 
@@ -332,6 +333,11 @@ def _heavy_covers(
 
 
 def _same_ground_set(h: Hypergraph, d: KernelDecomposition) -> None:
+    """Refuse an h that is no Hypergraph or a d that is no
+    KernelDecomposition with a TypeError, and a d of another ground set."""
+    _need_hypergraph(h)
+    if not isinstance(d, KernelDecomposition):
+        raise TypeError(f"d must be a KernelDecomposition, got {type(d).__name__}")
     if d.b_prime.n != h.n:
         raise ValueError(f"the decomposition lies on [{d.b_prime.n}], the family on [{h.n}]")
 
@@ -385,7 +391,9 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     intersecting family is intersecting, layer 1 is empty whenever the
     family is intersecting with cover number >= 2 under the single-family
     scheme, no layer holds a sunflower of its forbidden size, and the
-    counting bound dominates |H|.
+    counting bound dominates |H|.  Cover number >= 2 means that H has an
+    edge and no vertex lies in every edge, which the AND of the edges
+    settles with no cover search.
 
     As the layers are B' and B'' split by size, two checks never fail
     alone.  Coverage implies the counting bound, and a singleton {v} in
@@ -428,7 +436,7 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
         members = [t for layer in layers.values() for t in layer.members]
         if not all(x & y or x == y for x in strays for y in members):
             out.append("kernel of an intersecting family is not intersecting")
-    if d.scheme.kind == "r" and intersecting and 1 in layers and cover_number(h) >= 2:
+    if d.scheme.kind == "r" and intersecting and 1 in layers and not reduce(and_, h.edges, -1):
         out.append("layer 1 nonempty for an intersecting family with cover number >= 2")
     if intersecting:
         for i, layer in layers.items():

@@ -208,7 +208,7 @@ def find_sunflower(family: SetFamily | Hypergraph, k: int) -> Sunflower | None:
     members = _members(family)
     if len(members) < k:
         return None
-    rows = _incidence_rows(members, family.n)
+    rows = _incidence_rows(members)
     everyone = (1 << len(members)) - 1
     least = min(mb.bit_count() for mb in members)
     pending = None
@@ -250,15 +250,15 @@ def find_sunflower_with_core(
     if isinstance(core, bool) or not isinstance(core, int):
         raise TypeError(f"core must be an int mask, got {core!r}")
     _need_k(k, "find_sunflower_with_core")
+    members = _members(family)
     if core < 0:
         raise ValueError(f"a core mask is nonnegative, got {core}")
     if core >> family.n:
         raise ValueError(f"core {vertices_of(core)} leaves the ground set [{family.n}]")
-    members = _members(family)
     carriers = sum(1 << j for j, mb in enumerate(members) if mb & core == core)
     if carriers.bit_count() < k:
         return None
     least = min(mb.bit_count() for mb in members)
-    rows = _incidence_rows(members, family.n)
+    rows = _incidence_rows(members)
     hit = next(_packed_cores(members, rows, [(core, carriers)], lambda size: k, least), None)
     return None if hit is None else Sunflower(family.n, core, tuple(members[j] for j in hit[1]))

@@ -705,31 +705,39 @@ def test_classify_edge_cases():
 
 
 def test_classify_searches_for_tau_once(monkeypatch):
-    calls = []
+    # the ladder reads tau as <= 1, 2 or >= 3: a common vertex settles the
+    # star with no search, one bounded search for a two-vertex cover
+    # settles the rest, and no exact cover number is computed
+    calls = {"_cover_exists": 0, "cover_number": 0}
+    for mod, name in ((ifam.classifier, "_cover_exists"), (ifam.hypergraph, "cover_number")):
+        def counting(*args, name=name, fn=getattr(mod, name)):
+            calls[name] += 1
+            return fn(*args)
 
-    def counting(h):
-        calls.append(h)
-        return cover_number(h)
-
-    monkeypatch.setattr(ifam.classifier, "cover_number", counting)
+        monkeypatch.setattr(mod, name, counting)
+    k5 = Hypergraph.from_masks(5, 3, {mask_of(c) for c in combinations(range(1, 6), 3)})
+    matching = Hypergraph.from_vertex_sets(12, 4, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
     cases = [
-        (built(C.HM_T, 12, 4, t=2), VerdictKind.HM_T),
-        (built(C.HM0, 9, 4), VerdictKind.HM0),
-        (built(C.HM_DP, 12, 5), VerdictKind.HM_DP),
-        (built(C.EM, 9, 4, s=1), VerdictKind.STAR),
+        (built(C.HM_T, 12, 4, t=2), VerdictKind.HM_T, 1),
+        (built(C.HM0, 9, 4), VerdictKind.HM0, 1),
+        (built(C.HM_DP, 12, 5), VerdictKind.HM_DP, 1),
+        (built(C.EM, 9, 4, s=1), VerdictKind.STAR, 0),
+        (Hypergraph(9, 4, ()), VerdictKind.STAR, 0),
+        (k5, VerdictKind.TAU_GE_3, 1),
+        (matching, VerdictKind.NONE, 1),
     ]
-    for h, kind in cases:
-        calls.clear()
+    for h, kind, searches in cases:
+        calls.update(_cover_exists=0, cover_number=0)
         assert classify(h).kind is kind
-        assert len(calls) == 1, kind
+        assert calls == {"_cover_exists": searches, "cover_number": 0}, kind
 
 
 def test_each_classifier_checks_its_guards_once(monkeypatch):
-    calls = {"cover_number": 0, "is_intersecting": 0}
-    for name, fn in (("cover_number", cover_number), ("is_intersecting", is_intersecting)):
-        def counting(h, name=name, fn=fn):
+    calls = {"_cover_exists": 0, "is_intersecting": 0}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(ifam.classifier, name)):
             calls[name] += 1
-            return fn(h)
+            return fn(*args)
 
         monkeypatch.setattr(ifam.classifier, name, counting)
     # an r >= 4 family climbs the ladder with no proof that it is
@@ -737,9 +745,9 @@ def test_each_classifier_checks_its_guards_once(monkeypatch):
     h3, hm = built(C.H3FAM, 8, 3, i=4), built(C.HM_T, 12, 4, t=2)
     k5 = Hypergraph.from_masks(5, 3, {mask_of(c) for c in combinations(range(1, 6), 3)})
     for h, verdict, proofs in ((h3, "H3(4)", 0), (hm, "HM_T(t=2)", 0), (k5, "TAU_GE_3", 1)):
-        calls.update(cover_number=0, is_intersecting=0)
+        calls.update(_cover_exists=0, is_intersecting=0)
         assert classify(h).describe() == verdict
-        assert calls == {"cover_number": 1, "is_intersecting": proofs}, verdict
+        assert calls == {"_cover_exists": 1, "is_intersecting": proofs}, verdict
 
 
 def rung_names(rungs, n, r):
@@ -921,25 +929,27 @@ def count_calls(monkeypatch, names):
 
 
 def test_th4prime_checks_its_hypotheses_once(monkeypatch):
-    # the proof that h is intersecting builds the incidence rows (its one
-    # _incidence_rows call) that the kernel and the reduction read, so
-    # neither proves it again nor builds rows of its own; tau <= 2 is read
-    # from the same rows, so the one cover_number call is classify's on
-    # the shadow
-    names = ("_intersecting_rows", "_incidence_rows", "cover_number")
+    # the one set of incidence rows (its one _incidence_rows call) carries
+    # the proof that h is intersecting, and the kernel and the reduction
+    # read it, so neither proves it again nor builds rows of its own;
+    # tau <= 2 is read from the same rows, so the one cover search is
+    # classify's bounded one on the shadow, and no exact tau is computed
+    names = ("_rows_intersect", "_incidence_rows", "_cover_exists", "cover_number")
     h = built(C.H3LIFT, 130, 4, i=3)
     calls = count_calls(monkeypatch, names)
     hp, removed, v = decompose_th4prime(h)
     assert (removed, v.describe()) == (0, "H3(3)")
     assert hp is h
-    assert calls == {"_intersecting_rows": 1, "_incidence_rows": 1, "cover_number": 1}
+    assert calls == {"_rows_intersect": 1, "_incidence_rows": 1, "_cover_exists": 1,
+                     "cover_number": 0}
     # a common vertex proves a star intersecting with tau = 1, and the star
-    # path reads no rows and runs no cover search
+    # path reads no rows; its one cover search is the star witness's
+    # minimum cover
     star = built(C.EM, 40, 4, s=1)
     want = classify(star)
     calls.update(dict.fromkeys(names, 0))
     assert decompose_th4prime(star) == (star, 0, want)
-    assert calls == {"_intersecting_rows": 0, "_incidence_rows": 0, "cover_number": 0}
+    assert calls == {**dict.fromkeys(names, 0), "_cover_exists": 1}
 
 
 def test_th4prime_rejects_bad_input():

@@ -1,13 +1,19 @@
-"""``classify`` on r >= 4 families against the classifier it replaced.
+"""``classify`` against the classifiers it replaced.
 
-The oracle is ``classify`` as it stood when r >= 4 families with cover
-number two or more were proved intersecting before they climbed the
-ladder, a family that is not intersecting getting NONE from the proof.
-The library climbs with no proof, since every rung is an intersecting
-template: a family that is not intersecting fits no rung.  Both must
-give the same verdict and witness on every r >= 4 family of the
-``families`` benchmark stream, intersecting or not, of every cover
+The first oracle is ``classify`` as it stood when r >= 4 families with
+cover number two or more were proved intersecting before they climbed
+the ladder, a family that is not intersecting getting NONE from the
+proof.  The library climbs with no proof, since every rung is an
+intersecting template: a family that is not intersecting fits no rung.
+Both must give the same verdict and witness on every r >= 4 family of
+the ``families`` benchmark stream, intersecting or not, of every cover
 number.
+
+The second oracle is ``classify`` as it stood when it computed the
+exact cover number.  The library reads tau only as at most one, two,
+or three and more, from the AND of the edges and a bounded search for
+a two-vertex cover.  Both must give the same verdict and witness on
+every family of the stream, r = 3 and r = 4, and on a large matching.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import pytest
 
 from ifam.classifier import Verdict, VerdictKind, _first_fit, _ladder, classify
 from ifam.constructions import ConstructionError, build_construction
-from ifam.hypergraph import cover_number, is_intersecting
+from ifam.hypergraph import Hypergraph, cover_number, is_intersecting
 
 from test_core_search import GENERATORS
 
@@ -31,6 +37,19 @@ def oracle_classify(h):
     if tau > 1 and not is_intersecting(h):
         return Verdict(VerdictKind.NONE)
     return _first_fit(h, _ladder(h.n, h.r, tau))
+
+
+def exact_tau_classify(h):
+    """The former classify, which computed the exact cover number."""
+    tau = cover_number(h)
+    if tau <= 1 or h.r >= 4 or (h.r == 3 and tau == 2):
+        return _first_fit(h, _ladder(h.n, h.r, tau))
+    if not is_intersecting(h):
+        return Verdict(VerdictKind.NONE)
+    if h.r == 3:
+        assert len(h) <= 10
+        return Verdict(VerdictKind.TAU_GE_3)
+    raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
 
 
 def families_stream(seed, count=4000):
@@ -78,6 +97,29 @@ def test_classify_matches_the_proving_oracle_at_r5():
     for kind in (VerdictKind.HM_T, VerdictKind.HM_DP, VerdictKind.NONE):
         assert kinds[2, True, kind], kinds
     assert kinds[2, False, VerdictKind.NONE], kinds
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_classify_matches_the_exact_tau_oracle_on_the_families_stream(seed):
+    kinds = Counter()
+    for h in families_stream(seed):
+        want = exact_tau_classify(h)
+        assert classify(h) == want, h
+        kinds[h.r, min(cover_number(h), 3), want.kind] += 1
+    assert sum(kinds.values()) == 4000
+    # every cover number at both uniformities, and the r = 3 answers past
+    # the rungs: TAU_GE_3 and the NONE of a family that is not intersecting
+    assert {(r, tau) for r, tau, _ in kinds} == {(r, tau) for r in (3, 4) for tau in (1, 2, 3)}
+    assert kinds[3, 3, VerdictKind.TAU_GE_3] and kinds[3, 3, VerdictKind.NONE], kinds
+    assert kinds[3, 2, VerdictKind.H3] and kinds[4, 2, VerdictKind.HM_T], kinds
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_classify_answers_a_large_matching(r):
+    # the exact cover search recursed once per chosen vertex and raised
+    # RecursionError here; the bounded question stops at two
+    matching = Hypergraph.from_masks(1000 * r, r, [((1 << r) - 1) << (r * j) for j in range(1000)])
+    assert classify(matching) == exact_tau_classify(matching) == Verdict(VerdictKind.NONE)
 
 
 @pytest.mark.parametrize("n, r", [(8, 4), (9, 4), (12, 4), (10, 5), (12, 5)])

@@ -74,6 +74,17 @@ def test_check_not_intersecting_json(capsys, tmp_path):
     assert data["matching_number"] == 2
 
 
+def test_check_a_large_matching(capsys, tmp_path):
+    # the cover search recursed once per chosen vertex, and a matching of
+    # 995 edges ended in a RecursionError traceback
+    text = "3600 3\n" + "".join(f"{3 * j + 1} {3 * j + 2} {3 * j + 3}\n" for j in range(1200))
+    path = write(tmp_path, "m.txt", text)
+    code, out, err = run(capsys, "check", "--file", path)
+    assert (code, err) == (1, "")
+    assert out == ("n: 3600  r: 3  edges: 1200\nintersecting: no\n"
+                   "matching number: 1200\ncover number: 1200\n")
+
+
 def test_check_parse_error(capsys, tmp_path):
     path = write(tmp_path, "h.txt", "not a header\n")
     assert run(capsys, "check", "--file", path)[0] == 2
@@ -170,6 +181,42 @@ def test_classify_with_peeling(capsys, tmp_path):
     data = json.loads(out)
     assert data["z"] == [1]
     assert data["verdict"] == "STAR"
+
+
+# the edges of HM_T(9, 4, t=1) in storage order, one digit per vertex
+HM_T_9_4_1 = (
+    "1234 1235 1245 1345 2345 1236 1246 1346 1256 1356 1456 1237 1247 "
+    "1347 1257 1357 1457 1267 1367 1467 1567 1238 1248 1348 1258 1358 "
+    "1458 1268 1368 1468 1568 1278 1378 1478 1578 1239 1249 1349 1259 "
+    "1359 1459 1269 1369 1469 1569 1279 1379 1479 1579 1289 1389 1489 "
+    "1589"
+).split()
+
+
+def test_kernel_text_output(capsys, tmp_path):
+    # HM_T(9, 4, t=1) has no kernel core: B' is empty and B'' is every edge
+    path = str(tmp_path / "hm.txt")
+    assert run(capsys, "gen", "HM_T", "--n", "9", "--r", "4", "--t", "1", "--out", path)[0] == 0
+    code, out, err = run(capsys, "kernel", "--file", path)
+    want = ("scheme: paper\nB': 0 sets\nB'': 53 sets\n"
+            + "".join("  " + " ".join(edge) + "\n" for edge in HM_T_9_4_1)
+            + "B_i sizes: 4:53\ncounting bound: 53 (family has 53 edges)\n")
+    assert (code, out, err) == (0, want, "")
+
+
+def test_classify_peeling_text_output(capsys, tmp_path):
+    # one peeled vertex leaves a star
+    em = [mask_of(c) for c in combinations(range(1, 13), 3) if c[0] == 1 or 2 in c]
+    h = Hypergraph.from_masks(12, 3, [m for m in em if m & 3])
+    path = write(tmp_path, "h.txt", serialize_hypergraph(h))
+    code, out, err = run(capsys, "classify", "--file", path, "--s", "2")
+    assert (code, out, err) == (0, "verdict: STAR\nwitness: x1=1\nZ: 1\n", "")
+    # two disjoint copies of K5^(3): a peeled vertex leaves a copy with
+    # cover number 3 beside the other
+    k5s = [mask_of(c) for base in (0, 5) for c in combinations(range(base + 1, base + 6), 3)]
+    path = write(tmp_path, "k5s.txt", serialize_hypergraph(Hypergraph.from_masks(10, 3, k5s)))
+    code, out, err = run(capsys, "classify", "--file", path, "--s", "2")
+    assert (code, out, err) == (1, "verdict: NONE\nZ: no decomposition\n", "")
 
 
 def test_enumerate_counts(capsys):

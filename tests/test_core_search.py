@@ -241,7 +241,7 @@ def test_b_kernel_matches_the_minimal_members_of_b_star_on_lifts(n):
 
 def walk_parts(h, scheme, intersecting):
     """(B', B'', layers) from the cover route or from the codegree walk."""
-    d = ifam.kernel._b_kernel(h, scheme, _incidence_rows(h.edges, h.n), intersecting)
+    d = ifam.kernel._b_kernel(h, scheme, _incidence_rows(h.edges), intersecting)
     return d.b_prime, d.b_dprime, d.by_size
 
 
@@ -498,7 +498,7 @@ def core_stream(walk, h, need, accept):
     """The (core, carriers) stream of walk on h.edges.  With accept, the
     caller keeps each core that packs need(|core|) petals, as b_kernel
     does, and the walk reads the kept cores."""
-    rows = _incidence_rows(h.edges, h.n)
+    rows = _incidence_rows(h.edges)
     everyone = (1 << len(h.edges)) - 1
     accepted = []
     out = []
@@ -545,7 +545,7 @@ def test_the_join_walk_yields_the_scan_stream(accept):
 
 def test_heavy_cores_is_lazy_and_complete_for_constant_need():
     masks = [mask_of(s) for s in ((1, 2, 3), (1, 2, 4), (1, 2), (2, 5), ())]
-    rows = _incidence_rows(masks, 5)
+    rows = _incidence_rows(masks)
     asked = []
 
     def need(size):

@@ -587,25 +587,25 @@ def test_canonicity_test_decides_swaps_on_first_use(monkeypatch):
 
 
 def test_orderly_sweep_rechecks_only_the_lower_bounds(monkeypatch):
-    # the prune already held every prefix to intersecting and tau <= 2, so
-    # the 578 emitted classes cost no further cover_number call
-    calls = 0
-    real = ifam.enumeration.cover_number
+    # the prune holds every prefix to intersecting and tau <= 2 with one
+    # bounded cover search per child, so the 578 emitted classes cost no
+    # further cover call
+    calls = {"_cover_exists": 0, "cover_number": 0}
+    real = {name: getattr(ifam.enumeration, name) for name in calls}
+    for name, fn in real.items():
+        def counting(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
 
-    def counting(h):
-        nonlocal calls
-        calls += 1
-        return real(h)
-
-    monkeypatch.setattr(ifam.enumeration, "cover_number", counting)
+        monkeypatch.setattr(ifam.enumeration, name, counting)
     every = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, min_edges=1))
     assert len(every) == 578
-    assert calls == 1_506
+    assert calls == {"_cover_exists": 1_506, "cover_number": 0}
     # a lower bound on tau is not hereditary: each class is checked once
-    calls = 0
+    calls.update(_cover_exists=0, cover_number=0)
     got = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, tau_ge=2, min_edges=1))
-    assert got == [h for h in every if real(h) == 2]
-    assert calls == 1_506 + 578
+    assert got == [h for h in every if real["cover_number"](h) == 2]
+    assert calls == {"_cover_exists": 1_506, "cover_number": 578}
 
 
 def test_maximal_sweep_still_applies_every_bound():

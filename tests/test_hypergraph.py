@@ -16,8 +16,10 @@ from ifam.hypergraph import (
     Hypergraph,
     SetFamily,
     _bits,
+    _cover_exists,
+    _greedy_packing,
     _incidence_rows,
-    _intersecting_rows,
+    _rows_intersect,
     _two_cover,
     cover_number,
     delete_vertices,
@@ -229,7 +231,7 @@ def test_two_cover_agrees_with_cover_number():
         else:
             members = tuple(sorted({rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 12))}))
         tau = cover_number(SetFamily(n, members))
-        assert _two_cover(members, _incidence_rows(members, n)) == (tau <= 2), (n, members)
+        assert _two_cover(members, _incidence_rows(members)) == (tau <= 2), (n, members)
         taus[tau] += 1
     assert {0, 1, 2, 3, 4} <= set(taus), taus
 
@@ -242,6 +244,45 @@ def test_min_cover_is_a_cover():
         cov = mask_of(min_cover(h))
         assert all(e & cov for e in h.edges)
         assert len(vertices_of(cov)) == cover_number(h)
+
+
+def recursive_cover_exists(masks, k):
+    """The cover search as a recursion, one call per chosen vertex: a
+    cover mask of at most k vertices, or None."""
+    if not masks:
+        return 0
+    if k <= 0 or len(_greedy_packing(masks)) > k:
+        return None
+    rest = min(masks, key=int.bit_count)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        got = recursive_cover_exists([m for m in masks if not m & low], k - 1)
+        if got is not None:
+            return got | low
+    return None
+
+
+def test_cover_search_matches_the_recursive_search():
+    # the same cover, not just a cover: min_cover returns what it did
+    rng = random.Random(20261032)
+    found = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        masks = sorted({rng.getrandbits(n) for _ in range(rng.randint(0, 12))})
+        for k in range(-1, 6):
+            got = _cover_exists(masks, k)
+            assert got == recursive_cover_exists(masks, k), (masks, k)
+            found[got is None] += 1
+    assert found[True] and found[False], found
+
+
+def test_cover_search_needs_no_deep_recursion():
+    # tau of 1,200 disjoint triples: the recursive search stopped near 995
+    matching = Hypergraph.from_masks(3600, 3, [0b111 << 3 * j for j in range(1200)])
+    assert cover_number(matching) == 1200
+    assert min_cover(matching) == tuple(range(1, 3600, 3))
+    assert _cover_exists(matching.edges, 1199) is None
 
 
 def test_set_family_nu_tau_min_cover_against_oracles():
@@ -480,32 +521,33 @@ def test_is_intersecting_on_zero_one_and_empty_members(f, want):
     members = f.edges if isinstance(f, Hypergraph) else f.members
     assert pairwise_intersecting(members) == want
     assert is_intersecting(f) == want
-    assert _intersecting_rows(members, f.n) == rows_oracle(members, f.n)
+    rows = _incidence_rows(members)
+    assert rows == naive_rows(members)
+    assert _rows_intersect(members, rows) == want
 
 
-def naive_rows(members, n):
-    """The incidence rows, one vertex at a time: bit j of row v is set
-    iff members[j] contains vertex v + 1."""
-    return [sum(1 << j for j, m in enumerate(members) if m >> v & 1) for v in range(n)]
-
-
-def rows_oracle(members, n):
-    """None for a family that is not pairwise intersecting, else its
-    incidence rows."""
-    return naive_rows(members, n) if pairwise_intersecting(members) else None
+def naive_rows(members):
+    """The incidence rows, one vertex at a time up to the highest vertex
+    that a member holds: bit j of row v is set iff members[j] contains
+    vertex v + 1."""
+    width = max(members, default=0).bit_length()
+    return [sum(1 << j for j, m in enumerate(members) if m >> v & 1) for v in range(width)]
 
 
 @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 130])
 def test_intersecting_rows_are_none_or_the_incidence_rows(n):
+    # the rows are the naive rows, and the proof on them is the pairwise test
     rng = random.Random(20261026 + n)
     answers = Counter()
     for trial in range(200):
         make = majority_family if trial < 100 else star_with_noise
         f = make(rng, n, uniform=trial % 2 == 0)
         members = f.edges if isinstance(f, Hypergraph) else f.members
-        got = _intersecting_rows(members, n)
-        assert got == rows_oracle(members, n), f
-        answers[got is None] += 1
+        rows = _incidence_rows(members)
+        assert rows == naive_rows(members), f
+        got = _rows_intersect(members, rows)
+        assert got == pairwise_intersecting(members), f
+        answers[got] += 1
     assert answers[True] and answers[False], answers
 
 
@@ -529,23 +571,73 @@ def test_rows_and_the_proof_across_row_blocks(m):
     members = off_star_family(m, n)
     assert len(members) == m
     # the disjoint pair lies in the first and the last block
-    assert _incidence_rows(members, n) == naive_rows(members, n)
-    assert _intersecting_rows(members, n) is None
+    rows = _incidence_rows(members)
+    assert rows == naive_rows(members)
+    assert not _rows_intersect(members, rows)
     assert not pairwise_intersecting([members[1], members[-1]])
-    # without b the family is intersecting, and the proof hands back the rows
-    assert _intersecting_rows(members[:-1], n) == rows_oracle(members[:-1], n)
+    # without b the family is intersecting
+    assert pairwise_intersecting(members[:-1])
+    assert _rows_intersect(members[:-1], _incidence_rows(members[:-1]))
     # an empty member in the last block misses everyone
     spoiled = [*members[:-1], 0]
-    assert _incidence_rows(spoiled, n) == naive_rows(spoiled, n)
-    assert _intersecting_rows(spoiled, n) is None
-    # a lone empty member is intersecting
-    assert _intersecting_rows([0], n) == [0] * n
+    assert _incidence_rows(spoiled) == naive_rows(spoiled)
+    assert not _rows_intersect(spoiled, _incidence_rows(spoiled))
+    # a lone empty member is intersecting, and holds no vertex to row
+    assert _incidence_rows([0]) == []
+    assert _rows_intersect([0], [])
 
 
 @pytest.mark.parametrize("i", range(6))
 def test_rows_of_the_lifts_are_the_naive_rows(i):
     h = build_construction(ConstructionId.H3LIFT, ConstructionParams(n=130, r=4, i=i))
     assert len(h) > 2 * _ROW_BLOCK
-    want = naive_rows(h.edges, h.n)
-    assert _incidence_rows(h.edges, h.n) == want
-    assert _intersecting_rows(h.edges, h.n) == want
+    rows = _incidence_rows(h.edges)
+    assert rows == naive_rows(h.edges)
+    assert _rows_intersect(h.edges, rows)
+
+
+def _gate_cases():
+    """(call, argument, expected message) for each shared gate."""
+    from ifam.classifier import embed
+    from ifam.constructions import size_formula
+    from ifam.enumeration import canonical_form
+    from ifam.io import hypergraph_to_json, serialize_hypergraph
+    from ifam.kernel import b_kernel, kernel_bound, kernel_invariant_violations, paper_r
+    from ifam.sunflower import find_sunflower, find_sunflower_with_core
+
+    h = Hypergraph.from_vertex_sets(7, 3, [(1, 2, 3), (1, 4, 5)])
+    f = SetFamily(h.n, h.edges)
+    d = b_kernel(h, paper_r())
+    p = (7, 3, 1)
+    not_h = "h must be a Hypergraph, got SetFamily"
+    not_family = "expected a Hypergraph or a SetFamily, got list"
+    not_params = "params must be ConstructionParams, got tuple"
+    not_d = "d must be a KernelDecomposition, got NoneType"
+    return {
+        "canonical_form": (lambda: canonical_form(f), not_h),
+        "delete_vertices": (lambda: delete_vertices(f, [1]), not_h),
+        "serialize_hypergraph": (lambda: serialize_hypergraph(f), not_h),
+        "hypergraph_to_json": (lambda: hypergraph_to_json(f), not_h),
+        "kernel_bound-family": (lambda: kernel_bound(f, d), not_h),
+        "kernel_invariant_violations-family": (lambda: kernel_invariant_violations(f, d), not_h),
+        "kernel_bound-None": (lambda: kernel_bound(h, None), not_d),
+        "kernel_invariant_violations-None": (lambda: kernel_invariant_violations(h, None), not_d),
+        "is_intersecting": (lambda: is_intersecting(list(h.edges)), not_family),
+        "matching_number": (lambda: matching_number(list(h.edges)), not_family),
+        "cover_number": (lambda: cover_number(list(h.edges)), not_family),
+        "min_cover": (lambda: min_cover(list(h.edges)), not_family),
+        "find_sunflower": (lambda: find_sunflower(list(h.edges), 3), not_family),
+        "find_sunflower_with_core": (lambda: find_sunflower_with_core(list(h.edges), 1, 2),
+                                     not_family),
+        "build_construction": (lambda: build_construction(ConstructionId.EM, p), not_params),
+        "size_formula": (lambda: size_formula(ConstructionId.EM, p), not_params),
+        "embed": (lambda: embed(h, ConstructionId.EM, p), not_params),
+    }
+
+
+@pytest.mark.parametrize("name", list(_gate_cases()))
+def test_shared_gates_refuse_an_argument_of_the_wrong_type(name):
+    # each of these raised AttributeError on the missing field
+    call, message = _gate_cases()[name]
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()

@@ -288,7 +288,7 @@ def test_b_dprime_uses_subset_not_equality():
 def reduce_on_rows(h, d):
     """The reduction of a family that is intersecting with cover number
     at most 2, on incidence rows built here."""
-    return _reduce_to_3graph(h, d, _incidence_rows(h.edges, h.n))
+    return _reduce_to_3graph(h, d, _incidence_rows(h.edges))
 
 
 def test_reduce_full_star_is_empty():
@@ -373,7 +373,7 @@ def test_b_kernel_builds_its_incidence_rows_once(monkeypatch):
     calls = []
     real = ifam.kernel._incidence_rows
     monkeypatch.setattr(ifam.kernel, "_incidence_rows",
-                        lambda masks, n: calls.append(1) or real(masks, n))
+                        lambda masks: calls.append(1) or real(masks))
     for h, scheme in [(full_star(15, 3), paper_r()), (hm_classic(52, 4), paper_r()),
                       (hm_classic(20, 4), paper_r()), (Hypergraph(8, 3, ()), paper_r())]:
         calls.clear()

@@ -145,7 +145,7 @@ def test_pack_rows_with_a_core_matches_the_oracle_on_petals():
         least = min((p.bit_count() for p in petals), default=0) - rng.randint(0, 1)
         k = rng.randint(0, 6)
         want = oracle_pack_exists(petals, k)
-        got = _pack_rows(masks, _incidence_rows(masks, n), cand, k, core, least)
+        got = _pack_rows(masks, _incidence_rows(masks), cand, k, core, least)
         assert got == (None if want is None else [picked[i] for i in want])
         hits += want is not None
     assert 500 < hits < 3500
@@ -188,7 +188,7 @@ def test_pack_rows_matches_the_oracle_where_the_transversal_bound_fires(monkeypa
     bound = hits = 0
     for h in intersecting_families(rng):
         masks = h.edges
-        rows = _incidence_rows(masks, h.n)
+        rows = _incidence_rows(masks)
         for _ in range(40):
             if rng.random() < 0.5:
                 # a proper part of a member, as the kernel's cores are

@@ -272,7 +272,7 @@ def lift_shadow(n, i):
     """The 3-uniform shadow that ``decompose_th4prime`` classifies on
     H3LIFT(n, 4, i)."""
     h = build_construction(C.H3LIFT, P(n, 4, i=i))
-    rows = _incidence_rows(h.edges, h.n)
+    rows = _incidence_rows(h.edges)
     return _reduce_to_3graph(h, b_kernel(h, paper_r()), rows)[1]
 
 

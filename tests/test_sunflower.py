@@ -321,7 +321,7 @@ def test_find_sunflower_builds_its_incidence_rows_once(monkeypatch):
 
     calls = []
     real = sunflower._incidence_rows
-    monkeypatch.setattr(sunflower, "_incidence_rows", lambda masks, n: calls.append(1) or real(masks, n))
+    monkeypatch.setattr(sunflower, "_incidence_rows", lambda masks: calls.append(1) or real(masks))
     fam = SetFamily.from_vertex_sets(7, [(1, 2), (1, 3), (1, 4), (2, 3), (5, 6)])
     s = find_sunflower(fam, 3)
     assert s.core == 0
