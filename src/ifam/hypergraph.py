@@ -17,8 +17,9 @@ Conventions used throughout the package:
   the proof on them, and ``_two_cover`` decides tau <= 2 on them with
   no cover search.  One builder, ``_incidence_rows``, makes every set
   of rows: one row per vertex up to the highest vertex that a member
-  holds, so the ground set size is never read, built in blocks of
-  members so that no bit is set in a wide row.
+  holds, so the ground set size is never read.  It writes the members
+  into one byte buffer and reads each row off a strided slice of it
+  with a few C-level calls, so no bit is set in a wide row.
 * ``matching_number`` (nu) is the maximum number of pairwise disjoint
   edges; ``cover_number`` (tau) is the minimum size of a vertex set
   meeting every edge.  For every H: nu(H) <= tau(H) <= r * nu(H), and H
@@ -36,8 +37,10 @@ search with the bound k and gets no exact tau.  Every packing
 question, from ``pack_exists``, ``matching_number``, the kernel's core
 tests and the sunflower searches, goes to one engine, ``_pack_rows``,
 on per-vertex incidence rows (bit j of a vertex's row marks member j
-as containing it) and a bitset of candidate members.  nu is the largest k that the
-engine reaches.
+as containing it) and a bitset of candidate members.  Its search,
+``_extend``, keeps its open nodes on an explicit stack too, so a
+packing of many petals needs no deep recursion.  nu is the largest k
+that the engine reaches.
 
 Before it searches, the engine applies one bound that needs no labels
 (the transversal fact of Frankl's Delta-system method): if some member
@@ -49,6 +52,8 @@ more than |e| petals around a core that e misses is refuted at once.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
@@ -308,33 +313,45 @@ def _greedy_packing(masks: Sequence[int]) -> list[int]:
     return out
 
 
-# members per block of ``_incidence_rows``
+# members per block of ``_incidence_rows`` when a member is wider than a word
 _ROW_BLOCK = 1024
+
+# _BIT_DIGITS[k] maps each byte to the digit b"0" or b"1" of its bit k,
+# which runs in 2^k zeros, then 2^k ones, from byte 0 to byte 255
+_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
 
 
 def _incidence_rows(masks: Sequence[int]) -> list[int]:
     """rows[v] has bit j set iff masks[j] contains vertex v + 1: one row
     per vertex up to the highest vertex that some member holds.
 
-    Setting bit j in a row as wide as the family copies that row, which
-    would cost O(m^2 * r / 64) word copies for m members of r vertices.
-    So the members go in blocks of ``_ROW_BLOCK``: a block's rows are
-    built with small-int ORs, then ORed into the rows once per vertex,
-    shifted to the block's first index.
+    The rows are read column by column, not built bit by bit.  The
+    members go into one byte buffer, last member first, each as a
+    little-endian word of w bytes, so the bytes that hold vertex v are
+    every w-th byte from byte v >> 3.  Translating that slice to the
+    digits of bit v & 7 spells row v in binary, most significant member
+    first, and ``int(digits, 2)`` reads it: a few C-level calls per
+    vertex, whatever the number of members.  Members of at most 64
+    vertices fill an array of 8-byte words; wider ones are written
+    ``_ROW_BLOCK`` members at a time, so no list of all their words is
+    held at once.
     """
     n = max(masks, default=0).bit_length()
-    rows = [0] * n
-    for base in range(0, len(masks), _ROW_BLOCK):
-        block = [0] * n
-        bit = 1
-        for m in masks[base : base + _ROW_BLOCK]:
-            while m:
-                v = m.bit_length() - 1
-                block[v] |= bit
-                m ^= 1 << v
-            bit <<= 1
-        rows = [row | x << base for row, x in zip(rows, block)] if base else block
-    return rows
+    if n <= 64:
+        words = array("Q", masks[::-1])
+        if sys.byteorder == "big":
+            words.byteswap()
+        buf, w = words.tobytes(), 8
+    else:
+        w = n + 7 >> 3
+        buf = bytearray(w * len(masks))
+        at = 0
+        for top in range(len(masks), 0, -_ROW_BLOCK):
+            block = masks[max(top - _ROW_BLOCK, 0) : top][::-1]
+            words = b"".join([m.to_bytes(w, "little") for m in block])
+            buf[at : at + len(words)] = words
+            at += len(words)
+    return [int(buf[v >> 3 :: w].translate(_BIT_DIGITS[v & 7]), 2) for v in range(n)]
 
 
 def _pack_rows(
@@ -406,13 +423,16 @@ def _extend(
     need: int,
     live: list[int],
 ) -> list[int] | None:
-    """One node of ``_pack_rows``: the least need indices of avail whose
-    petals are pairwise disjoint.  live holds the nonzero rows cut down
-    to avail, and every petal has at least unit vertices.
+    """The search of ``_pack_rows`` from one root: the least need indices
+    of avail whose petals are pairwise disjoint.  live holds the nonzero
+    rows cut down to avail, and every petal has at least unit vertices.
 
-    A module-level function, not a closure: a closure that calls itself
-    is a reference cycle, which would keep the caller's rows alive until
-    the next full garbage collection.
+    The open nodes wait on an explicit stack, root first, each with the
+    indices it has yet to try and its rows, so a packing of thousands of
+    petals needs no deep recursion.  A node tries its least index first
+    and a child is opened only when ``_may_pack`` keeps it, so the first
+    packing found is the least one, as a depth-first recursion would
+    find it.
     """
     if len(live) // unit < need:
         return None
@@ -425,25 +445,48 @@ def _extend(
             if len(chosen) == k:
                 return chosen
             left &= ~_clash(masks, rows, outside, j)
+    if not _may_pack(live, unit, avail, need):
+        return None
+    # chosen[i] is the index that led from stack[i] to stack[i + 1]
+    stack = [(avail, live)]
+    chosen = []
+    while stack:
+        avail, live = stack[-1]
+        want = need - len(chosen)
+        if avail.bit_count() < want:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = avail & -avail
+        avail ^= low
+        stack[-1] = (avail, live)
+        j = low.bit_length() - 1
+        if want == 1:
+            return [*chosen, j]
+        sub = avail & ~_clash(masks, rows, outside, j)
+        if sub.bit_count() >= want - 1:
+            sub_live = [x for row in live if (x := row & sub)]
+            if _may_pack(sub_live, unit, sub, want - 1):
+                chosen.append(j)
+                stack.append((sub, sub_live))
+    return None
+
+
+def _may_pack(live: list[int], unit: int, avail: int, need: int) -> bool:
+    """Whether the members avail, with live their nonzero rows, may hold
+    need pairwise disjoint petals of at least unit vertices: the rows
+    supply that many vertices, and no need - 1 vertices, taken greedily
+    by degree among the members left, meet every member."""
+    if len(live) // unit < need:
+        return False
     left = avail
     for _ in range(need - 1):
         degrees = [(x & left).bit_count() for x in live]
         left &= ~live[degrees.index(max(degrees))]
         if not left:
-            return None
-    while avail.bit_count() >= need:
-        low = avail & -avail
-        avail ^= low
-        j = low.bit_length() - 1
-        if need == 1:
-            return [j]
-        sub = avail & ~_clash(masks, rows, outside, j)
-        if sub.bit_count() >= need - 1:
-            sub_live = [x for row in live if (x := row & sub)]
-            got = _extend(masks, rows, outside, k, unit, sub, need - 1, sub_live)
-            if got is not None:
-                return [j] + got
-    return None
+            return False
+    return True
 
 
 def pack_exists(masks: Sequence[int], k: int) -> list[int] | None:

@@ -63,6 +63,14 @@ The invariant checker reuses what the decomposition already settles.
 B'' is a subfamily of H, so when H is intersecting only a pair with a
 member of B' (or, in a hand-built decomposition, a member of B'' that
 is no edge of H) can be disjoint, and only those pairs are tested.
+Whether H is intersecting is settled too: ``b_kernel`` keeps, in the
+private field ``KernelDecomposition._proof``, the edge tuple it
+decomposed and its answer on it.  The checker reads that answer only
+when the tuple *is* ``h.edges``, so it builds no rows and runs no proof
+for a decomposition of the very family it is handed.  For a
+decomposition built by hand, or from another tuple with the same
+edges, it proves the property again.  Nothing is cached on the family:
+the proof lives and dies with the decomposition.
 
 The reduction step, ``_reduce_to_3graph``, applies when a pair of
 vertices covers the family: edges carrying a member of the second or
@@ -172,21 +180,31 @@ def paper_rs(s: int) -> ThresholdScheme:
 @dataclass(frozen=True)
 class KernelDecomposition:
     """B' and B'' on one ground set; ``by_size`` is their union split
-    into layers B_i by size, ascending, derived on construction."""
+    into layers B_i by size, ascending, derived on construction.
+
+    ``_proof`` is what ``b_kernel`` proved on the way: the edge tuple
+    it decomposed and whether that tuple is intersecting, or None for a
+    decomposition built by hand.  ``kernel_invariant_violations`` reads
+    it for that very tuple.  It is no init parameter and takes no part
+    in equality, hashing or the repr, so two decompositions with the
+    same parts are equal whether or not either carries a proof.
+    """
 
     b_prime: SetFamily
     b_dprime: SetFamily
     scheme: ThresholdScheme = field(default_factory=paper_r)
     by_size: dict[int, SetFamily] = field(init=False, compare=False)
+    _proof: tuple[tuple[int, ...], bool] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = self.b_prime.n
         if self.b_dprime.n != n:
             raise ValueError(f"B' and B'' lie on ground sets [{n}] and [{self.b_dprime.n}]")
-        union = sorted(
-            set(self.b_prime.members) | set(self.b_dprime.members),
-            key=lambda m: (m.bit_count(), m),
-        )
+        # by size, then by mask: a stable sort by size of the mask order
+        union = sorted(set(self.b_prime.members) | set(self.b_dprime.members))
+        union.sort(key=int.bit_count)
         layers = {i: SetFamily(n, tuple(g)) for i, g in groupby(union, int.bit_count)}
         object.__setattr__(self, "by_size", layers)
 
@@ -221,7 +239,8 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     witness is needed.  Otherwise the codegree walk ``_heavy_cores``
     supplies every heavy core.  Whether H is intersecting is decided by
     the largest-star proof on the rows built here, which accepts at once
-    when every edge lies in the largest star.
+    when every edge lies in the largest star.  The answer is kept with
+    h.edges in the result's ``_proof``, for the invariant checker.
 
     The incidence rows of the edges are built once, for the candidates,
     the packing tests and B''.  The edges that contain a core T are its
@@ -234,7 +253,10 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     if not isinstance(scheme, ThresholdScheme):
         raise TypeError(f"scheme must be a ThresholdScheme, got {type(scheme).__name__}")
     rows = _incidence_rows(h.edges)
-    return _b_kernel(h, scheme, rows, _rows_intersect(h.edges, rows))
+    intersecting = _rows_intersect(h.edges, rows)
+    d = _b_kernel(h, scheme, rows, intersecting)
+    object.__setattr__(d, "_proof", (h.edges, intersecting))
+    return d
 
 
 def _b_kernel(
@@ -409,7 +431,9 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     so B is intersecting iff each member of B' and each member of B''
     that is no edge of H meets every other member of B; B is not built.
     For a decomposition from ``b_kernel`` every member of B'' is an edge
-    of H, so that is |B'| * |B| tests, none when B' is empty.
+    of H, so that is |B'| * |B| tests, none when B' is empty.  Whether
+    H is intersecting is read from ``d._proof`` when ``b_kernel`` made
+    d from the tuple h.edges itself, and proved again otherwise.
 
     A decomposition of another ground set is refused, not checked.
     """
@@ -429,7 +453,8 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
                    for c in layers[j].members if a & c == a), None)
     if nested is not None:
         out.append("kernel members {} and {} are nested".format(*map(vertices_of, nested)))
-    intersecting = is_intersecting(h)
+    proof = d._proof
+    intersecting = proof[1] if proof is not None and proof[0] is h.edges else is_intersecting(h)
     if intersecting:
         # only a pair with one of these in it can be disjoint
         strays = [*d.b_prime.members, *set(d.b_dprime.members).difference(edges)]

@@ -567,9 +567,12 @@ def off_star_family(m, n=40):
 
 @pytest.mark.parametrize("m", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
 def test_rows_and_the_proof_across_row_blocks(m):
-    n = 40
-    members = off_star_family(m, n)
-    assert len(members) == m
+    # b = {4, 5, 70} still meets every star member and misses a, and it
+    # makes the members wider than a word, so they are written to the
+    # buffer in blocks of _ROW_BLOCK
+    members = off_star_family(m, 40)
+    members[-1] = mask_of((4, 5, 70))
+    assert len(members) == m and max(members).bit_length() > 64
     # the disjoint pair lies in the first and the last block
     rows = _incidence_rows(members)
     assert rows == naive_rows(members)
@@ -585,6 +588,30 @@ def test_rows_and_the_proof_across_row_blocks(m):
     # a lone empty member is intersecting, and holds no vertex to row
     assert _incidence_rows([0]) == []
     assert _rows_intersect([0], [])
+
+
+@pytest.mark.parametrize("top", [1, 7, 8, 9, 63, 64, 65, 128, 129])
+def test_rows_at_the_byte_and_word_boundaries_are_the_naive_rows(top):
+    # the highest vertex held sets the width: one word up to 64, then
+    # ceil(top / 8) bytes per member; as lists, tuples and with an empty
+    # member, first, last or alone beside one member
+    rng = random.Random(top)
+    for m in (1, 2, 3, 17, 100):
+        members = [mask_of(rng.sample(range(1, top + 1), rng.randint(1, min(top, 6))))
+                   for _ in range(m)]
+        members[rng.randrange(m)] |= 1 << (top - 1)
+        for family in (members, tuple(members), [0, *members], [*members, 0]):
+            rows = _incidence_rows(family)
+            assert len(rows) == top
+            assert rows == naive_rows(family), (top, family)
+
+
+@pytest.mark.parametrize("members", [[], (), [0], (0,), [0, 1], [1, 0], [0, 1 << 64]],
+                         ids=["empty list", "empty tuple", "lone empty member",
+                              "lone empty member as a tuple", "empty member first",
+                              "empty member last", "empty member beside a wide one"])
+def test_rows_of_empty_members_are_the_naive_rows(members):
+    assert _incidence_rows(members) == naive_rows(members)
 
 
 @pytest.mark.parametrize("i", range(6))

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_
+from pathlib import Path
 
 import pytest
 
+import ifam.hypergraph
 import ifam.kernel
 import ifam.sunflower
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
@@ -468,6 +473,41 @@ def checker_oracle(h, d):
     return out
 
 
+def reproving_checker(h, d):
+    """The invariant checker as it read before it learnt to read
+    b_kernel's proof: it proves again that H is intersecting, whatever d
+    carries, and tests only the pairs of B that can fail."""
+    out = []
+    layers = d.by_size
+    edges = set(h.edges)
+    small = [t for i, layer in layers.items() if i < h.r for t in layer.members]
+    rest = sorted(edges.difference(layers[h.r].members)) if h.r in layers else h.edges
+    bare = next((e for e in rest if not any(t & e == t for t in small)), None)
+    if bare is not None:
+        out.append(f"edge {vertices_of(bare)} contains no kernel member")
+    nested = next(((a, c) for i, j in combinations(layers, 2) for a in layers[i].members
+                   for c in layers[j].members if a & c == a), None)
+    if nested is not None:
+        out.append("kernel members {} and {} are nested".format(*map(vertices_of, nested)))
+    intersecting = is_intersecting(h)
+    if intersecting:
+        strays = [*d.b_prime.members, *set(d.b_dprime.members).difference(edges)]
+        members = [t for layer in layers.values() for t in layer.members]
+        if not all(x & y or x == y for x in strays for y in members):
+            out.append("kernel of an intersecting family is not intersecting")
+    if d.scheme.kind == "r" and intersecting and 1 in layers and not reduce(and_, h.edges, -1):
+        out.append("layer 1 nonempty for an intersecting family with cover number >= 2")
+    if intersecting:
+        for i, layer in layers.items():
+            thr = d.scheme.claim_threshold(h.r, i)
+            if d.scheme.claim_applies(h.r, i) and len(layer) >= thr:
+                if find_sunflower(layer, thr) is not None:
+                    out.append(f"layer {i} contains a {thr}-sunflower")
+    if kernel_bound(h, d) < len(h):
+        out.append("counting bound below the family size")
+    return out
+
+
 def mutations(rng, h, d):
     """Hand-built faulty variants of d: a B' member dropped, a set that
     misses a B' member added to B'', a non-edge added to B'', and the
@@ -501,7 +541,7 @@ def test_checker_matches_its_oracle_on_kernel_props_families_and_their_mutations
         d = b_kernel(h, scheme)
         for v in (d, *mutations(rng, h, d)):
             got = kernel_invariant_violations(h, v)
-            assert got == checker_oracle(h, v), (h, v)
+            assert got == checker_oracle(h, v) == reproving_checker(h, v), (h, v)
             messages.update(got)
             decompositions += 1
     assert decompositions > 1500
@@ -515,10 +555,12 @@ def test_checker_matches_its_oracle_on_kernel_props_families_and_their_mutations
 
 @pytest.mark.parametrize("h, d, messages", KERNEL_FAULTS, ids=[m[-1] for *_, m in KERNEL_FAULTS])
 def test_checker_matches_its_oracle_on_the_hand_built_faults(h, d, messages):
-    assert checker_oracle(h, d) == messages
+    assert d._proof is None
+    assert checker_oracle(h, d) == reproving_checker(h, d) == messages
     rng = random.Random(len(h) * 31 + len(messages))
     for v in mutations(rng, h, d):
-        assert kernel_invariant_violations(h, v) == checker_oracle(h, v), v
+        got = kernel_invariant_violations(h, v)
+        assert got == checker_oracle(h, v) == reproving_checker(h, v), v
 
 
 @pytest.mark.parametrize("h, d, messages", [
@@ -531,3 +573,85 @@ def test_checker_matches_its_oracle_on_the_hand_built_faults(h, d, messages):
 ], ids=["empty set alone", "empty set in both parts", "empty set beside the edges"])
 def test_checker_matches_its_oracle_on_the_empty_member(h, d, messages):
     assert kernel_invariant_violations(h, d) == checker_oracle(h, d) == messages
+
+
+def families_stream(seed):
+    """The (H, scheme) stream of the benchmark's families workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.Families().setup(seed, None)
+
+
+def twin(h):
+    """h on a tuple of its own: equal edges, another object."""
+    other = Hypergraph(h.n, h.r, tuple(list(h.edges)))
+    assert other == h and (other.edges is not h.edges or not h.edges)
+    return other
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_the_checker_reading_the_proof_matches_the_reproving_checker_on_families(seed):
+    kinds = Counter()
+    for h, scheme in families_stream(seed):
+        d = b_kernel(h, scheme)
+        got = kernel_invariant_violations(h, d)
+        assert got == reproving_checker(h, d) == kernel_invariant_violations(twin(h), d), h
+        kinds[d._proof[1]] += 1
+    # the stream holds families of both kinds
+    assert kinds[True] > 1000 and kinds[False] > 100, kinds
+
+
+def count_calls(monkeypatch):
+    """Count the checker's proofs that H is intersecting and every set of
+    incidence rows built outside the sunflower search, which builds the
+    rows of a layer it is asked about."""
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(ifam.kernel, "is_intersecting")
+    counted(ifam.kernel, "_incidence_rows")
+    counted(ifam.hypergraph, "_incidence_rows")
+    return calls
+
+
+def test_the_checker_proves_nothing_again_on_a_b_kernel_result(monkeypatch):
+    corpus = [*kernel_props_corpus(20261034, 60), *list(families_stream(1))[:400]]
+    decompositions = [(h, b_kernel(h, scheme)) for h, scheme in corpus]
+    calls = count_calls(monkeypatch)
+    for h, d in decompositions:
+        kernel_invariant_violations(h, d)
+    assert calls == {}, calls
+    # the proof is read for the tuple it was made on, not for an equal one
+    # or for a decomposition built by hand
+    for h, d in decompositions[:50]:
+        if not h.edges:
+            continue
+        calls.clear()
+        kernel_invariant_violations(twin(h), d)
+        assert calls["is_intersecting"] == 1, h
+        calls.clear()
+        kernel_invariant_violations(h, KernelDecomposition(d.b_prime, d.b_dprime, d.scheme))
+        assert calls["is_intersecting"] == 1, h
+
+
+def test_the_proof_leaves_equality_hash_and_repr_as_they_were():
+    for h, scheme in kernel_props_corpus(20261035, 30):
+        d = b_kernel(h, scheme)
+        d2 = KernelDecomposition(d.b_prime, d.b_dprime, d.scheme)
+        assert d._proof == (h.edges, is_intersecting(h)) and d._proof[0] is h.edges
+        assert d2._proof is None
+        assert d == d2 and hash(d) == hash(d2) and repr(d) == repr(d2)
+        assert repr(d) == (f"KernelDecomposition(b_prime={d.b_prime!r}, b_dprime={d.b_dprime!r}, "
+                           f"scheme={d.scheme!r}, by_size={d.by_size!r})")
+    with pytest.raises(TypeError):
+        KernelDecomposition(fam(5), fam(5), paper_r(), _proof=((), True))

@@ -11,6 +11,7 @@ member that misses the core meets every petal) refutes at the root.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -19,9 +20,11 @@ from ifam.constructions import ConstructionId, ConstructionParams, build_constru
 from ifam.hypergraph import (
     SetFamily,
     _bits,
+    _clash,
     _greedy_packing,
     _incidence_rows,
     _pack_rows,
+    mask_of,
     matching_number,
     pack_exists,
 )
@@ -209,3 +212,99 @@ def test_pack_rows_matches_the_oracle_where_the_transversal_bound_fires(monkeypa
             bound += got is None and len(picked) >= k and not entered
     assert 1000 < hits < 5000
     assert bound > 1000
+
+
+def recursive_extend(masks, rows, outside, k, unit, avail, need, live, depths=None):
+    """The packing search as it read before its nodes moved to an explicit
+    stack: one call per node, recursing on the least index first.  depths,
+    if given, collects the need of every node entered."""
+    if depths is not None:
+        depths.append(need)
+    if len(live) // unit < need:
+        return None
+    if need == k:
+        chosen = []
+        left = avail
+        while left:
+            j = (left & -left).bit_length() - 1
+            chosen.append(j)
+            if len(chosen) == k:
+                return chosen
+            left &= ~_clash(masks, rows, outside, j)
+    left = avail
+    for _ in range(need - 1):
+        degrees = [(x & left).bit_count() for x in live]
+        left &= ~live[degrees.index(max(degrees))]
+        if not left:
+            return None
+    while avail.bit_count() >= need:
+        low = avail & -avail
+        avail ^= low
+        j = low.bit_length() - 1
+        if need == 1:
+            return [j]
+        sub = avail & ~_clash(masks, rows, outside, j)
+        if sub.bit_count() >= need - 1:
+            sub_live = [x for row in live if (x := row & sub)]
+            got = recursive_extend(masks, rows, outside, k, unit, sub, need - 1, sub_live, depths)
+            if got is not None:
+                return [j] + got
+    return None
+
+
+def test_the_stacked_search_is_the_recursive_search_at_every_root(monkeypatch):
+    # each root that _pack_rows hands the search gets the same answer from
+    # the recursive search, on the random inputs and on the intersecting ones
+    extend = ifam.hypergraph._extend
+    roots = deep = 0
+
+    def both(*args):
+        nonlocal roots, deep
+        depths = []
+        want = recursive_extend(*args, depths=depths)
+        assert extend(*args) == want, args
+        roots += 1
+        deep += len(depths) > 1  # the search went past its root
+        return want
+
+    monkeypatch.setattr(ifam.hypergraph, "_extend", both)
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        masks = random_masks(rng)
+        n = max(masks, default=0).bit_length()
+        core = sum(1 << v for v in range(n) if rng.random() < 0.2)
+        cand = sum(1 << j for j in range(len(masks)) if rng.random() < 0.9)
+        least = min((masks[j] & ~core).bit_count() for j in _bits(cand)) if cand else 0
+        # one past first-fit sends most roots into the search
+        k = len(_greedy_packing([masks[j] & ~core for j in _bits(cand)])) + rng.randint(0, 2)
+        _pack_rows(masks, _incidence_rows(masks), cand, k, core, least)
+    for h in intersecting_families(random.Random(33)):
+        if len(h) <= 200:
+            pack_exists(h.edges, rng.randint(2, h.r + 1))
+    assert roots > 2000 and deep > 200, (roots, deep)
+
+
+def depth():
+    """The number of frames on the current stack."""
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_a_deep_packing_needs_no_deep_recursion(monkeypatch):
+    # {3, 4} meets the first two members of the matching M, so first-fit
+    # stops one short and the least packing is M itself, found n levels
+    # down the search; the recursive search would need n frames
+    n = 200
+    matching = [mask_of((3 * i + 1, 3 * i + 2, 3 * i + 3)) for i in range(n)]
+    masks = [mask_of((3, 4)), *matching]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth() + 60)
+    try:
+        assert pack_exists(masks, n) == list(range(1, n + 1))
+        monkeypatch.setattr(ifam.hypergraph, "_extend", recursive_extend)
+        with pytest.raises(RecursionError):
+            pack_exists(masks, n)
+    finally:
+        sys.setrecursionlimit(limit)
