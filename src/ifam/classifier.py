@@ -49,21 +49,15 @@ Classification is one ladder.  ``_ladder`` lists the (kind, template,
 parameters) rungs in the paper's order, keeping those that can hold a
 family of a given cover number, and ``_first_fit`` reports the first
 rung whose instance contains the family.  ``classify`` is the one entry
-point, for every r, and the one place the cover-number and intersecting
-guards are written; ``classify_3graph`` and ``classify_rgraph`` are
-other names for it.  The ladder reads the cover number only as at most
-one, two, or three and more, so ``classify`` asks no more than that: a
-common vertex (or no edge) gives the first, and a bounded search for a
-cover of two vertices tells the other two apart.  Every rung is an
-intersecting template, so the ladder answers NONE for a family that is
-not intersecting, and only an r <= 3 family past its rungs is proved
-intersecting.
-``decompose_matching`` peels a small vertex set so that the rest of the
-family collapses onto a single classified structure, and
-``decompose_th4prime``, the one guarded entry to the kernel reduction,
-reduces to a 3-uniform shadow, classifies the shadow, and lifts the
-verdict back to the r-uniform family.  Each public function refuses an
-h that is no ``Hypergraph`` with a TypeError.
+to the ladder, for every r, and the one place the cover-number and
+intersecting guards are written; ``classify_3graph`` and
+``classify_rgraph`` are other names for it.  Every rung is an
+intersecting template, so a family that is not intersecting fits none,
+and a hit of ``decompose_matching`` (peel a few vertices so that the
+rest fits a rung) proves its matching bound.  ``decompose_th4prime``,
+the one guarded entry to the kernel reduction, classifies a 3-uniform
+shadow and lifts the verdict back to the r-uniform family.  Each public
+function refuses an h that is no ``Hypergraph`` with a TypeError.
 """
 
 from __future__ import annotations
@@ -86,6 +80,7 @@ from .hypergraph import (
     Hypergraph,
     SetFamily,
     _cover_exists,
+    _greedy_packing,
     _incidence_rows,
     _need_hypergraph,
     _rows_intersect,
@@ -97,7 +92,7 @@ from .hypergraph import (
     pack_exists,
     vertices_of,
 )
-from .kernel import _b_kernel, _reduce_to_3graph, b_kernel, paper_r, paper_rs
+from .kernel import _b_kernel, _reduce_to_3graph, paper_r
 
 __all__ = [
     "VerdictKind",
@@ -657,13 +652,16 @@ def decompose_matching(
 ) -> tuple[tuple[int, ...] | None, Verdict]:
     """Peel s - 1 vertices so the rest is a star or a classified pattern.
 
-    Candidate vertices are ranked by membership in the singleton kernel
-    layer of the product-threshold scheme, then by degree, then by label;
-    candidate sets are tried in the induced lexicographic order and the
-    first success wins, which also settles ties by least Z.  The verdict
-    describes the peeled family on its relabeled ground set (labels keep
-    their relative order).  An s that is no int, a bool included, is
-    refused with a TypeError.
+    Candidate vertices are ranked by degree, highest first, then by
+    label; the (s - 1)-sets are tried in the induced lexicographic order
+    and the first success wins.  The verdict describes the peeled family
+    on its relabeled ground set (labels keep their relative order).  An
+    s that is no int, a bool included, is refused with a TypeError, and
+    a family with s + 1 pairwise disjoint edges with a ValueError.  A hit
+    proves nu <= s (Frankl's transversal argument): H - Z fits a rung, an
+    intersecting template, so it holds one edge of a matching at most,
+    and Z meets s - 1 more at most.  So before peeling only a first-fit
+    matching is tried, and the exact search runs only when no Z works.
     """
     _need_hypergraph(h)
     if isinstance(s, bool) or not isinstance(s, int):
@@ -672,21 +670,17 @@ def decompose_matching(
         raise ValueError(f"matching bound must be positive, got s={s}")
     if s - 1 > h.n:
         raise ValueError(f"cannot peel {s - 1} vertices from a ground set of {h.n}")
-    if pack_exists(h.edges, s + 1) is not None:
-        raise ValueError("family has a larger matching than the stated bound")
-    if s == 1:
+    if s == 1 and is_intersecting(h):
         return ((), classify(h))
-    decomp = b_kernel(h, paper_rs(s))
-    b1 = {vertices_of(m)[0] for m in decomp.by_size.get(1, SetFamily.from_masks(h.n, ())).members}
-    order = sorted(
-        range(1, h.n + 1), key=lambda v: (v not in b1, -h.degree(v), v)
-    )
-    for zs in combinations(order, s - 1):
-        h2 = delete_vertices(h, zs)
-        v = classify(h2)
-        if v.kind not in (VerdictKind.NONE, VerdictKind.TAU_GE_3):
-            return (tuple(sorted(zs)), v)
-    return (None, Verdict(VerdictKind.NONE))
+    if s > 1 and len(_greedy_packing(h.edges)) <= s:
+        order = sorted(range(1, h.n + 1), key=lambda v: (-h.degree(v), v))
+        for zs in combinations(order, s - 1):
+            v = classify(delete_vertices(h, zs))
+            if v.kind not in (VerdictKind.NONE, VerdictKind.TAU_GE_3):
+                return (tuple(sorted(zs)), v)
+        if pack_exists(h.edges, s + 1) is None:
+            return (None, Verdict(VerdictKind.NONE))
+    raise ValueError("family has a larger matching than the stated bound")
 
 
 def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
@@ -711,8 +705,8 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     if h.r < 4:
         raise ValueError(f"decompose_th4prime needs r >= 4, got r={h.r}")
     if not h.edges or reduce(and_, h.edges):
-        # the ladder offers the star rung alone for every tau <= 1
-        star = _first_fit(h, _ladder(h.n, h.r, 1))
+        # classify offers the star rung alone for every tau <= 1
+        star = classify(h)
         if star.kind is VerdictKind.NONE:
             raise ValueError(f"no star template on n={h.n}, r={h.r}: needs n >= r + 1")
         return (h, 0, star)

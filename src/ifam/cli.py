@@ -115,8 +115,7 @@ def _cmd_sunflower(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as fh:
         fam = parse_set_family(fh.read())
     if args.core is not None:
-        core = mask_of(int(tok) for tok in args.core.split())
-        flower = find_sunflower_with_core(fam, core, args.k)
+        flower = find_sunflower_with_core(fam, mask_of(args.core), args.k)
     else:
         flower = find_sunflower(fam, args.k)
     if flower is None:
@@ -228,15 +227,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+def _ints(sep: str | None, form: str):
+    """An argparse type: the integers of a text split at sep."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            return tuple(int(tok) for tok in text.split(sep))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
 
 
 # the keyword parameters of ``verify``, each set by the flag of its name:
 # name -> (argument type, help text)
 _VERIFY_PARAMS = {
     **dict.fromkeys(("n", "max_support", "ceiling", "count", "seed", "n_max"), (int, None)),
-    "r_values": (_int_tuple, "comma-separated, e.g. 3,4,5"),
+    "r_values": (_ints(",", "comma-separated integers, e.g. 3,4,5"),
+                 "comma-separated, e.g. 3,4,5"),
 }
 
 
@@ -288,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sunflower", help="search a set family for a k-petal sunflower")
     p.add_argument("--file", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--core", help="restrict to this core, e.g. \"1 2\"")
+    p.add_argument("--core", type=_ints(None, 'vertex labels separated by spaces, e.g. "1 2"'),
+                   help="restrict to this core, e.g. \"1 2\"")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sunflower)
 

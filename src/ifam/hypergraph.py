@@ -399,7 +399,7 @@ def _pack_rows(
         for x in live:
             empty &= ~x
         live += [1 << j for j in _bits(empty)]
-    return _extend(masks, rows, outside, k, max(least, 1), cand, k, live)
+    return _extend(masks, rows, outside, k, max(least, 1), cand, live)
 
 
 def _clash(masks: Sequence[int], rows: Sequence[int], outside: int, j: int) -> int:
@@ -420,39 +420,37 @@ def _extend(
     k: int,
     unit: int,
     avail: int,
-    need: int,
     live: list[int],
 ) -> list[int] | None:
-    """The search of ``_pack_rows`` from one root: the least need indices
+    """The search of ``_pack_rows`` from one root: the least k indices
     of avail whose petals are pairwise disjoint.  live holds the nonzero
     rows cut down to avail, and every petal has at least unit vertices.
 
-    The open nodes wait on an explicit stack, root first, each with the
-    indices it has yet to try and its rows, so a packing of thousands of
-    petals needs no deep recursion.  A node tries its least index first
-    and a child is opened only when ``_may_pack`` keeps it, so the first
-    packing found is the least one, as a depth-first recursion would
-    find it.
+    First-fit from the root settles most hits.  Otherwise the open nodes
+    wait on an explicit stack, root first, each with the indices it has
+    yet to try and its rows, so a packing of thousands of petals needs
+    no deep recursion.  A node tries its least index first and a child
+    is opened only when ``_may_pack`` keeps it, so the first packing
+    found is the least one, as a depth-first recursion would find it.
     """
-    if len(live) // unit < need:
+    if len(live) // unit < k:
         return None
-    if need == k:  # first-fit from the root settles most hits
-        chosen = []
-        left = avail
-        while left:
-            j = (left & -left).bit_length() - 1
-            chosen.append(j)
-            if len(chosen) == k:
-                return chosen
-            left &= ~_clash(masks, rows, outside, j)
-    if not _may_pack(live, unit, avail, need):
+    chosen = []
+    left = avail
+    while left:
+        j = (left & -left).bit_length() - 1
+        chosen.append(j)
+        if len(chosen) == k:
+            return chosen
+        left &= ~_clash(masks, rows, outside, j)
+    if not _may_pack(live, unit, avail, k):
         return None
     # chosen[i] is the index that led from stack[i] to stack[i + 1]
     stack = [(avail, live)]
     chosen = []
     while stack:
         avail, live = stack[-1]
-        want = need - len(chosen)
+        want = k - len(chosen)
         if avail.bit_count() < want:
             stack.pop()
             if chosen:

@@ -84,8 +84,8 @@ the incidence rows behind, and the kept edges and the triples are read
 from carriers on those rows.
 
 Two named schemes are provided: the single-family scheme with
-multiplicity (r+1)^|T|, and a coarser one with multiplicity
-(rs)^(|T|+1) used when matchings of size s are peeled away.
+multiplicity (r+1)^|T|, and (rs)^(|T|+1) for families with nu <= s,
+which only ``ifam kernel --scheme rs:S`` and KERNEL_PROPS run.
 """
 
 from __future__ import annotations

@@ -115,6 +115,24 @@ def test_sunflower_refuses_a_core_outside_the_ground_set(capsys, tmp_path):
     assert err == "ifam: error: core (9,) leaves the ground set [5]\n"
 
 
+def usage_error(capsys, *argv):
+    """The exit code and the last stderr line of a call that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("core", ["a", "1 x", "1.5"])
+def test_sunflower_names_the_core_option_on_a_bad_label(capsys, tmp_path, core):
+    # int() raised through the handler: "invalid literal for int() with base 10"
+    path = write(tmp_path, "f.txt", "5\n1 2\n1 3\n1 4\n")
+    assert usage_error(capsys, "sunflower", "--file", path, "--k", "2", "--core", core) == (
+        2, "ifam sunflower: error: argument --core: expected vertex labels separated "
+           f"by spaces, e.g. \"1 2\", got {core!r}")
+
+
 def test_kernel_json_and_schemes(capsys, tmp_path):
     star = Hypergraph.from_masks(
         8, 3, [mask_of((1, a, b)) for a, b in combinations(range(2, 8), 2)])
@@ -258,6 +276,14 @@ def test_verify_pass_and_report(capsys, tmp_path):
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "NOPE")[0] == 2
     assert run(capsys, "verify", "FOLK", "--count", "5")[0] == 2
+
+
+@pytest.mark.parametrize("values", ["3,x", "3,", "3 4"])
+def test_verify_names_the_r_values_option_on_a_bad_list(capsys, values):
+    # argparse named the private parser: "invalid _int_tuple value"
+    assert usage_error(capsys, "verify", "COUNTS", "--r-values", values) == (
+        2, "ifam verify: error: argument --r-values: expected comma-separated integers, "
+           f"e.g. 3,4,5, got {values!r}")
 
 
 @pytest.mark.parametrize("argv, params", [

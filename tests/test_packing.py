@@ -252,6 +252,12 @@ def recursive_extend(masks, rows, outside, k, unit, avail, need, live, depths=No
     return None
 
 
+def extend_from_the_root(masks, rows, outside, k, unit, avail, live, depths=None):
+    """``recursive_extend`` called as ``_pack_rows`` calls ``_extend``:
+    the root needs all k petals."""
+    return recursive_extend(masks, rows, outside, k, unit, avail, k, live, depths)
+
+
 def test_the_stacked_search_is_the_recursive_search_at_every_root(monkeypatch):
     # each root that _pack_rows hands the search gets the same answer from
     # the recursive search, on the random inputs and on the intersecting ones
@@ -261,7 +267,7 @@ def test_the_stacked_search_is_the_recursive_search_at_every_root(monkeypatch):
     def both(*args):
         nonlocal roots, deep
         depths = []
-        want = recursive_extend(*args, depths=depths)
+        want = extend_from_the_root(*args, depths=depths)
         assert extend(*args) == want, args
         roots += 1
         deep += len(depths) > 1  # the search went past its root
@@ -303,7 +309,7 @@ def test_a_deep_packing_needs_no_deep_recursion(monkeypatch):
     sys.setrecursionlimit(depth() + 60)
     try:
         assert pack_exists(masks, n) == list(range(1, n + 1))
-        monkeypatch.setattr(ifam.hypergraph, "_extend", recursive_extend)
+        monkeypatch.setattr(ifam.hypergraph, "_extend", extend_from_the_root)
         with pytest.raises(RecursionError):
             pack_exists(masks, n)
     finally:
