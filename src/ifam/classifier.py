@@ -625,6 +625,16 @@ def classify(h: Hypergraph) -> Verdict:
     ValueError for r < 3.
     """
     _need_hypergraph(h)
+    v = _verdict(h)
+    if v is None:
+        raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
+    return v
+
+
+def _verdict(h: Hypergraph) -> Verdict | None:
+    """classify(h), or None for an intersecting r <= 2 family past the
+    star, which classify refuses and ``decompose_matching`` counts as a
+    miss."""
     if not h.edges or reduce(and_, h.edges):
         tau = 1
     else:
@@ -637,7 +647,7 @@ def classify(h: Hypergraph) -> Verdict:
         if len(h) > 10:
             raise AssertionError("intersecting 3-graph with tau >= 3 exceeding ten edges")
         return Verdict(VerdictKind.TAU_GE_3)
-    raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
+    return None
 
 
 # kept for the callers outside the library that use these names
@@ -662,6 +672,9 @@ def decompose_matching(
     intersecting template, so it holds one edge of a matching at most,
     and Z meets s - 1 more at most.  So before peeling only a first-fit
     matching is tried, and the exact search runs only when no Z works.
+    For r <= 2 the star is the one rung, so a Z that leaves a family
+    with no common vertex, a triangle included, is a miss like any other
+    (and at s = 1, an intersecting triangle gets NONE).
     """
     _need_hypergraph(h)
     if isinstance(s, bool) or not isinstance(s, int):
@@ -671,12 +684,13 @@ def decompose_matching(
     if s - 1 > h.n:
         raise ValueError(f"cannot peel {s - 1} vertices from a ground set of {h.n}")
     if s == 1 and is_intersecting(h):
-        return ((), classify(h))
+        v = _verdict(h)
+        return ((), Verdict(VerdictKind.NONE) if v is None else v)
     if s > 1 and len(_greedy_packing(h.edges)) <= s:
         order = sorted(range(1, h.n + 1), key=lambda v: (-h.degree(v), v))
         for zs in combinations(order, s - 1):
-            v = classify(delete_vertices(h, zs))
-            if v.kind not in (VerdictKind.NONE, VerdictKind.TAU_GE_3):
+            v = _verdict(delete_vertices(h, zs))
+            if v is not None and v.kind not in (VerdictKind.NONE, VerdictKind.TAU_GE_3):
                 return (tuple(sorted(zs)), v)
         if pack_exists(h.edges, s + 1) is None:
             return (None, Verdict(VerdictKind.NONE))

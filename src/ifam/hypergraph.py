@@ -18,8 +18,13 @@ Conventions used throughout the package:
   no cover search.  One builder, ``_incidence_rows``, makes every set
   of rows: one row per vertex up to the highest vertex that a member
   holds, so the ground set size is never read.  It writes the members
-  into one byte buffer and reads each row off a strided slice of it
-  with a few C-level calls, so no bit is set in a wide row.
+  into a byte buffer, lays the buffer's byte-columns into one int per
+  1,024-member block, transposes every 8x8 bit block of it by three
+  masked delta-swaps, and reads each row off the result as one strided
+  slice of little-endian bytes: a few C-level calls per vertex, so no
+  bit is set in a wide row.  Blocks keep the temporaries of the big-int
+  steps to one block's bytes.  Every conversion names its byte order,
+  so the rows are the same on any host.
 * ``matching_number`` (nu) is the maximum number of pairwise disjoint
   edges; ``cover_number`` (tau) is the minimum size of a vertex set
   meeting every edge.  For every H: nu(H) <= tau(H) <= r * nu(H), and H
@@ -313,45 +318,109 @@ def _greedy_packing(masks: Sequence[int]) -> list[int]:
     return out
 
 
-# members per block of ``_incidence_rows`` when a member is wider than a word
+# members per block of ``_incidence_rows``
 _ROW_BLOCK = 1024
-
-# _BIT_DIGITS[k] maps each byte to the digit b"0" or b"1" of its bit k,
-# which runs in 2^k zeros, then 2^k ones, from byte 0 to byte 255
-_BIT_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
 
 
 def _incidence_rows(masks: Sequence[int]) -> list[int]:
     """rows[v] has bit j set iff masks[j] contains vertex v + 1: one row
     per vertex up to the highest vertex that some member holds.
 
-    The rows are read column by column, not built bit by bit.  The
-    members go into one byte buffer, last member first, each as a
-    little-endian word of w bytes, so the bytes that hold vertex v are
-    every w-th byte from byte v >> 3.  Translating that slice to the
-    digits of bit v & 7 spells row v in binary, most significant member
-    first, and ``int(digits, 2)`` reads it: a few C-level calls per
-    vertex, whatever the number of members.  Members of at most 64
-    vertices fill an array of 8-byte words; wider ones are written
-    ``_ROW_BLOCK`` members at a time, so no list of all their words is
-    held at once.
+    The rows are read by transposing bits, not built bit by bit,
+    ``_ROW_BLOCK`` members at a time.  ``_transposed_block`` gives each
+    block's rows column-major: the part of row v for the block's k8
+    members, k8 rounded up to a multiple of 8, is every 8th byte from
+    byte (v >> 3) * k8 + (v & 7).  A family of one block reads its rows
+    off that at once; a larger one first copies each block's columns
+    into one column-major buffer for all its members, so each row is
+    one strided slice and one ``int.from_bytes`` whatever the number of
+    members.  Working a block at a time keeps the big ints of the
+    transpose and their temporaries to w * 1,024 bytes for members of
+    w bytes: one int for every member would hold several copies of the
+    whole buffer at once.  Every conversion names its byte order, so the
+    rows do not depend on the host's.  The same steps run at every
+    member count.
     """
     n = max(masks, default=0).bit_length()
+    if not n:
+        return []
+    w = n + 7 >> 3
+    size = len(masks) + 7 & ~7
+    # masks as long as the longest block serve every block
+    nbytes = w * min(size, _ROW_BLOCK)
+    swaps = _SHORT_SWAPS if nbytes <= _SHORT_BYTES else _swap_masks(nbytes)
+    if len(masks) <= _ROW_BLOCK:
+        out = _transposed_block(masks, n, swaps)
+    else:
+        out = bytearray(w * size)
+        for lo in range(0, len(masks), _ROW_BLOCK):
+            block = _transposed_block(masks[lo : lo + _ROW_BLOCK], n, swaps)
+            k8 = min(size - lo, _ROW_BLOCK)
+            for q in range(w):
+                out[q * size + lo : q * size + lo + k8] = block[q * k8 : q * k8 + k8]
+    # the rows of byte-column q, vertices 8q to 8q + 7 (up to n), start
+    # at its first 8 bytes
+    from_bytes = int.from_bytes
+    return [from_bytes(out[s : s + size : 8], "little")
+            for q in range(w) for s in range(q * size, q * size + min(8, n - 8 * q))]
+
+
+def _transposed_block(masks: Sequence[int], n: int, swaps: tuple[int, int, int]) -> bytes:
+    """The incidence bytes of masks, column-major.
+
+    The members are written as little-endian words, byte-swapped on a
+    big-endian host: 8 bytes each from an array for at most 64 vertices,
+    else w = ceil(n / 8) bytes each.  The b members, padded with empty
+    ones to k8 = b rounded up to a multiple of 8, have w byte-columns:
+    column q holds byte q of each member in turn.  Laid side by side in
+    one int, their 8-byte blocks are 8x8 bit matrices, byte i for member
+    8c + i and bit j for vertex 8q + j.  After ``_transpose8``, byte
+    v & 7 of each of column v >> 3's blocks holds the bits of vertex v
+    for 8 members, bit i for member 8c + i.
+    """
+    k8 = len(masks) + 7 & ~7
+    w = n + 7 >> 3
     if n <= 64:
-        words = array("Q", masks[::-1])
+        words = array("Q", masks)
         if sys.byteorder == "big":
             words.byteswap()
-        buf, w = words.tobytes(), 8
+        buf, stride = words.tobytes(), 8
     else:
-        w = n + 7 >> 3
-        buf = bytearray(w * len(masks))
-        at = 0
-        for top in range(len(masks), 0, -_ROW_BLOCK):
-            block = masks[max(top - _ROW_BLOCK, 0) : top][::-1]
-            words = b"".join([m.to_bytes(w, "little") for m in block])
-            buf[at : at + len(words)] = words
-            at += len(words)
-    return [int(buf[v >> 3 :: w].translate(_BIT_DIGITS[v & 7]), 2) for v in range(n)]
+        buf, stride = b"".join([m.to_bytes(w, "little") for m in masks]), w
+    buf += bytes((k8 - len(masks)) * stride)
+    x = int.from_bytes(b"".join([buf[q::stride] for q in range(w)]), "little")
+    return _transpose8(x, swaps).to_bytes(w * k8, "little")
+
+
+def _swap_masks(nbytes: int) -> tuple[int, int, int]:
+    """The masks of the three delta-swaps of ``_transpose8``, with shifts
+    7, 14 and 28, each repeated over nbytes bytes."""
+    return tuple(
+        int.from_bytes(mask.to_bytes(8, "little") * (nbytes >> 3), "little")
+        for mask in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0)
+    )
+
+
+# the masks for blocks of at most _SHORT_BYTES bytes, as every family of
+# at most 128 members and 64 vertices has: made once, as making them costs
+# about a sixth of reading such a family's rows
+_SHORT_BYTES = 1024
+_SHORT_SWAPS = _swap_masks(_SHORT_BYTES)
+
+
+def _transpose8(x: int, swaps: tuple[int, int, int]) -> int:
+    """Transpose every 8x8 bit block of x: bit 8i + j of each 8-byte
+    block trades places with bit 8j + i, by the three masked delta-swaps
+    of Hacker's Delight 7-3.  swaps holds their masks from
+    ``_swap_masks``, at least as long as x: a mask longer than x does no
+    harm."""
+    m7, m14, m28 = swaps
+    t = (x ^ x >> 7) & m7
+    x ^= t ^ t << 7
+    t = (x ^ x >> 14) & m14
+    x ^= t ^ t << 14
+    t = (x ^ x >> 28) & m28
+    return x ^ t ^ t << 28
 
 
 def _pack_rows(
@@ -432,17 +501,17 @@ def _extend(
     no deep recursion.  A node tries its least index first and a child
     is opened only when ``_may_pack`` keeps it, so the first packing
     found is the least one, as a depth-first recursion would find it.
+    First-fit from a child that is opened is the leftmost path below it,
+    which that recursion would walk first, as ``_may_pack`` keeps every
+    node that a packing passes through; so when first-fit completes the
+    packing the search returns it at once, and a packing found many
+    levels down costs one first-fit, not one bound per level.
     """
     if len(live) // unit < k:
         return None
-    chosen = []
-    left = avail
-    while left:
-        j = (left & -left).bit_length() - 1
-        chosen.append(j)
-        if len(chosen) == k:
-            return chosen
-        left &= ~_clash(masks, rows, outside, j)
+    got = _first_fit_petals(masks, rows, outside, avail, k)
+    if got is not None:
+        return got
     if not _may_pack(live, unit, avail, k):
         return None
     # chosen[i] is the index that led from stack[i] to stack[i + 1]
@@ -467,7 +536,25 @@ def _extend(
             sub_live = [x for row in live if (x := row & sub)]
             if _may_pack(sub_live, unit, sub, want - 1):
                 chosen.append(j)
+                got = _first_fit_petals(masks, rows, outside, sub, want - 1)
+                if got is not None:
+                    return chosen + got
                 stack.append((sub, sub_live))
+    return None
+
+
+def _first_fit_petals(
+    masks: Sequence[int], rows: Sequence[int], outside: int, avail: int, k: int
+) -> list[int] | None:
+    """k indices of avail taken first-fit, least index first, each petal
+    disjoint from those taken before it, or None when avail runs out."""
+    chosen = []
+    while avail:
+        j = (avail & -avail).bit_length() - 1
+        chosen.append(j)
+        if len(chosen) == k:
+            return chosen
+        avail &= ~_clash(masks, rows, outside, j)
     return None
 
 

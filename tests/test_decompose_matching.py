@@ -5,13 +5,17 @@ candidates by the rs kernel and proved nu <= s before it peeled.
 vertices alike wherever the rs kernel's singleton layer B_1 is empty,
 which needs n < 1 + (r - 1)(rs)^2, so they must give the same (Z,
 verdict) on every input here but the pinned n = 74 family, and the same
-refusal on every family with a matching of s + 1 edges.
+refusal on every family with a matching of s + 1 edges.  The oracle
+refuses a 2-graph as soon as some H - Z is a triangle; on 2-graphs the
+answer is checked against ``brute_two_graph``, which reads it off the
+definitions.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -141,9 +145,10 @@ def test_planted_apex_stars_agree_with_the_oracle(monkeypatch, r, s):
 
 
 def test_random_small_families_agree_with_the_oracle():
-    # the bounds nu - 1, nu and nu + 1: a refusal, then hits or misses;
-    # an r = 2 family that peels to a triangle gets the same refusal from
-    # classify at both
+    # the bounds nu - 1, nu and nu + 1: a refusal, then hits or misses.
+    # The oracle refuses an r = 2 family as soon as some H - Z is a
+    # triangle, which classify refuses; there the answer is the
+    # brute-force one, a later Z or a miss
     rng = random.Random(34)
     seen = set()
     for _ in range(300):
@@ -153,14 +158,119 @@ def test_random_small_families_agree_with_the_oracle():
         nu = matching_number(h)
         for s in range(max(1, nu - 1), nu + 2):
             want = outcome(oracle_decompose_matching, h, s)
-            assert outcome(decompose_matching, h, s) == want, (h, s)
-            seen.add(want if isinstance(want, str) else want[0] is not None)
+            got = outcome(decompose_matching, h, s)
+            if want == TRIANGLE_REFUSAL:
+                assert brief(got) == brute_two_graph(h, s), (h, s)
+                seen.add(("past a triangle", got[0] is not None))
+            else:
+                assert got == want, (h, s)
+                seen.add(want if isinstance(want, str) else want[0] is not None)
     assert seen == {
         "family has a larger matching than the stated bound",
-        "no templates for intersecting families with r=2 < 3",
+        ("past a triangle", False),
         True,
         False,
     }
+
+
+TRIANGLE_REFUSAL = "no templates for intersecting families with r=2 < 3"
+
+
+def brief(answer):
+    """(Z, verdict kind) of an answer, or the refusal's message."""
+    return answer if isinstance(answer, str) else (answer[0], answer[1].kind)
+
+
+def brute_two_graph(h, s):
+    """(Z, verdict kind) or the refusal, for a 2-graph, from the
+    definitions: refuse nu > s; else try the (s - 1)-sets of the vertices
+    by degree, highest first, then by label, in lexicographic order, and
+    take the first whose removal leaves edges with a common vertex (or
+    none) on at least three vertices, where the star template EM(n', 2,
+    s=1) lives; at s = 1 the one Z = () gets NONE when it misses."""
+    edges = [set(e) for e in h.vertex_sets()]
+    nu = max(k for k in range(4) if any(
+        all(not a & b for a, b in combinations(c, 2)) for c in combinations(edges, k)))
+    if nu > s:
+        return "family has a larger matching than the stated bound"
+    degree = {v: sum(v in e for e in edges) for v in range(1, h.n + 1)}
+    order = sorted(degree, key=lambda v: (-degree[v], v))
+    for zs in combinations(order, s - 1):
+        rest = [e for e in edges if not e & set(zs)]
+        if h.n - len(zs) >= 3 and (not rest or set.intersection(*rest)):
+            return (tuple(sorted(zs)), VerdictKind.STAR)
+    return ((), VerdictKind.NONE) if s == 1 else (None, VerdictKind.NONE)
+
+
+def two_graphs(n):
+    """Every 2-graph on [n], one per subset of the pairs."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Hypergraph.from_vertex_sets(
+            n, 2, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+
+
+def check_two_graph(h, s):
+    got = outcome(decompose_matching, h, s)
+    assert brief(got) == brute_two_graph(h, s), (h, s)
+    if not isinstance(got, str) and got[1].kind is VerdictKind.STAR:
+        assert embedding_is_valid(delete_vertices(h, got[0]), got[1].embedding)
+    return brief(got)
+
+
+def test_a_two_graph_that_peels_to_a_triangle_tries_the_next_z():
+    # 14, 24, 15, 25, 56, 17, 27, 47 with s = 3: the degree order is
+    # 1, 2, 4, 5, 7, 6, 3, and Z = (1, 5) leaves the triangle 24, 27, 47,
+    # which classify refuses; the next hit is Z = (4, 5), which leaves
+    # 17 and 27, a star through 7
+    h = Hypergraph.from_vertex_sets(
+        7, 2, [(1, 4), (2, 4), (1, 5), (2, 5), (5, 6), (1, 7), (2, 7), (4, 7)])
+    with pytest.raises(ValueError, match="r=2 < 3"):
+        oracle_decompose_matching(h, 3)
+    z, v = decompose_matching(h, 3)
+    assert (z, v.kind) == ((4, 5), VerdictKind.STAR)
+    assert embedding_is_valid(delete_vertices(h, z), v.embedding)
+    assert check_two_graph(h, 3) == ((4, 5), VerdictKind.STAR)
+    # a triangle alone: nu = 1, intersecting with no star; Z = () misses
+    # at s = 1, and any one vertex leaves a star at s = 2
+    triangle = Hypergraph.from_vertex_sets(4, 2, [(1, 2), (1, 3), (2, 3)])
+    assert check_two_graph(triangle, 1) == ((), VerdictKind.NONE)
+    assert check_two_graph(triangle, 2) == ((1,), VerdictKind.STAR)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_two_graph_on_at_most_five_vertices_agrees_with_brute_force(n):
+    seen = set()
+    for h in two_graphs(n):
+        for s in range(1, min(n + 1, 4) + 1):
+            got = check_two_graph(h, s)
+            seen.add(got if isinstance(got, str) else (got[0] is not None, got[1]))
+    if n >= 4:
+        assert seen == {
+            "family has a larger matching than the stated bound",
+            (True, VerdictKind.STAR),
+            (True, VerdictKind.NONE),
+            (False, VerdictKind.NONE),
+        }, seen
+
+
+def test_random_two_graphs_on_six_and_seven_vertices_agree_with_brute_force():
+    # six to nine edges; where the oracle refuses at a triangle, a later
+    # Z is found or every Z misses
+    rng = random.Random(35)
+    kinds = Counter()
+    for _ in range(600):
+        n = rng.choice((6, 7))
+        pairs = list(combinations(range(1, n + 1), 2))
+        h = Hypergraph.from_vertex_sets(n, 2, rng.sample(pairs, rng.randint(6, 9)))
+        for s in (1, 2, 3):
+            got = check_two_graph(h, s)
+            kinds[got if isinstance(got, str) else got[0] is not None] += 1
+            if outcome(oracle_decompose_matching, h, s) == TRIANGLE_REFUSAL:
+                kinds["past a triangle", got[0] is not None] += 1
+    assert kinds[True] >= 50 and kinds[False] >= 50, kinds
+    assert kinds["family has a larger matching than the stated bound"] >= 50, kinds
+    assert kinds["past a triangle", True] and kinds["past a triangle", False], kinds
 
 
 def test_the_unrescuable_family_and_the_intersecting_case_agree():

@@ -20,6 +20,8 @@ from ifam.hypergraph import (
     _greedy_packing,
     _incidence_rows,
     _rows_intersect,
+    _swap_masks,
+    _transpose8,
     _two_cover,
     cover_number,
     delete_vertices,
@@ -620,7 +622,68 @@ def test_rows_of_the_lifts_are_the_naive_rows(i):
     assert len(h) > 2 * _ROW_BLOCK
     rows = _incidence_rows(h.edges)
     assert rows == naive_rows(h.edges)
+    assert rows == translated_rows(h.edges)
     assert _rows_intersect(h.edges, rows)
+
+
+_DIGITS = tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+
+def translated_rows(members):
+    """The incidence rows by another route, an oracle for the transpose:
+    the members as little-endian words of w bytes, last member first,
+    and each row parsed from the digits of its bit in every w-th byte,
+    most significant member first."""
+    n = max(members, default=0).bit_length()
+    w = 8 if n <= 64 else n + 7 >> 3
+    buf = b"".join([m.to_bytes(w, "little") for m in reversed(members)])
+    return [int(buf[v >> 3 :: w].translate(_DIGITS[v & 7]), 2) for v in range(n)]
+
+
+ROW_COUNTS = [0, 1, 7, 8, 9, 63, 64, 65, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+              2 * _ROW_BLOCK + 3]
+ROW_WIDTHS = [1, 7, 8, 9, 63, 64, 65, 128, 129, 200]
+
+
+@pytest.mark.parametrize("top", ROW_WIDTHS)
+@pytest.mark.parametrize("m", ROW_COUNTS)
+def test_rows_are_the_translate_readers_rows(m, top):
+    # either side of an 8-member block, of a row block and of a word, as
+    # a list and as a tuple, with an empty member first, inside and last
+    rng = random.Random(1000 * m + top)
+    members = [rng.getrandbits(top) & ~rng.getrandbits(top) for _ in range(m)]
+    if m:
+        members[rng.randrange(m)] |= 1 << (top - 1)
+    families = [members, tuple(members)]
+    if m >= 3:
+        families += [[0, *members[1:]], [*members[:-1], 0],
+                     [*members[: m // 2], 0, *members[m // 2 + 1 :]]]
+    assert len(translated_rows(members)) == (top if m else 0)
+    for family in families:
+        want = translated_rows(family)
+        assert _incidence_rows(family) == want, (m, top)
+        if m <= 65 and top <= 65:
+            assert want == naive_rows(family), (m, top)
+
+
+@pytest.mark.parametrize("size, masks_size", [(8, 8), (24, 24), (24, 1024), (1024, 1024),
+                                              (64, 3 * 1024), (17 * 1024, 17 * 1024)])
+def test_the_8x8_transpose_swaps_bit_8i_plus_j_with_bit_8j_plus_i(size, masks_size):
+    # an int of size bytes, under masks as long or longer: on single
+    # bits, and on a random int against the transpose done bit by bit;
+    # a second transpose restores the int
+    swaps = _swap_masks(masks_size)
+    rng = random.Random(size)
+    for p in (0, 1, 7, 8, 9, 63, 8 * size - 1, rng.randrange(8 * size)):
+        block, i, j = p >> 6, p >> 3 & 7, p & 7
+        assert _transpose8(1 << p, swaps) == 1 << (64 * block + 8 * j + i), p
+    x = rng.getrandbits(8 * size)
+    want = 0
+    for p in _bits(x):
+        block, i, j = p >> 6, p >> 3 & 7, p & 7
+        want |= 1 << (64 * block + 8 * j + i)
+    assert _transpose8(x, swaps) == want
+    assert _transpose8(want, swaps) == x
 
 
 def _gate_cases():

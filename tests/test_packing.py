@@ -298,6 +298,21 @@ def depth():
     return count
 
 
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_a_deep_packing_costs_one_bound_below_the_root(monkeypatch, n):
+    # the root's first-fit stops one short; the first child that the
+    # search opens, member 1, completes by first-fit, so the bound runs
+    # at the root and at that child only, not once per level of M
+    calls = []
+    real = ifam.hypergraph._may_pack
+    monkeypatch.setattr(ifam.hypergraph, "_may_pack",
+                        lambda *args: calls.append(args[3]) or real(*args))
+    matching = [mask_of((3 * i + 1, 3 * i + 2, 3 * i + 3)) for i in range(n)]
+    masks = [mask_of((3, 4)), *matching]
+    assert pack_exists(masks, n) == list(range(1, n + 1))
+    assert calls == [n, n - 1]
+
+
 def test_a_deep_packing_needs_no_deep_recursion(monkeypatch):
     # {3, 4} meets the first two members of the matching M, so first-fit
     # stops one short and the least packing is M itself, found n levels
