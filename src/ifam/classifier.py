@@ -79,6 +79,7 @@ from .constructions import (
 from .hypergraph import (
     Hypergraph,
     SetFamily,
+    _common,
     _cover_exists,
     _greedy_packing,
     _incidence_rows,
@@ -187,7 +188,9 @@ def _witness_check(h: Hypergraph, res: Resolved):
     ``embedding_is_valid`` both run.  An edge is a member exactly when it
     contains a generator; the role table comes with the resolved
     instance, each generator as the positions of its roles in layout
-    order, and each call only puts vertices on them.
+    order, and each call only puts vertices on them.  An edge e contains
+    the generator's mask m when e & m == m: the test builds no
+    complement ~e, a throwaway int as wide as [n] for every edge.
     """
     edges, n = h.edges, h.n
     names, gens = res.names, res.gens
@@ -204,7 +207,7 @@ def _witness_check(h: Hypergraph, res: Resolved):
             m = 0
             for j in gen:
                 m |= bits[j]
-            rest = [e for e in rest if m & ~e]
+            rest = [e for e in rest if e & m != m]
         return None if rest else dict(zip(names, vertices))
 
     return fits
@@ -465,7 +468,11 @@ def _schema_rec(edges, n: int, schemas, memo: set, asg: tuple, start: int):
     position, `start` the parent's pending edge, and memo the assignments
     already searched.  A module-level generator, not a closure: a closure
     that calls itself is a reference cycle, which would keep the search
-    state alive until the next full garbage collection."""
+    state alive until the next full garbage collection.
+
+    A generator's mask m explains the edge e when e & m == m, and a
+    role's one vertex lies in e when their AND is nonzero: both tests
+    read e as it is, with no complement built per edge."""
     if asg in memo:
         return
     memo.add(asg)
@@ -480,7 +487,7 @@ def _schema_rec(edges, n: int, schemas, memo: set, asg: tuple, start: int):
             done.append(m)
     for start in range(start, len(edges)):
         pend = edges[start]
-        if all(m & ~pend for m in done):
+        if all(pend & m != m for m in done):
             break
     else:
         fill = (v for v in range(1, n + 1) if v not in asg)
@@ -492,7 +499,7 @@ def _schema_rec(edges, n: int, schemas, memo: set, asg: tuple, start: int):
         for j in schema:
             if bits[j] < 0:
                 unassigned.append(j)
-            elif bits[j] & ~pend:
+            elif not pend & bits[j]:
                 break
         else:
             # each such generator has a role left; too few labels permute to nothing
@@ -635,7 +642,7 @@ def _verdict(h: Hypergraph) -> Verdict | None:
     """classify(h), or None for an intersecting r <= 2 family past the
     star, which classify refuses and ``decompose_matching`` counts as a
     miss."""
-    if not h.edges or reduce(and_, h.edges):
+    if _common(h.edges):
         tau = 1
     else:
         tau = 2 if _cover_exists(h.edges, 2) is not None else 3
@@ -713,12 +720,14 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     takes its kept edges and triples from the carriers of the layer-2
     and layer-3 members instead of scanning the edges.  A common vertex
     proves h intersecting with cover number 1 (0 with no edges), and
-    that path builds no rows and runs no cover search.
+    that path builds no rows and runs no cover search.  The AND that
+    looks for it (``_common``) reads a sample of every 64th edge first
+    and stops there when the sample has no common vertex.
     """
     _need_hypergraph(h)
     if h.r < 4:
         raise ValueError(f"decompose_th4prime needs r >= 4, got r={h.r}")
-    if not h.edges or reduce(and_, h.edges):
+    if _common(h.edges):
         # classify offers the star rung alone for every tau <= 1
         star = classify(h)
         if star.kind is VerdictKind.NONE:

@@ -10,7 +10,9 @@ Conventions used throughout the package:
   sizes, same storage order.
 * The empty hypergraph is intersecting, has matching number 0 and cover
   number 0.  ``is_intersecting`` accepts a family whose members share a
-  vertex (their AND is nonzero) before it builds any incidence row.
+  vertex (their AND, ``_common``, is nonzero) before it builds any
+  incidence row; that AND stops early when a sample of the members
+  shares no vertex.
   Otherwise its proof, ``_rows_intersect``, reads the incidence rows
   and tests only the members outside the largest star.  A caller that
   keeps the rows, as the kernel reduction does, builds them and runs
@@ -242,15 +244,35 @@ def is_intersecting(h: Hypergraph | SetFamily) -> bool:
     """True iff every two members share a vertex.  Empty families qualify.
 
     Members that all share a vertex meet pairwise, so a nonzero AND of
-    all of them (one C-level reduce) accepts at once.  Otherwise the
-    proof is ``_rows_intersect`` on the incidence rows, where only the
-    members outside the largest star need a test, |e| ORs each.  A
-    caller that needs the rows builds them and runs the proof on them.
+    all of them (``_common``) accepts at once; without a common vertex
+    that AND most often stops at its sample of every 64th member.
+    Otherwise the proof is ``_rows_intersect`` on the incidence rows,
+    where only the members outside the largest star need a test, |e|
+    ORs each.  A caller that needs the rows builds them and runs the
+    proof on them.
     """
     members = _members(h)
-    if members and reduce(and_, members):
+    if _common(members):
         return True
     return _rows_intersect(members, _incidence_rows(members))
+
+
+# members between two members of ``_common``'s sample
+_AND_STRIDE = 64
+
+
+def _common(masks: Sequence[int]) -> int:
+    """The AND of masks: the vertices that every member holds, -1 (all
+    of them) when there is no member.
+
+    A sample, every ``_AND_STRIDE``-th member, is ANDed first (one
+    C-level reduce): members without a common vertex are often settled
+    by a few spread-out ones, and a zero there stops the AND before the
+    rest are read.  Otherwise one more reduce ANDs every member into the
+    sample's result.
+    """
+    common = reduce(and_, masks[::_AND_STRIDE], -1)
+    return common and reduce(and_, masks, common)
 
 
 def _rows_intersect(members: Sequence[int], rows: Sequence[int]) -> bool:
@@ -258,11 +280,13 @@ def _rows_intersect(members: Sequence[int], rows: Sequence[int]) -> bool:
 
     The members through a vertex of largest degree share that vertex, so
     they meet pairwise.  Every other member j must meet every member but
-    itself: the rows of its vertices, with bit j, OR to everyone.  A lone
-    empty member meets no other member and is intersecting.
+    itself: the rows of its vertices, with bit j, OR to everyone.  The
+    other members are everyone XOR that vertex's row, which lies inside
+    everyone, so no complement of the row is built.  A lone empty member
+    meets no other member and is intersecting.
     """
     everyone = (1 << len(members)) - 1
-    left = everyone & ~max(rows, key=int.bit_count, default=0)
+    left = everyone ^ max(rows, key=int.bit_count, default=0)
     while left:
         j = left.bit_length() - 1
         left ^= 1 << j
@@ -283,17 +307,20 @@ def _two_cover(members: Sequence[int], rows: Sequence[int]) -> bool:
 
     A cover {u, w} holds a vertex u of the least member, and unless u
     alone covers, w lies in the least member that u misses.  So at most
-    r + r^2 row ORs decide it for members of r vertices, with no search.
+    r + r^2 row tests decide it for members of r vertices, with no
+    search.  A row lies inside everyone, so the members it misses are an
+    XOR, and w covers them when its row holds them: neither test builds
+    a complement as wide as the family.
     """
     if not members:
         return True
     everyone = (1 << len(members)) - 1
     for u in _bits(members[0]):
-        missed = everyone & ~rows[u]
+        missed = everyone ^ rows[u]
         if not missed:
             return True
         for w in _bits(members[(missed & -missed).bit_length() - 1]):
-            if not missed & ~rows[w]:
+            if rows[w] & missed == missed:
                 return True
     return False
 
@@ -459,7 +486,7 @@ def _pack_rows(
         meets = 0
         for v in _bits(masks[j]):
             meets |= rows[v]
-        if not cand & ~meets:
+        if meets & cand == cand:
             return None
     outside = ~core
     live = [x for v, row in enumerate(rows) if (x := row & cand) and not core >> v & 1]
@@ -609,6 +636,12 @@ def _cover_exists(masks: Sequence[int], k: int) -> int | None:
     stack, one frame per chosen vertex, so a cover of thousands of
     vertices needs no deep recursion; the first cover found is the one a
     depth-first recursion would return.
+
+    A node that may take one more vertex runs no packing and no branch:
+    a branch vertex covers its node exactly when every member left holds
+    it, and the branches go lowest vertex first, so the first one that
+    succeeds is the lowest vertex of the members' AND (``_common``,
+    whose sample may settle a zero), and none succeeds when that is zero.
     """
     # frames: members not yet covered, the cover so far, the vertices it
     # may still take, and the branch vertices not yet tried
@@ -617,7 +650,11 @@ def _cover_exists(masks: Sequence[int], k: int) -> int | None:
     while True:
         if not left:
             return cover
-        if k > 0 and len(_greedy_packing(left)) <= k:
+        if k == 1:
+            common = _common(left)
+            if common:
+                return cover | common & -common
+        elif k > 1 and len(_greedy_packing(left)) <= k:
             stack.append((left, cover, k, min(left, key=int.bit_count)))
         while stack:
             left, cover, k, rest = stack[-1]

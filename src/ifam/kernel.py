@@ -91,16 +91,15 @@ which only ``ifam kernel --scheme rs:S`` and KERNEL_PROPS run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations, groupby
 from math import comb
-from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from .hypergraph import (
     Hypergraph,
     SetFamily,
     _bits,
+    _common,
     _incidence_rows,
     _need_hypergraph,
     _rows_intersect,
@@ -287,7 +286,7 @@ def _b_kernel(
         carried = 0
         for t in bp:
             carried |= _through(rows, t, everyone)
-        bpp = tuple(h.edges[j] for j in _bits(everyone & ~carried))
+        bpp = tuple(h.edges[j] for j in _bits(everyone ^ carried))
     return KernelDecomposition(SetFamily.from_masks(h.n, bp), SetFamily(h.n, bpp), scheme)
 
 
@@ -323,7 +322,7 @@ def _heavy_covers(
         found: dict[int, int] = {}
         deeper: dict[int, tuple[int, int]] = {}
         for part, (through, hit) in branch.items():
-            missed = everyone & ~hit
+            missed = everyone ^ hit
             for v in _bits(masks[(missed & -missed).bit_length() - 1]):
                 t = part | 1 << v
                 sub = through & rows[v]
@@ -415,7 +414,8 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
     scheme, no layer holds a sunflower of its forbidden size, and the
     counting bound dominates |H|.  Cover number >= 2 means that H has an
     edge and no vertex lies in every edge, which the AND of the edges
-    settles with no cover search.
+    (``_common``, which may stop at a sample of them) settles with no
+    cover search.
 
     As the layers are B' and B'' split by size, two checks never fail
     alone.  Coverage implies the counting bound, and a singleton {v} in
@@ -461,7 +461,7 @@ def kernel_invariant_violations(h: Hypergraph, d: KernelDecomposition) -> list[s
         members = [t for layer in layers.values() for t in layer.members]
         if not all(x & y or x == y for x in strays for y in members):
             out.append("kernel of an intersecting family is not intersecting")
-    if d.scheme.kind == "r" and intersecting and 1 in layers and not reduce(and_, h.edges, -1):
+    if d.scheme.kind == "r" and intersecting and 1 in layers and not _common(h.edges):
         out.append("layer 1 nonempty for an intersecting family with cover number >= 2")
     if intersecting:
         for i, layer in layers.items():

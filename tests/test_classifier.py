@@ -911,6 +911,38 @@ def test_th4prime_lifted_family_at_scale():
     assert embedding_is_valid(hp, v.embedding)
 
 
+def test_th4prime_on_a_family_whose_sampled_edges_share_a_vertex():
+    # the AND of a family's edges reads every 64th edge first; here those
+    # edges share vertex 1 and one edge that the sample skips misses it,
+    # so the family has no common vertex and goes through the kernel
+    h = built(C.H3LIFT, 52, 4, i=1)
+    stray = [j for j, e in enumerate(h.edges) if not e & 1]
+    assert len(stray) == 48 and all(j % 64 for j in stray)
+    hp, removed, v = decompose_th4prime(h)
+    assert (removed, v.describe(), v.embedding.roles) == (48, "STAR", (("x1", 1),))
+    assert hp.edges == tuple(e for e in h.edges if e & 1)
+    # one stray at index 4 meeting every edge through 1 (a Hilton-Milner
+    # family), then one that misses an edge through 1
+    base = mask_of((2, 3, 4, 5))
+    star = [mask_of(c) for c in combinations(range(1, 13), 4) if c[0] == 1]
+    hm = Hypergraph.from_masks(12, 4, [e for e in star if e & base] + [base])
+    assert hm.edges.index(base) == 4
+    hp, removed, v = decompose_th4prime(hm)
+    assert (hp.edges, removed, v.describe(), v.embedding.roles) == ((), 131, "STAR", (("x1", 1),))
+    split = Hypergraph.from_masks(12, 4, [*star, base])
+    assert split.edges.index(base) == 4
+    with pytest.raises(ValueError, match="needs an intersecting family"):
+        decompose_th4prime(split)
+
+
+def test_th4prime_on_a_star_of_thousands_of_edges():
+    star = built(C.EM, 30, 4, s=1)
+    assert len(star) == 3654
+    hp, removed, v = decompose_th4prime(star)
+    assert hp is star
+    assert (removed, v.describe(), v.embedding.roles) == (0, "STAR", (("x1", 1),))
+
+
 def count_calls(monkeypatch, names):
     """A dict counting the calls to each hypergraph function in names,
     wherever a module of the package imported it."""

@@ -10,12 +10,15 @@ from operator import and_
 
 import pytest
 
+import ifam.hypergraph
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.hypergraph import (
+    _AND_STRIDE,
     _ROW_BLOCK,
     Hypergraph,
     SetFamily,
     _bits,
+    _common,
     _cover_exists,
     _greedy_packing,
     _incidence_rows,
@@ -277,6 +280,76 @@ def test_cover_search_matches_the_recursive_search():
             assert got == recursive_cover_exists(masks, k), (masks, k)
             found[got is None] += 1
     assert found[True] and found[False], found
+    # wider draws: dense members and r-sets on n <= 30, a third of the
+    # families moved 40 vertices up, so that the masks and the ANDs of
+    # the k = 1 nodes span more than one 30-bit digit of a Python int
+    found = Counter()
+    for trial in range(1500):
+        n = rng.randint(1, 30)
+        m = rng.randint(0, 12 if trial % 2 else 60)
+        if trial % 2 or n < 4:
+            masks = {rng.getrandbits(n) for _ in range(m)}
+        else:
+            masks = {mask_of(rng.sample(range(1, n + 1), rng.randint(2, 4))) for _ in range(m)}
+        shift = 40 if trial % 3 == 0 else 0
+        masks = sorted(x << shift for x in masks)
+        for k in range(-1, 6):
+            got = _cover_exists(masks, k)
+            assert got == recursive_cover_exists(masks, k), (masks, k)
+            found[got is None, (got or 0).bit_length() > 30] += 1
+    assert all(found[key] for key in ((True, False), (False, False), (False, True))), found
+
+
+def test_a_cover_search_node_with_one_vertex_left_runs_no_packing(monkeypatch):
+    # a node that may take one more vertex reads the AND of its members:
+    # at the root of k = 1, and at every child of the root of k = 2
+    calls = []
+    greedy = ifam.hypergraph._greedy_packing
+
+    def counting(masks):
+        calls.append(len(masks))
+        return greedy(masks)
+
+    monkeypatch.setattr(ifam.hypergraph, "_greedy_packing", counting)
+    star = [mask_of(e) for e in ((2, 3, 5), (2, 3, 7), (1, 3, 5, 9), (3, 5, 6))]
+    assert _cover_exists(star, 1) == mask_of((3,))
+    assert _cover_exists(star[1:], 1) == mask_of((3,))
+    assert _cover_exists([mask_of((1, 2)), mask_of((3, 4))], 1) is None
+    assert calls == []
+    # tau = 2: the root packs once and branches on 1, which leaves {2, 3},
+    # and that child closes the cover {1, 2} with its lowest vertex
+    pairs = [mask_of(e) for e in ((1, 2), (1, 3), (2, 3), (1, 4))]
+    assert _cover_exists(pairs, 1) is None
+    assert _cover_exists(pairs, 2) == mask_of((1, 2)) == recursive_cover_exists(pairs, 2)
+    assert calls == [len(pairs)]
+
+
+def test_common_is_the_and_of_the_members():
+    # -1, every vertex, is the AND of no members
+    assert _common([]) == _common(()) == -1
+    assert _common([0]) == _common((0,)) == 0
+    rng = random.Random(20261037)
+    lengths = [1, 2, _AND_STRIDE - 1, _AND_STRIDE, _AND_STRIDE + 1, 1023, 1025, 2113, 9000]
+    for length in lengths:
+        for width in (1, 7, 30, 64, 65, 300):
+            center = 1 << rng.randrange(width)
+            masks = [rng.getrandbits(width) | center for _ in range(length)]
+            for kind in (list, tuple):
+                assert _common(kind(masks)) == reduce(and_, masks), (length, width)
+            if length < 2:
+                continue
+            # one member that misses every vertex the others share, where
+            # the sample does not reach it: first, last or anywhere past 0
+            spots = {1, length - 1, rng.randrange(1, length)}
+            for j in (j for j in spots if j % _AND_STRIDE):
+                missing = masks.copy()
+                others = reduce(and_, masks[:j] + masks[j + 1 :])
+                missing[j] = rng.getrandbits(width) & ~others
+                assert reduce(and_, missing[::_AND_STRIDE]) != 0
+                assert reduce(and_, missing) == 0
+                assert _common(missing) == _common(tuple(missing)) == 0, (length, width, j)
+                missing[j] = 0
+                assert _common(missing) == 0
 
 
 def test_cover_search_needs_no_deep_recursion():
