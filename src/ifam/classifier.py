@@ -214,9 +214,14 @@ def _witness_check(h: Hypergraph, res: Resolved):
 
 
 def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
-    """Check an embedding witness edge by edge against the template's generators."""
+    """Check an embedding witness edge by edge against the template's
+    generators.  An emb that is no Embedding, or one whose params are no
+    ConstructionParams, is refused with a TypeError."""
     _need_hypergraph(h)
+    if not isinstance(emb, Embedding):
+        raise TypeError(f"emb must be an Embedding, got {type(emb).__name__}")
     p = emb.params
+    _need_params(p)
     if p.n != h.n or p.r != h.r:
         return False
     try:

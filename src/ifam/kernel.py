@@ -365,10 +365,11 @@ def _same_ground_set(h: Hypergraph, d: KernelDecomposition) -> None:
 
 def kernel_bound(h: Hypergraph, d: KernelDecomposition) -> int:
     """Upper bound on |H| from counting edges through their B-members.
-    A decomposition of another ground set is refused."""
+    A member of more than r vertices lies in no r-set and counts 0.  A
+    decomposition of another ground set is refused."""
     _same_ground_set(h, d)
     return sum(
-        len(layer) * comb(h.n - i, h.r - i) for i, layer in d.by_size.items()
+        len(layer) * comb(h.n - i, h.r - i) for i, layer in d.by_size.items() if i <= h.r
     )
 
 

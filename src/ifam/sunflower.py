@@ -14,15 +14,13 @@ multiplicities.  All of it works on per-vertex incidence rows, built
 once per call, bit j of a row marking member j: the members containing
 T are the AND of its vertices' rows, so no residue is built.
 ``_heavy_cores`` walks the small cores breadth-first in increasing
-vertex order and extends no core with fewer than k members through it,
-since every extension of T lies in a subset of them.  For the same
-reason it extends T by a vertex w only when T without its least vertex,
-plus w, went on from the level before.
+vertex order, each core extended by every larger vertex, and extends no
+core with fewer than k members through it, since every extension of T
+lies in a subset of them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
@@ -96,42 +94,27 @@ def _heavy_cores(
     least need(|T| + 1) carriers.  The walk is complete when need is
     nondecreasing: the carriers of T are a subset of those of P, so
     |carriers(P)| >= |carriers(T)| >= need(|T|) >= need(|P|), and P was
-    yielded and extended.  Each T is reached once, through P.
-
-    P is extended by w only when S = (P - min P) + w went on from level
-    i, the candidate join of Apriori (Agrawal and Srikant, VLDB 1994);
-    the empty core is extended by every vertex.  S is a subset of T of
-    size |P|, so a heavy T gives |carriers(S)| >= need(|S| + 1) >=
-    need(|S|): S was yielded and went on.  The join drops no heavy core,
-    and the stream is that of the walk that scans every larger vertex.
-    A level keeps its cores' masks, not their carrier bitsets, which are
-    as wide as the family is large: P's carriers are rebuilt from |P|
-    rows when P has a vertex to be extended by.
+    yielded and extended.  Each T is reached once, through P.  A level
+    keeps its cores' masks, not their carrier bitsets, which are as wide
+    as the family is large: P's carriers are rebuilt from |P| rows.
 
     ``accepted`` is the caller's list of the cores it has kept so far,
     read after every step: a core that contains one of them is neither
     yielded nor extended, and a yielded core that the caller appends is
-    not extended.  If S was skipped or kept so, T contains an accepted
-    core, and the scan would skip T too.  With the empty default every
-    heavy core is yielded.
+    not extended.  Every extension of a core dropped so contains an
+    accepted core, so the walk still reaches every heavy core that
+    contains none.  With the empty default every heavy core is yielded.
     """
     verts = [(1 << v, row) for v, row in enumerate(rows) if row]
     level = [(0, 0)]
-    # joins[S]: the indices i, ascending, for which S + verts[i] went on
-    joins: dict[int, Sequence[int]] = {0: range(len(verts))}
     size = 1
     floor = need(size)
     while level:
         ahead = need(size + 1)
         deeper = []
-        grown: dict[int, list[int]] = {}
         for core, start in level:
-            ends = joins.get(core & (core - 1), ())
-            ends = ends[bisect_left(ends, start) :]
-            if not ends:
-                continue
             through = _through(rows, core, carriers)
-            for i in ends:
+            for i in range(start, len(verts)):
                 bit, row = verts[i]
                 sub = through & row
                 count = sub.bit_count()
@@ -143,9 +126,7 @@ def _heavy_cores(
                 yield t, sub
                 if count >= ahead and t not in accepted:
                     deeper.append((t, i + 1))
-                    grown.setdefault(core, []).append(i)
         level = deeper
-        joins = grown
         size += 1
         floor = ahead
 

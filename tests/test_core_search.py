@@ -37,7 +37,7 @@ from ifam.hypergraph import (
 from ifam.constructions import ConstructionId, ConstructionParams, build_construction
 from ifam.kernel import b_kernel, paper_r, paper_rs
 import ifam.sunflower
-from ifam.sunflower import _SUBSET_CAP, _heavy_cores, _through, find_sunflower
+from ifam.sunflower import _SUBSET_CAP, _heavy_cores, find_sunflower
 from ifam.verify import _random_greedy, _random_star_noise, _random_structured, verify
 
 
@@ -464,50 +464,60 @@ def test_members_above_the_subset_cap_use_pairwise_intersections():
     assert sunflower_exists(big, 3) and oracle_sunflower_exists(big, 3)
 
 
-def scan_heavy_cores(rows, carriers, need, accepted=()):
-    """The core walk that extends each core by every larger vertex: the
-    reference for ``_heavy_cores``, whose candidate join must yield the
-    same (core, carriers) stream."""
-    verts = [(1 << v, row) for v, row in enumerate(rows) if row]
-    level = [(0, 0)]
+def oracle_heavy_cores(masks, need, accepted=()):
+    """Level by level, in lexicographic vertex order, every T of the
+    level's size that at least need(|T|) masks contain and that contains
+    no core of ``accepted`` as it reads then, with the bitset of those
+    masks; the stream ends at the first level with no such T.  Each
+    level is scored anew over every subset of every mask."""
     size = 1
-    floor = need(size)
-    while level:
-        ahead = need(size + 1)
-        deeper = []
-        for core, start in level:
-            through = _through(rows, core, carriers)
-            for i in range(start, len(verts)):
-                bit, row = verts[i]
-                sub = through & row
-                count = sub.bit_count()
-                if count < floor:
-                    continue
-                t = core | bit
-                if accepted and any(a & t == a for a in accepted):
-                    continue
-                yield t, sub
-                if count >= ahead and t not in accepted:
-                    deeper.append((t, i + 1))
-        level = deeper
+    while True:
+        carriers: dict[int, int] = {}
+        for j, m in enumerate(masks):
+            for sub in combinations(vertices_of(m), size):
+                t = mask_of(sub)
+                carriers[t] = carriers.get(t, 0) | 1 << j
+        heavy = sorted((t for t, c in carriers.items() if c.bit_count() >= need(size)),
+                       key=vertices_of)
+        found = False
+        for t in heavy:
+            if not any(a & t == a for a in accepted):
+                found = True
+                yield t, carriers[t]
+        if not found:
+            return
         size += 1
-        floor = ahead
+
+
+def walk_stream(masks, need, accepted):
+    rows = _incidence_rows(masks)
+    return _heavy_cores(rows, (1 << len(masks)) - 1, need, accepted)
 
 
 def core_stream(walk, h, need, accept):
-    """The (core, carriers) stream of walk on h.edges.  With accept, the
-    caller keeps each core that packs need(|core|) petals, as b_kernel
-    does, and the walk reads the kept cores."""
+    """The (core, carriers) stream of walk(h.edges, need, accepted).
+    With accept, the caller keeps each core that packs need(|core|)
+    petals, as b_kernel does, and the walk reads the kept cores."""
     rows = _incidence_rows(h.edges)
-    everyone = (1 << len(h.edges)) - 1
     accepted = []
     out = []
-    for t, sub in walk(rows, everyone, need, accepted if accept else ()):
+    for t, sub in walk(h.edges, need, accepted if accept else ()):
         out.append((t, sub))
         size = t.bit_count()
         if accept and _pack_rows(h.edges, rows, sub, need(size), t, h.r - size) is not None:
             accepted.append(t)
     return out
+
+
+def em_subfamilies(rng):
+    """Random halves of EM(n, r, s) for s = 2 and 3: families that are
+    not intersecting, so b_kernel walks their cores."""
+    for n, r in ((10, 3), (12, 3), (12, 4), (14, 4)):
+        for s in (2, 3):
+            em = build_construction(ConstructionId.EM, ConstructionParams(n, r, s=s))
+            h = Hypergraph.from_masks(n, r, rng.sample(em.edges, len(em) // 2))
+            assert not is_intersecting(h)
+            yield h
 
 
 def walk_families():
@@ -518,28 +528,27 @@ def walk_families():
     for r in (2, 3, 4, 5):
         for _ in range(5):
             yield dense_star(rng, r)
-    for n in (20, 60, 130):
-        for i in range(6):
-            yield build_construction(ConstructionId.H3LIFT, ConstructionParams(n, 4, i=i))
+    for i in range(6):
+        yield build_construction(ConstructionId.H3LIFT, ConstructionParams(20, 4, i=i))
+    yield from em_subfamilies(rng)
 
 
 @pytest.mark.parametrize("accept", [False, True], ids=["all", "accepted"])
-def test_the_join_walk_yields_the_scan_stream(accept):
+def test_the_core_walk_yields_the_oracle_stream(accept):
     # under both schemes, with the multiplicity held past r - 1 as in
-    # b_kernel, and under constant multiplicities; k = 2 is left out on
-    # the lifts of over 1,000 edges, where it yields thousands of cores
+    # b_kernel, and under the constant multiplicities 2 and r + 1
     yielded = Counter()
     for h in walk_families():
-        big = len(h) > 1000
         needs = [
             lambda size, t=s.table(h.r), top=h.r - 1: t[min(size, top)]
             for s in (paper_r(), paper_rs(2))
         ]
-        needs += [lambda size, k=k: k for k in ((h.r + 1,) if big else (2, h.r + 1))]
+        needs += [lambda size, k=k: k for k in (2, h.r + 1)]
         for need in needs:
-            want = core_stream(scan_heavy_cores, h, need, accept)
-            assert core_stream(_heavy_cores, h, need, accept) == want, h
-            yielded[big] += len(want)
+            want = core_stream(oracle_heavy_cores, h, need, accept)
+            assert core_stream(walk_stream, h, need, accept) == want, h
+            yielded[is_intersecting(h)] += len(want)
+    # both kinds of family reach the walk with cores to yield
     assert yielded[False] and yielded[True], yielded
 
 

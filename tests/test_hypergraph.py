@@ -761,7 +761,7 @@ def test_the_8x8_transpose_swaps_bit_8i_plus_j_with_bit_8j_plus_i(size, masks_si
 
 def _gate_cases():
     """(call, argument, expected message) for each shared gate."""
-    from ifam.classifier import embed
+    from ifam.classifier import Embedding, embed, embedding_is_valid
     from ifam.constructions import size_formula
     from ifam.enumeration import canonical_form
     from ifam.io import hypergraph_to_json, serialize_hypergraph
@@ -776,6 +776,7 @@ def _gate_cases():
     not_family = "expected a Hypergraph or a SetFamily, got list"
     not_params = "params must be ConstructionParams, got tuple"
     not_d = "d must be a KernelDecomposition, got NoneType"
+    not_emb = "emb must be an Embedding, got NoneType"
     return {
         "canonical_form": (lambda: canonical_form(f), not_h),
         "delete_vertices": (lambda: delete_vertices(f, [1]), not_h),
@@ -795,6 +796,11 @@ def _gate_cases():
         "build_construction": (lambda: build_construction(ConstructionId.EM, p), not_params),
         "size_formula": (lambda: size_formula(ConstructionId.EM, p), not_params),
         "embed": (lambda: embed(h, ConstructionId.EM, p), not_params),
+        "embedding_is_valid-None": (lambda: embedding_is_valid(h, None), not_emb),
+        "embedding_is_valid-params": (
+            lambda: embedding_is_valid(h, Embedding(ConstructionId.EM, p, (("x1", 1),))),
+            not_params,
+        ),
     }
 
 

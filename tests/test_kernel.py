@@ -218,6 +218,20 @@ def test_kernel_checker_reports_each_fault(h, d, messages):
     assert kernel_invariant_violations(h, d) == messages
 
 
+def test_a_kernel_member_above_r_vertices_bounds_no_edge():
+    # no r-set contains a member of four vertices, so its layer counts 0
+    # in the bound instead of asking comb for a negative k
+    h = Hypergraph.from_vertex_sets(6, 3, [(1, 2, 3), (1, 4, 5)])
+    d = KernelDecomposition(fam(6, (1, 2, 3, 4)), fam(6))
+    assert kernel_bound(h, d) == 0
+    assert kernel_invariant_violations(h, d) == [
+        "edge (1, 2, 3) contains no kernel member",
+        "counting bound below the family size",
+    ]
+    # beside a member that does bound edges, only that member counts
+    assert kernel_bound(h, KernelDecomposition(fam(6, (1,), (2, 3, 4, 5)), fam(6))) == comb(5, 2)
+
+
 def test_kernel_checker_reports_the_nested_pair_of_the_smallest_layers():
     # (4,) < (4, 5) across layers 1 and 2 is reported; (3,) < (1, 2, 3)
     # (layers 1 and 3) and (1, 2) < (1, 2, 3) (layers 2 and 3) hold too
