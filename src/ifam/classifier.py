@@ -78,18 +78,17 @@ from .constructions import (
 )
 from .hypergraph import (
     Hypergraph,
-    SetFamily,
     _common,
     _cover_exists,
     _greedy_packing,
     _incidence_rows,
-    _need_hypergraph,
+    _min_cover_mask,
+    _need,
     _rows_intersect,
     _two_cover,
     delete_vertices,
     is_intersecting,
     mask_of,
-    min_cover,
     pack_exists,
     vertices_of,
 )
@@ -217,9 +216,8 @@ def embedding_is_valid(h: Hypergraph, emb: Embedding) -> bool:
     """Check an embedding witness edge by edge against the template's
     generators.  An emb that is no Embedding, or one whose params are no
     ConstructionParams, is refused with a TypeError."""
-    _need_hypergraph(h)
-    if not isinstance(emb, Embedding):
-        raise TypeError(f"emb must be an Embedding, got {type(emb).__name__}")
+    _need(h, Hypergraph, "h")
+    _need(emb, Embedding, "emb")
     p = emb.params
     _need_params(p)
     if p.n != h.n or p.r != h.r:
@@ -294,11 +292,11 @@ def _pair_anchor_cands(h: Hypergraph):
 
 
 def _embed_em(h: Hypergraph, res: Resolved):
-    # H fits iff the s centers can cover it, i.e. tau(H) <= s.
+    # H fits iff the s centers cover it (tau(H) <= s): no search past s
     s = res.k
-    mc = min_cover(h)
-    if len(mc) <= s:
-        yield tuple(sorted(list(mc) + _lowest_free(h.n, mask_of(mc), s - len(mc))))
+    mc = _min_cover_mask(h.edges, s)
+    if mc is not None:
+        yield vertices_of(mc | mask_of(_lowest_free(h.n, mc, s - mc.bit_count())))
 
 
 def _embed_hm0(h: Hypergraph, res: Resolved):
@@ -367,9 +365,10 @@ def _embed_hm_t(h: Hypergraph, res: Resolved):
         elif len(e0) == 1:
             xcands = [e0[0] & ~_bit(v) for v in vertices_of(e0[0])]
         else:
+            # every edge holds the apex, so the links are sorted and distinct
             links = [e & ~xb for e in edges]
-            mc = mask_of(min_cover(SetFamily.from_masks(n, links)))
-            if mc.bit_count() > r - 1:
+            mc = _min_cover_mask(links, r - 1)
+            if mc is None:
                 # No small cover exists: some edges must carry the whole
                 # tail, and the tail lies inside each of them.  Guess the
                 # first such edge and the tail, then cover the rest.
@@ -388,9 +387,8 @@ def _hm_t_star_residue(h: Hypergraph, t: int, r: int, xv: int, links: list[int])
     tails = dict.fromkeys(mask_of(y) for l in links for y in combinations(vertices_of(l), t))
     for ymask in tails:
         residue = [l for l in links if ymask & ~(l | xb)]
-        sets2 = [l & ~ymask for l in residue]
-        mc = mask_of(min_cover(SetFamily.from_masks(n, sets2)))
-        if mc.bit_count() > r - 1:
+        mc = _min_cover_mask(sorted({l & ~ymask for l in residue}), r - 1)
+        if mc is None:
             continue
         pads = _lowest_free(n, xb | ymask | mc, r - 1 - mc.bit_count())
         yield (xv, *vertices_of(mc | mask_of(pads)), *vertices_of(ymask))
@@ -549,7 +547,7 @@ def embed(
     Raises ValueError when the ground set or uniformity disagree, and
     ConstructionError when the parameters name no valid instance.
     """
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     _need_params(params)
     cid = ConstructionId(template)
     if params.n != h.n or params.r != h.r:
@@ -636,7 +634,7 @@ def classify(h: Hypergraph) -> Verdict:
     intersecting, else TAU_GE_3 for r = 3 (at most ten edges) and a
     ValueError for r < 3.
     """
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     v = _verdict(h)
     if v is None:
         raise ValueError(f"no templates for intersecting families with r={h.r} < 3")
@@ -688,7 +686,7 @@ def decompose_matching(
     with no common vertex, a triangle included, is a miss like any other
     (and at s = 1, an intersecting triangle gets NONE).
     """
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     if isinstance(s, bool) or not isinstance(s, int):
         raise TypeError(f"s must be an int, got {s!r}")
     if s < 1:
@@ -729,7 +727,7 @@ def decompose_th4prime(h: Hypergraph) -> tuple[Hypergraph, int, Verdict]:
     looks for it (``_common``) reads a sample of every 64th edge first
     and stops there when the sample has no common vertex.
     """
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     if h.r < 4:
         raise ValueError(f"decompose_th4prime needs r >= 4, got r={h.r}")
     if _common(h.edges):

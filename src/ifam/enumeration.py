@@ -75,8 +75,8 @@ from .hypergraph import (
     Hypergraph,
     _bits,
     _cover_exists,
-    _need_hypergraph,
-    cover_number,
+    _members,
+    _need,
     is_intersecting,
     mask_of,
 )
@@ -116,7 +116,7 @@ def canonical_form(h: Hypergraph) -> tuple[int, ...]:
     ground set: two families on the same n with the same r are
     isomorphic exactly when their canonical forms coincide.
     """
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     return _canonical_masks(h.n, h.r, h.edges)
 
 
@@ -309,13 +309,10 @@ class EnumerationFilter:
             return False
         if self.intersecting and not is_intersecting(h):
             return False
-        if self.tau_le is not None or self.tau_ge is not None:
-            tau = cover_number(h)
-            if self.tau_le is not None and tau > self.tau_le:
-                return False
-            if self.tau_ge is not None and tau < self.tau_ge:
-                return False
-        return True
+        if self.tau_le is not None and _cover_exists(_members(h), self.tau_le) is None:
+            return False
+        # tau >= 0 holds for every family
+        return not self.tau_ge or _cover_exists(_members(h), self.tau_ge - 1) is None
 
 
 # -- generation strategies --------------------------------------------------
@@ -461,10 +458,8 @@ def enumerate_intersecting(
     for name, v in (("n", n), ("r", r)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise TypeError(f"{name} must be an int, got {v!r}")
-    if f is None:
-        f = EnumerationFilter()
-    elif not isinstance(f, EnumerationFilter):
-        raise TypeError(f"f must be an EnumerationFilter, got {type(f).__name__}")
+    f = EnumerationFilter() if f is None else f
+    _need(f, EnumerationFilter, "f")
     f.validate()
     if n < 1 or r < 1:
         raise ValueError(f"need positive n and r, got n={n}, r={r}")

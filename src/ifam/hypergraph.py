@@ -40,14 +40,15 @@ most ~6, matchings of size at most ~5) and are exact for any input.  tau
 and the minimum cover come from one cover search, ``_cover_exists``,
 which keeps its branches on an explicit stack, so a large tau needs no
 deep recursion.  A caller that needs only whether tau <= k asks that
-search with the bound k and gets no exact tau.  Every packing
-question, from ``pack_exists``, ``matching_number``, the kernel's core
-tests and the sunflower searches, goes to one engine, ``_pack_rows``,
-on per-vertex incidence rows (bit j of a vertex's row marks member j
-as containing it) and a bitset of candidate members.  Its search,
-``_extend``, keeps its open nodes on an explicit stack too, so a
-packing of many petals needs no deep recursion.  nu is the largest k
-that the engine reaches.
+search with the bound k, or the count-up ``_min_cover_mask`` with the
+bound k when it needs the least cover, and gets no exact tau.  Every
+packing question, from ``pack_exists``, ``matching_number``, the
+kernel's core tests and the sunflower searches, goes to one engine,
+``_pack_rows``, on per-vertex incidence rows (bit j of a vertex's row
+marks member j as containing it) and a bitset of candidate members.
+Its search, ``_extend``, keeps its open nodes on an explicit stack too,
+so a packing of many petals needs no deep recursion.  nu is the largest
+k that the engine reaches.
 
 Before it searches, the engine applies one bound that needs no labels
 (the transversal fact of Frankl's Delta-system method): if some member
@@ -224,10 +225,11 @@ class SetFamily:
         return iter(self.members)
 
 
-def _need_hypergraph(h) -> None:
-    """Refuse an argument h that is no Hypergraph with a TypeError."""
-    if not isinstance(h, Hypergraph):
-        raise TypeError(f"h must be a Hypergraph, got {type(h).__name__}")
+def _need(value, kind: type, name: str) -> None:
+    """Refuse an argument that is no kind with a TypeError naming it."""
+    if not isinstance(value, kind):
+        an = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {an} {kind.__name__}, got {type(value).__name__}")
 
 
 def _members(h: Hypergraph | SetFamily) -> tuple[int, ...]:
@@ -668,25 +670,25 @@ def _cover_exists(masks: Sequence[int], k: int) -> int | None:
             return None
 
 
-def _min_cover_mask(masks: Sequence[int]) -> int:
+def _min_cover_mask(masks: Sequence[int], bound: int) -> int | None:
     """The first cover found at the least k, counting up from the greedy
-    packing size (a lower bound on tau)."""
+    packing size (a lower bound on tau), or None once k passes bound."""
     if 0 in masks:
         raise ValueError("the empty set cannot be covered")
-    k = len(_greedy_packing(masks))
-    while (got := _cover_exists(masks, k)) is None:
-        k += 1
-    return got
+    for k in range(len(_greedy_packing(masks)), bound + 1):
+        if (got := _cover_exists(masks, k)) is not None:
+            return got
+    return None
 
 
 def cover_number(h: Hypergraph | SetFamily) -> int:
-    """Minimum size of a vertex set meeting every member (exact)."""
-    return _min_cover_mask(_members(h)).bit_count()
+    """Minimum size of a vertex set meeting every member (exact, <= n)."""
+    return _min_cover_mask(_members(h), h.n).bit_count()
 
 
 def min_cover(h: Hypergraph | SetFamily) -> tuple[int, ...]:
     """A minimum vertex cover as a sorted vertex tuple."""
-    return vertices_of(_min_cover_mask(_members(h)))
+    return vertices_of(_min_cover_mask(_members(h), h.n))
 
 
 def delete_vertices(h: Hypergraph, zs: Iterable[int]) -> Hypergraph:
@@ -695,7 +697,7 @@ def delete_vertices(h: Hypergraph, zs: Iterable[int]) -> Hypergraph:
     Vertices keep their relative order: the surviving labels are mapped
     onto [n - |Z|] monotonically.
     """
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     zmask = mask_of(zs)
     if zmask & ~_full_mask(h.n):
         raise ValueError("deleted vertices leave the ground set")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .hypergraph import Hypergraph, SetFamily, _need_hypergraph
+from .hypergraph import Hypergraph, SetFamily, _need
 
 __all__ = [
     "ParseError",
@@ -122,11 +122,12 @@ def _write_family(header: str, sets: list[tuple[int, ...]], kind: str, to_json: 
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     return _write_family(f"{h.n} {h.r}", h.vertex_sets(), "edge", "hypergraph_to_json")
 
 
 def serialize_set_family(f: SetFamily) -> str:
+    _need(f, SetFamily, "f")
     return _write_family(str(f.n), f.vertex_sets(), "member", "set_family_to_json")
 
 
@@ -158,7 +159,7 @@ def _json_family(data: Any, header: tuple[str, ...], key: str) -> tuple[list[int
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict[str, Any]:
-    _need_hypergraph(h)
+    _need(h, Hypergraph, "h")
     return {"n": h.n, "r": h.r, "edges": [list(vs) for vs in h.vertex_sets()]}
 
 
@@ -168,6 +169,7 @@ def hypergraph_from_json(data: Any) -> Hypergraph:
 
 
 def set_family_to_json(f: SetFamily) -> dict[str, Any]:
+    _need(f, SetFamily, "f")
     return {"n": f.n, "members": [list(vs) for vs in f.vertex_sets()]}
 
 

@@ -101,7 +101,7 @@ from .hypergraph import (
     _bits,
     _common,
     _incidence_rows,
-    _need_hypergraph,
+    _need,
     _rows_intersect,
     is_intersecting,
     vertices_of,
@@ -198,6 +198,9 @@ class KernelDecomposition:
     )
 
     def __post_init__(self) -> None:
+        _need(self.b_prime, SetFamily, "b_prime")
+        _need(self.b_dprime, SetFamily, "b_dprime")
+        _need(self.scheme, ThresholdScheme, "scheme")
         n = self.b_prime.n
         if self.b_dprime.n != n:
             raise ValueError(f"B' and B'' lie on ground sets [{n}] and [{self.b_dprime.n}]")
@@ -248,9 +251,8 @@ def b_kernel(h: Hypergraph, scheme: ThresholdScheme) -> KernelDecomposition:
     with B' empty it is all of H.  An argument of another type is
     refused with a TypeError.
     """
-    _need_hypergraph(h)
-    if not isinstance(scheme, ThresholdScheme):
-        raise TypeError(f"scheme must be a ThresholdScheme, got {type(scheme).__name__}")
+    _need(h, Hypergraph, "h")
+    _need(scheme, ThresholdScheme, "scheme")
     rows = _incidence_rows(h.edges)
     intersecting = _rows_intersect(h.edges, rows)
     d = _b_kernel(h, scheme, rows, intersecting)
@@ -356,9 +358,8 @@ def _heavy_covers(
 def _same_ground_set(h: Hypergraph, d: KernelDecomposition) -> None:
     """Refuse an h that is no Hypergraph or a d that is no
     KernelDecomposition with a TypeError, and a d of another ground set."""
-    _need_hypergraph(h)
-    if not isinstance(d, KernelDecomposition):
-        raise TypeError(f"d must be a KernelDecomposition, got {type(d).__name__}")
+    _need(h, Hypergraph, "h")
+    _need(d, KernelDecomposition, "d")
     if d.b_prime.n != h.n:
         raise ValueError(f"the decomposition lies on [{d.b_prime.n}], the family on [{h.n}]")
 

@@ -47,6 +47,8 @@ class Sunflower:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # a list would be unhashable and unequal to its tuple twin
+        object.__setattr__(self, "members", tuple(self.members))
         self.validate()
 
     @property

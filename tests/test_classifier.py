@@ -360,15 +360,45 @@ def test_star_families_embed_as_brute_force_says(cid, p):
 def test_star_residue_search_tries_each_tail_set_once(monkeypatch):
     # on the full star every edge through the apex holds three of the
     # eleven other vertices, so the 165 edges offer each one-vertex tail
-    # 45 times: one cover for the links and one per distinct tail
+    # 45 times: one bounded cover count-up for the links and one per
+    # distinct tail
     import ifam.classifier
 
     calls = []
-    real = ifam.classifier.min_cover
-    monkeypatch.setattr(ifam.classifier, "min_cover", lambda f: calls.append(1) or real(f))
+    real = ifam.classifier._min_cover_mask
+    monkeypatch.setattr(ifam.classifier, "_min_cover_mask",
+                        lambda masks, bound: calls.append(bound) or real(masks, bound))
     star = Hypergraph.from_masks(12, 4, [mask_of((1, *c)) for c in combinations(range(2, 13), 3)])
     assert embed(star, C.HM_T, P(12, 4, t=1)) is None
-    assert len(calls) == 12
+    assert calls == [3] * 12
+
+
+def asked_cover_sizes(monkeypatch, call):
+    """call()'s answer and every k that the cover search was asked with."""
+    import ifam.hypergraph
+
+    asked = []
+    real = ifam.hypergraph._cover_exists
+    monkeypatch.setattr(ifam.hypergraph, "_cover_exists",
+                        lambda masks, k: asked.append(k) or real(masks, k))
+    return call(), asked
+
+
+def test_embed_asks_each_cover_question_at_its_bound(monkeypatch):
+    # EM(n, 3, 2) holds the families of tau <= 2 and HM_T(t = 1) needs a
+    # cover of r - 1 links, so no larger cover is asked for, whatever the
+    # exact tau (6 and 3 here, 9 for the star's links)
+    pool = [mask_of(c) for c in combinations(range(1, 13), 3)]
+    seeded = Hypergraph.from_masks(12, 3, random.Random(1).sample(pool, 40))
+    fano = Hypergraph.from_vertex_sets(7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6),
+                                             (2, 5, 7), (3, 4, 7), (3, 5, 6)])
+    assert cover_number(seeded) == 6 and cover_number(fano) == 3
+    for h, searched in ((seeded, []), (fano, [1, 2])):
+        got, asked = asked_cover_sizes(monkeypatch, lambda: embed(h, C.EM, P(h.n, 3, s=2)))
+        assert got is None and asked == searched
+    star = Hypergraph.from_masks(12, 4, [mask_of((1, *c)) for c in combinations(range(2, 13), 3)])
+    got, asked = asked_cover_sizes(monkeypatch, lambda: embed(star, C.HM_T, P(12, 4, t=1)))
+    assert got is None and asked and max(asked) <= 3
 
 
 def test_double_pair_star_with_an_empty_residue():

@@ -590,22 +590,19 @@ def test_orderly_sweep_rechecks_only_the_lower_bounds(monkeypatch):
     # the prune holds every prefix to intersecting and tau <= 2 with one
     # bounded cover search per child, so the 578 emitted classes cost no
     # further cover call
-    calls = {"_cover_exists": 0, "cover_number": 0}
-    real = {name: getattr(ifam.enumeration, name) for name in calls}
-    for name, fn in real.items():
-        def counting(*args, name=name, fn=fn):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(ifam.enumeration, name, counting)
+    asked = []
+    real = ifam.enumeration._cover_exists
+    monkeypatch.setattr(ifam.enumeration, "_cover_exists",
+                        lambda masks, k: asked.append(k) or real(masks, k))
     every = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, min_edges=1))
     assert len(every) == 578
-    assert calls == {"_cover_exists": 1_506, "cover_number": 0}
-    # a lower bound on tau is not hereditary: each class is checked once
-    calls.update(_cover_exists=0, cover_number=0)
+    assert len(asked) == 1_506 and set(asked) == {2}
+    # a lower bound on tau is not hereditary: each class is checked once,
+    # by one search for a cover of tau_ge - 1 vertices
+    asked.clear()
     got = enumerate_intersecting(7, 3, EnumerationFilter(tau_le=2, tau_ge=2, min_edges=1))
-    assert got == [h for h in every if real["cover_number"](h) == 2]
-    assert calls == {"_cover_exists": 1_506, "cover_number": 578}
+    assert got == [h for h in every if cover_number(h) == 2]
+    assert asked == [2] * 1_506 + [1] * 578
 
 
 def test_maximal_sweep_still_applies_every_bound():
@@ -646,6 +643,29 @@ def test_tau_ge_filter():
         enumerate_intersecting(5, 3, EnumerationFilter(maximal_only=True, tau_ge=3))
     )
     assert all(cover_number(h) >= 3 for h in out)
+
+
+def test_the_tau_bounds_read_the_exact_cover_number():
+    # each bound is one bounded cover search; tau_ge = 0 admits every
+    # family, the empty one (tau = 0) included
+    rng = random.Random(20261022)
+    families = [Hypergraph(5, 2, ())]
+    for _ in range(150):
+        n, r = rng.randint(3, 8), rng.randint(1, 3)
+        pool = _edge_pool(n, r)
+        families.append(Hypergraph.from_masks(n, r, rng.sample(pool, rng.randint(1, min(10, len(pool))))))
+    seen = set()
+    for h in families:
+        tau = cover_number(h)
+        seen.add(tau)
+        for le in (None, 0, 1, 2, 3, 4):
+            for ge in (None, 0, 1, 2, 3, 4):
+                if le is not None and ge is not None and le < ge:
+                    continue
+                f = EnumerationFilter(intersecting=False, tau_le=le, tau_ge=ge)
+                want = (le is None or tau <= le) and (ge is None or tau >= ge)
+                assert f.admits(h) == want, (h, le, ge)
+    assert {0, 1, 2, 3, 4} <= seen, seen
 
 
 def test_the_default_filter_refuses_a_non_intersecting_family():

@@ -22,6 +22,7 @@ from ifam.hypergraph import (
     _cover_exists,
     _greedy_packing,
     _incidence_rows,
+    _min_cover_mask,
     _rows_intersect,
     _swap_masks,
     _transpose8,
@@ -242,13 +243,18 @@ def test_two_cover_agrees_with_cover_number():
 
 
 def test_min_cover_is_a_cover():
+    # the count-up bounded below tau answers None; at or above tau it
+    # returns the minimum cover, the one min_cover gives
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(3, 9)
         h = random_hypergraph(rng, n, 3, rng.randint(1, 12))
         cov = mask_of(min_cover(h))
         assert all(e & cov for e in h.edges)
-        assert len(vertices_of(cov)) == cover_number(h)
+        tau = cover_number(h)
+        assert len(vertices_of(cov)) == tau
+        for bound in range(-1, tau + 2):
+            assert _min_cover_mask(h.edges, bound) == (cov if bound >= tau else None), (h, bound)
 
 
 def recursive_cover_exists(masks, k):
@@ -763,9 +769,10 @@ def _gate_cases():
     """(call, argument, expected message) for each shared gate."""
     from ifam.classifier import Embedding, embed, embedding_is_valid
     from ifam.constructions import size_formula
-    from ifam.enumeration import canonical_form
-    from ifam.io import hypergraph_to_json, serialize_hypergraph
-    from ifam.kernel import b_kernel, kernel_bound, kernel_invariant_violations, paper_r
+    from ifam.enumeration import EnumerationFilter, canonical_form
+    from ifam.io import hypergraph_to_json, serialize_hypergraph, serialize_set_family, set_family_to_json
+    from ifam.kernel import (KernelDecomposition, b_kernel, kernel_bound,
+                             kernel_invariant_violations, paper_r)
     from ifam.sunflower import find_sunflower, find_sunflower_with_core
 
     h = Hypergraph.from_vertex_sets(7, 3, [(1, 2, 3), (1, 4, 5)])
@@ -777,6 +784,7 @@ def _gate_cases():
     not_params = "params must be ConstructionParams, got tuple"
     not_d = "d must be a KernelDecomposition, got NoneType"
     not_emb = "emb must be an Embedding, got NoneType"
+    not_f = "f must be a SetFamily, got Hypergraph"
     return {
         "canonical_form": (lambda: canonical_form(f), not_h),
         "delete_vertices": (lambda: delete_vertices(f, [1]), not_h),
@@ -790,6 +798,10 @@ def _gate_cases():
         "matching_number": (lambda: matching_number(list(h.edges)), not_family),
         "cover_number": (lambda: cover_number(list(h.edges)), not_family),
         "min_cover": (lambda: min_cover(list(h.edges)), not_family),
+        "EnumerationFilter.admits": (
+            lambda: EnumerationFilter(intersecting=False, tau_ge=2).admits(list(h.edges)),
+            not_family,
+        ),
         "find_sunflower": (lambda: find_sunflower(list(h.edges), 3), not_family),
         "find_sunflower_with_core": (lambda: find_sunflower_with_core(list(h.edges), 1, 2),
                                      not_family),
@@ -801,12 +813,21 @@ def _gate_cases():
             lambda: embedding_is_valid(h, Embedding(ConstructionId.EM, p, (("x1", 1),))),
             not_params,
         ),
+        "serialize_set_family": (lambda: serialize_set_family(h), not_f),
+        "set_family_to_json": (lambda: set_family_to_json(h), not_f),
+        "KernelDecomposition-b_prime": (lambda: KernelDecomposition([1], [2]),
+                                        "b_prime must be a SetFamily, got list"),
+        "KernelDecomposition-b_dprime": (lambda: KernelDecomposition(f, [2]),
+                                         "b_dprime must be a SetFamily, got list"),
+        "KernelDecomposition-scheme": (lambda: KernelDecomposition(f, f, "r"),
+                                       "scheme must be a ThresholdScheme, got str"),
     }
 
 
 @pytest.mark.parametrize("name", list(_gate_cases()))
 def test_shared_gates_refuse_an_argument_of_the_wrong_type(name):
-    # each of these raised AttributeError on the missing field
+    # each of these raised AttributeError on a missing field, or took the
+    # argument and wrote or kept a wrong result
     call, message = _gate_cases()[name]
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

@@ -67,6 +67,15 @@ def test_sunflower_type_invariants():
         Sunflower(6, mask_of([1]), (mask_of([1, 2]), mask_of([1, 3]), mask_of([1, 2])))
 
 
+@pytest.mark.parametrize("make", [list, lambda m: (x for x in m)], ids=["list", "generator"])
+def test_a_sunflower_stores_its_members_as_a_tuple(make):
+    # a list kept the sunflower unhashable and unequal to its tuple twin
+    members = (mask_of([1, 2]), mask_of([1, 3]))
+    s, twin = Sunflower(6, mask_of([1]), make(members)), Sunflower(6, mask_of([1]), members)
+    assert s.members == members and s == twin and hash(s) == hash(twin)
+    assert {s, twin} == {twin}
+
+
 def test_star_family_has_core_one():
     f = fam((1, 2), (1, 3), (1, 4))
     s = find_sunflower(f, 3)
